@@ -56,13 +56,13 @@ Router::Router(net::Network& network, bgp::Speaker& speaker,
   // short damping delay, so a BGP convergence burst causes one move).
   speaker_.add_route_change_listener(
       [this](bgp::RouteType type, const net::Prefix& prefix) {
-        if (type != bgp::RouteType::kGroup) return;
-        bool any = false;
-        for (const auto& [group, entry] : star_entries_) {
-          (void)entry;
-          if (prefix.contains(group)) any = true;
+        if (type != bgp::RouteType::kGroup || reresolve_pending_) return;
+        // Groups are ordered by address, so the first one at or above the
+        // range's base is inside the range iff any is.
+        const auto first = star_entries_.lower_bound(prefix.base());
+        if (first == star_entries_.end() || !prefix.contains(first->first)) {
+          return;
         }
-        if (!any || reresolve_pending_) return;
         reresolve_pending_ = true;
         network_.events().schedule_in(
             repair_delay_,

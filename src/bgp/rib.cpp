@@ -172,7 +172,9 @@ std::optional<std::pair<net::Prefix, const Candidate*>> Rib::longest_match(
 
 bool Rib::upsert(const net::Prefix& prefix, Candidate candidate,
                  const RibEntry** entry_out) {
-  RibEntry& e = entry(prefix);
+  // An upsert always stores a candidate, so it always counts as a change.
+  ++version_;
+  RibEntry& e = trie_.get_or_insert(prefix);
   const std::size_t before = e.candidate_count();
   const bool changed = e.upsert(std::move(candidate));
   candidates_ += e.candidate_count() - before;
@@ -182,29 +184,21 @@ bool Rib::upsert(const net::Prefix& prefix, Candidate candidate,
 
 bool Rib::remove(const net::Prefix& prefix, PeerIndex via,
                  const RibEntry** entry_out) {
-  RibEntry& e = entry(prefix);
-  const std::size_t before = e.candidate_count();
-  const bool changed = e.remove(via);
-  candidates_ -= before - e.candidate_count();
-  const bool erased = e.empty();
-  erase_if_empty(prefix);
-  if (entry_out != nullptr) *entry_out = erased ? nullptr : &e;
-  return changed;
-}
-
-RibEntry& Rib::entry(const net::Prefix& prefix) {
-  // Callers take this reference to mutate, so bump the version
-  // pessimistically: a spurious bump only costs a cache refill.
+  // A miss (no entry, or no candidate via `via`) is a pure lookup: nothing
+  // is inserted and version() stays put, so lookup caches survive it.
+  RibEntry* e = trie_.find(prefix);
+  if (entry_out != nullptr) *entry_out = e;
+  if (e == nullptr) return false;
+  const std::size_t before = e->candidate_count();
+  const bool changed = e->remove(via);
+  if (e->candidate_count() == before) return false;
   ++version_;
-  return trie_.get_or_insert(prefix);
-}
-
-void Rib::erase_if_empty(const net::Prefix& prefix) {
-  const RibEntry* existing = trie_.find(prefix);
-  if (existing != nullptr && existing->empty()) {
+  --candidates_;
+  if (e->empty()) {
     trie_.erase(prefix);
-    ++version_;
+    if (entry_out != nullptr) *entry_out = nullptr;
   }
+  return changed;
 }
 
 std::vector<std::pair<net::Prefix, Route>> Rib::best_routes() const {

@@ -249,16 +249,17 @@ class Rib {
   bool upsert(const net::Prefix& prefix, Candidate candidate,
               const RibEntry** entry_out = nullptr);
 
-  /// Removes the candidate from `via` under `prefix` (no-op if absent),
-  /// erasing the entry once its last candidate is gone. Returns true if
-  /// the best route changed. `entry_out` (optional) receives the surviving
-  /// entry, or nullptr if the removal erased it.
+  /// Removes the candidate from `via` under `prefix`, erasing the entry
+  /// once its last candidate is gone. An absent prefix or candidate is a
+  /// pure lookup that changes nothing. Returns true if the best route
+  /// changed. `entry_out` (optional) receives the surviving entry, or
+  /// nullptr if there is none.
   bool remove(const net::Prefix& prefix, PeerIndex via,
               const RibEntry** entry_out = nullptr);
 
-  /// Monotonic mutation counter: bumped whenever the table might have
-  /// changed (entry access for write, entry erase). Lookup caches compare
-  /// it to decide whether their cached results are still valid.
+  /// Monotonic mutation counter: bumped by every upsert and by every
+  /// remove that drops a candidate. Lookup caches compare it to decide
+  /// whether their cached results are still valid.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
   /// Read-only traversal of (prefix, best candidate) in address order —
@@ -306,12 +307,6 @@ class Rib {
   }
 
  private:
-  /// Mutating access for upsert()/remove(). Creates the entry on demand.
-  /// Any call counts as a table mutation (see version()).
-  RibEntry& entry(const net::Prefix& prefix);
-  /// Erases the entry if it has no candidates left.
-  void erase_if_empty(const net::Prefix& prefix);
-
   net::PrefixTrie<RibEntry> trie_;
   std::uint64_t version_ = 0;
   std::size_t candidates_ = 0;

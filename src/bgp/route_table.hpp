@@ -5,11 +5,10 @@
 // at Internet scale most of those entries are copies of the same few
 // routes (one per origin, re-announced to dozens of peers). Following the
 // AS-path table (path_table.hpp), whole routes are interned once per
-// thread and the Adj-RIB-Out tries store a 4-byte RouteRef:
+// thread and each Adj-RIB-Out cell (adj_rib_out.hpp) is a 4-byte RouteRef:
 //
-//   * an Adj-RIB-Out trie node shrinks from carrying a full Route to a
-//     4-byte handle, and identical advertisements across peers share one
-//     stored Route;
+//   * a cell shrinks from carrying a full Route to a 4-byte handle, and
+//     identical advertisements across peers share one stored Route;
 //   * hash-consing makes ids canonical (PathRef ids already are, within a
 //     thread), so "does the Adj-RIB-Out already agree?" is an id compare.
 //

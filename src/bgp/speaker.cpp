@@ -61,10 +61,10 @@ net::ChannelId Speaker::connect(Speaker& a, Speaker& b,
   // A broken peering is a reset transport session, not a lossless pause:
   // both sides flush and resynchronize when it returns.
   a.network_.set_drop_when_down(channel, true);
-  a.add_peer(b, channel, a_sees_b, a_export);
-  b.add_peer(a, channel, reverse(a_sees_b), b_export);
-  a.full_sync(a.peers_.back());
-  b.full_sync(b.peers_.back());
+  const PeerIndex a_index = a.add_peer(b, channel, a_sees_b, a_export);
+  const PeerIndex b_index = b.add_peer(a, channel, reverse(a_sees_b), b_export);
+  a.full_sync(a_index);
+  b.full_sync(b_index);
   return channel;
 }
 
@@ -72,6 +72,7 @@ PeerIndex Speaker::add_peer(Speaker& peer, net::ChannelId channel,
                             Relationship rel, ExportPolicy export_policy) {
   peers_.push_back(Peer{&peer, channel, rel, export_policy, {}});
   peer_channels_.push_back(channel);
+  for (AdjRibOut& out : adj_rib_out_) out.add_column();
   return static_cast<PeerIndex>(peers_.size() - 1);
 }
 
@@ -125,7 +126,9 @@ void Speaker::set_aggregation(bool enabled) {
   if (aggregation_ == enabled) return;
   aggregation_ = enabled;
   const BatchScope batch(*this);
-  for (Peer& peer : peers_) full_sync(peer);
+  for (PeerIndex index = 0; index < peers_.size(); ++index) {
+    full_sync(index);
+  }
 }
 
 std::optional<LookupResult> Speaker::lookup(RouteType type,
@@ -186,18 +189,22 @@ void Speaker::on_message(net::ChannelId channel,
 
 void Speaker::on_channel_down(net::ChannelId channel) {
   const PeerIndex index = peer_by_channel(channel);
-  Peer& peer = peers_[index];
   // Whatever the dead session had not flushed yet dies with it.
-  peer.pending.clear();
+  peers_[index].pending.clear();
   const BatchScope batch(*this);
   for (int t = 0; t < kRouteTypeCount; ++t) {
     const auto type = static_cast<RouteType>(t);
-    // Flush the Adj-RIB-In from this peer; best-route changes cascade.
+    // Flush the Adj-RIB-In from this peer — only the entries holding a
+    // candidate via it; best-route changes cascade.
     Rib& table = rib_mut(type);
     std::vector<net::Prefix> learned;
-    learned.reserve(table.size());
-    table.for_each_best([&](const net::Prefix& prefix, const Candidate&) {
-      learned.push_back(prefix);
+    table.for_each_entry([&](const net::Prefix& prefix, const RibEntry& entry) {
+      for (const Candidate& candidate : entry.candidates()) {
+        if (candidate.via == index) {
+          learned.push_back(prefix);
+          return;
+        }
+      }
     });
     for (const net::Prefix& prefix : learned) {
       const RibEntry* entry = nullptr;
@@ -206,12 +213,12 @@ void Speaker::on_channel_down(net::ChannelId channel) {
       }
     }
     // The peer's session state is gone with the session.
-    peer.advertised[static_cast<std::size_t>(type)].clear();
+    adj_rib_out_[static_cast<std::size_t>(t)].clear_column(index);
   }
 }
 
 void Speaker::on_channel_up(net::ChannelId channel) {
-  full_sync(peers_[peer_by_channel(channel)]);
+  full_sync(peer_by_channel(channel));
 }
 
 void Speaker::handle_update(PeerIndex from, const UpdateMessage& update) {
@@ -327,37 +334,38 @@ Speaker::Desired Speaker::desired_from_context(const SyncContext& ctx,
 }
 
 void Speaker::sync_peer(RouteType type, const net::Prefix& prefix,
-                        Peer& peer) {
+                        PeerIndex index) {
+  const Peer& peer = peers_[index];
   // No session, no updates: the channel-up full sync reconciles later.
   if (!network_.is_up(peer.channel)) return;
   const SyncContext ctx = make_sync_context(type, prefix);
-  apply_desired(type, prefix, peer, desired_from_context(ctx, peer));
+  std::uint32_t row = adj_rib_out_[static_cast<std::size_t>(type)].find(prefix);
+  apply_desired(type, prefix, index, row, desired_from_context(ctx, peer));
 }
 
 void Speaker::apply_desired(RouteType type, const net::Prefix& prefix,
-                            Peer& peer, const Desired& desired) {
-  auto& advertised = peer.advertised[static_cast<std::size_t>(type)];
+                            PeerIndex index, std::uint32_t& row,
+                            const Desired& desired) {
+  AdjRibOut& out = adj_rib_out_[static_cast<std::size_t>(type)];
   RouteRef before;
   if (desired.route != nullptr) {
-    // Single descent covers both the agree check and the install: a fresh
-    // slot holds the null ref, which never equals an interned id.
-    RouteRef& slot = advertised.get_or_insert(prefix);
     RouteRef& want = *desired.ref;
     if (!want.has_value()) want = RouteRef::intern(*desired.route);
-    if (slot == want) return;  // Adj-RIB-Out already agrees
-    before = slot;
-    slot = want;
+    // A missing row is all null cells, which never equal an interned id.
+    if (row != AdjRibOut::kNoRow && out.cell(row, index) == want) return;
+    before = out.assign(prefix, row, index, want);
   } else {
-    // Withdraw: erase returns the previous ref in the same descent; an
-    // absent entry already agrees.
-    if (!advertised.erase(prefix, before)) return;
+    // Withdraw: a missing row or a null cell already agrees.
+    if (row == AdjRibOut::kNoRow || !out.cell(row, index).has_value()) {
+      return;
+    }
+    before = out.clear(prefix, row, index);
   }
   // Queue the delta; the Adj-RIB-Out above is already updated, so later
   // syncs in the same batch compute against the post-change state. The
   // wire message goes out when the outermost batch scope flushes.
-  if (peer.pending.empty()) {
-    dirty_peers_.push_back(static_cast<PeerIndex>(&peer - peers_.data()));
-  }
+  Peer& peer = peers_[index];
+  if (peer.pending.empty()) dirty_peers_.push_back(index);
   const auto [it, inserted] =
       peer.pending.try_emplace(std::pair(type, prefix));
   if (inserted) it->second.before = std::move(before);
@@ -426,33 +434,37 @@ void Speaker::sync_all_peers(RouteType type, const net::Prefix& prefix) {
 
 void Speaker::sync_all_peers(RouteType type, const net::Prefix& prefix,
                              const RibEntry* entry) {
-  // One context for the whole fan-out: the RIB lookup, cover check and
-  // exported-route intern happen once, not once per peer.
+  // One context and one Adj-RIB-Out row lookup for the whole fan-out: the
+  // RIB lookup, cover check and exported-route intern happen once, not
+  // once per peer. Neither a row nor a best route: nothing to send.
+  std::uint32_t row = adj_rib_out_[static_cast<std::size_t>(type)].find(prefix);
   const SyncContext ctx = make_sync_context(type, prefix, entry);
-  for (Peer& peer : peers_) {
+  if (row == AdjRibOut::kNoRow && ctx.best == nullptr) return;
+  for (PeerIndex index = 0; index < peers_.size(); ++index) {
+    const Peer& peer = peers_[index];
     // No session, no updates: the channel-up full sync reconciles later.
     if (!network_.is_up(peer.channel)) continue;
-    apply_desired(type, prefix, peer, desired_from_context(ctx, peer));
+    apply_desired(type, prefix, index, row, desired_from_context(ctx, peer));
   }
 }
 
-void Speaker::full_sync(Peer& peer) {
+void Speaker::full_sync(PeerIndex index) {
   const BatchScope batch(*this);
   for (int t = 0; t < kRouteTypeCount; ++t) {
     const auto type = static_cast<RouteType>(t);
-    // Sync everything currently advertised (so stale entries withdraw) and
-    // everything in the loc-RIB. Prefixes are collected first because
-    // sync_peer mutates the Adj-RIB-Out trie being walked.
-    auto& advertised = peer.advertised[static_cast<std::size_t>(type)];
+    // Sync everything currently advertised to the peer (so stale entries
+    // withdraw) and everything in the loc-RIB. Prefixes are collected
+    // first because sync_peer mutates the table being walked.
     std::vector<net::Prefix> prefixes;
-    prefixes.reserve(advertised.size() + rib(type).size());
-    advertised.for_each([&](const net::Prefix& p, const RouteRef&) {
-      prefixes.push_back(p);
-    });
+    prefixes.reserve(rib(type).size());
+    adj_rib_out_[static_cast<std::size_t>(t)].for_each_in_column(
+        index, [&](const net::Prefix& p, const RouteRef&) {
+          prefixes.push_back(p);
+        });
     rib(type).for_each_best([&](const net::Prefix& p, const Candidate&) {
       prefixes.push_back(p);
     });
-    for (const net::Prefix& p : prefixes) sync_peer(type, p, peer);
+    for (const net::Prefix& p : prefixes) sync_peer(type, p, index);
   }
 }
 
@@ -460,11 +472,7 @@ std::size_t Speaker::state_bytes() const {
   std::size_t total = 0;
   for (const Rib& r : ribs_) total += r.state_bytes();
   for (const auto& origins : origins_) total += origins.memory_bytes();
-  for (const Peer& peer : peers_) {
-    for (const auto& advertised : peer.advertised) {
-      total += advertised.memory_bytes();
-    }
-  }
+  for (const AdjRibOut& out : adj_rib_out_) total += out.memory_bytes();
   return total;
 }
 

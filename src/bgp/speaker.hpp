@@ -24,6 +24,7 @@
 
 #include "net/network.hpp"
 #include "net/prefix_trie.hpp"
+#include "bgp/adj_rib_out.hpp"
 #include "bgp/messages.hpp"
 #include "bgp/rib.hpp"
 #include "bgp/route_table.hpp"
@@ -114,10 +115,10 @@ class Speaker final : public net::Endpoint {
       const Speaker& peer) const;
 
   /// Session introspection for invariant checkers: the number of peerings
-  /// (the PeerIndex range), the speaker behind one, and whether its
-  /// transport session is currently up. A RIB candidate whose `via` names
-  /// a down session is stale state the session teardown should have
-  /// flushed.
+  /// (the PeerIndex range), the speaker behind one, whether its transport
+  /// session is currently up, and its channel (the same id on both ends).
+  /// A RIB candidate whose `via` names a down session is stale state the
+  /// session teardown should have flushed.
   [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
   [[nodiscard]] Speaker* peer_speaker(PeerIndex index) const {
     return peers_.at(index).speaker;
@@ -125,10 +126,24 @@ class Speaker final : public net::Endpoint {
   [[nodiscard]] bool peer_session_up(PeerIndex index) const {
     return network_.is_up(peers_.at(index).channel);
   }
+  [[nodiscard]] net::ChannelId peer_channel(PeerIndex index) const {
+    return peers_.at(index).channel;
+  }
+
+  /// Read-only walk of what this speaker last announced to one peer in
+  /// one view (its Adj-RIB-Out column): `fn(prefix, route)` per announced
+  /// route, in address order.
+  template <typename Fn>
+  void for_each_advertised(RouteType type, PeerIndex peer, Fn&& fn) const {
+    adj_rib_out_[static_cast<std::size_t>(type)].for_each_in_column(
+        peer, [&](const net::Prefix& prefix, const RouteRef& ref) {
+          fn(prefix, ref.get());
+        });
+  }
 
   /// Bytes of routing state held by this speaker: the three RIB views
-  /// (trie pools + candidate slots), the origin tables, and every peer's
-  /// Adj-RIB-Out trie. Feeds the core.state_bytes_per_domain gauge.
+  /// (trie pools + candidate slots), the origin tables, and the three
+  /// Adj-RIB-Out tables. Feeds the core.state_bytes_per_domain gauge.
   [[nodiscard]] std::size_t state_bytes() const;
 
   // net::Endpoint:
@@ -146,12 +161,8 @@ class Speaker final : public net::Endpoint {
     net::ChannelId channel;
     Relationship relationship;
     ExportPolicy export_policy;
-    /// Last route announced to this peer, per view — the Adj-RIB-Out.
-    /// Holds 4-byte interned handles: the same route announced to many
-    /// peers is stored once in the thread's RouteTable.
-    std::array<net::PrefixTrie<RouteRef>, kRouteTypeCount> advertised;
     /// Deltas accumulated during the current update batch (see
-    /// BatchScope). `before` snapshots the Adj-RIB-Out content when the
+    /// BatchScope). `before` snapshots the Adj-RIB-Out cell when the
     /// batch first touched the key, so churn that nets out to no wire
     /// change is dropped at flush. Keyed map: deterministic flush order.
     /// Both sides are interned handles (null = absent/withdraw): ids are
@@ -230,16 +241,17 @@ class Speaker final : public net::Endpoint {
   void best_changed(RouteType type, const net::Prefix& prefix,
                     const RibEntry* entry);
 
-  /// Recomputes what `peer` should see for (type, prefix) and sends the
-  /// delta (announcement or withdrawal), if any.
-  void sync_peer(RouteType type, const net::Prefix& prefix, Peer& peer);
+  /// Recomputes what peer `index` should see for (type, prefix) and sends
+  /// the delta (announcement or withdrawal), if any.
+  void sync_peer(RouteType type, const net::Prefix& prefix, PeerIndex index);
   /// Syncs every peer for one prefix; the overload without an entry looks
   /// the prefix up (used where no mutation pinpointed the entry).
   void sync_all_peers(RouteType type, const net::Prefix& prefix);
   void sync_all_peers(RouteType type, const net::Prefix& prefix,
                       const RibEntry* entry);
-  /// Syncs `peer` for every prefix in every view (session establishment).
-  void full_sync(Peer& peer);
+  /// Syncs peer `index` for every prefix in every view (session
+  /// establishment): the loc-RIB plus the rows where its cell is set.
+  void full_sync(PeerIndex index);
   /// Re-evaluates all loc-RIB prefixes strictly inside `prefix` — needed
   /// when an own origination appears/disappears and changes which
   /// more-specifics aggregation suppresses.
@@ -285,8 +297,11 @@ class Speaker final : public net::Endpoint {
   /// reflection rules, loop suppression, relationship policy).
   [[nodiscard]] Desired desired_from_context(const SyncContext& ctx,
                                              const Peer& peer) const;
-  /// Reconciles one peer's Adj-RIB-Out with `desired`, queueing the delta.
-  void apply_desired(RouteType type, const net::Prefix& prefix, Peer& peer,
+  /// Reconciles peer `index`'s cell of the prefix's Adj-RIB-Out row with
+  /// `desired`, queueing the delta. `row` is the prefix's row (kNoRow:
+  /// none); it is updated when the row is created or erased.
+  void apply_desired(RouteType type, const net::Prefix& prefix,
+                     PeerIndex index, std::uint32_t& row,
                      const Desired& desired);
 
   net::Network& network_;
@@ -324,6 +339,9 @@ class Speaker final : public net::Endpoint {
   std::array<Rib, kRouteTypeCount> ribs_;
   /// Locally-originated prefixes per view.
   std::array<net::PrefixTrie<bool>, kRouteTypeCount> origins_;
+  /// Last route announced to each peer, per view: one row of interned
+  /// 4-byte handles per prefix, one cell per PeerIndex.
+  std::array<AdjRibOut, kRouteTypeCount> adj_rib_out_;
   std::vector<Peer> peers_;
   /// peers_[i].channel, hoisted into a flat ascending vector (channels are
   /// allocated in connect order): peer_by_channel() binary-searches 4-byte

@@ -11,8 +11,10 @@
 //    B as child ⇔ B's parent is A) and acyclic, and every entry's parent
 //    agrees with a fresh G-RIB resolution toward the group's root domain.
 //  * BGP (§2, §5): each RIB entry's stored best route is maximal under the
-//    decision process recomputed over its candidates, and no candidate was
-//    learned over a session that is currently down.
+//    decision process recomputed over its candidates, no candidate was
+//    learned over a session that is currently down, and at quiescence what
+//    each speaker last announced over a session is exactly what the other
+//    side holds from it.
 //
 // Always-on invariants hold at any instant, even mid-convergence; the
 // quiescent-only ones describe converged state (tree symmetry needs joins
@@ -149,6 +151,20 @@ class BgpNextHopLiveInvariant final : public Invariant {
   [[nodiscard]] std::string_view name() const override {
     return "bgp-next-hop-live";
   }
+  void check(core::Internet& net, std::vector<Violation>& out) override;
+};
+
+/// Once updates have landed, both ends of a session agree on what crossed
+/// it. For every session from speaker a to speaker b and every view: on an
+/// up session each Adj-RIB-Out cell a holds for b matches b's candidate via
+/// a in prefix, AS path and origin (LOCAL_PREF is b's own), and every
+/// candidate b holds via a has such a cell; a down session has no cells.
+class BgpAdjRibOutInvariant final : public Invariant {
+ public:
+  [[nodiscard]] std::string_view name() const override {
+    return "bgp-adj-rib-out";
+  }
+  [[nodiscard]] bool quiescent_only() const override { return true; }
   void check(core::Internet& net, std::vector<Violation>& out) override;
 };
 

@@ -12,6 +12,7 @@ CheckerSuite CheckerSuite::standard() {
   suite.add(std::make_unique<MascContainmentInvariant>());
   suite.add(std::make_unique<BgpDecisionInvariant>());
   suite.add(std::make_unique<BgpNextHopLiveInvariant>());
+  suite.add(std::make_unique<BgpAdjRibOutInvariant>());
   suite.add(std::make_unique<BgmpBidirectionalInvariant>());
   suite.add(std::make_unique<BgmpAcyclicInvariant>());
   suite.add(std::make_unique<BgmpGribAgreementInvariant>());

@@ -65,16 +65,7 @@ class PrefixTrie {
   }
 
   /// Removes `key`. Returns true if it was present.
-  bool erase(const Prefix& key) { return erase_impl(key, nullptr); }
-
-  /// Removes `key`, moving its value into `old_value` when present — one
-  /// descent where find-then-erase would take two.
-  bool erase(const Prefix& key, T& old_value) {
-    return erase_impl(key, &old_value);
-  }
-
- private:
-  bool erase_impl(const Prefix& key, T* old_value) {
+  bool erase(const Prefix& key) {
     const std::uint32_t kbase = key.base().value();
     const int klen = key.length();
     // Descend, recording the path for the splice fix-up below.
@@ -98,7 +89,6 @@ class PrefixTrie {
     invalidate_jump();
     Node& n = nodes_[cur];
     n.has_value = false;
-    if (old_value != nullptr) *old_value = std::move(values_[cur].v);
     values_[cur].v = T{};  // release resources held by the value now
     --size_;
     const auto parent_link = [&](int d) -> std::uint32_t& {
@@ -130,7 +120,6 @@ class PrefixTrie {
     return true;
   }
 
- public:
   [[nodiscard]] bool contains(const Prefix& key) const {
     return find(key) != nullptr;
   }

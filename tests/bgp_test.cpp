@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "bgp/adj_rib_out.hpp"
 #include "bgp/rib.hpp"
 #include "bgp/route_table.hpp"
 #include "bgp/speaker.hpp"
@@ -85,6 +86,99 @@ TEST(RibEntry, RemoveFallsBackToNextBest) {
   EXPECT_FALSE(entry.remove(1));  // absent: no-op
 }
 
+TEST(Rib, RemovingAbsentPrefixOrCandidateChangesNothing) {
+  Rib rib;
+  const Prefix held = Prefix::parse("224.0.0.0/16");
+  rib.upsert(held, make_candidate(0, {2}, 100, 5));
+  rib.upsert(held, make_candidate(1, {2, 3}, 100, 6));
+  const std::size_t size = rib.size();
+  const std::size_t candidates = rib.candidate_count();
+  const std::uint64_t version = rib.version();
+
+  // Absent prefix: a pure lookup, no entry left behind.
+  const RibEntry* entry = rib.find(held);
+  EXPECT_FALSE(rib.remove(Prefix::parse("224.1.0.0/16"), 0, &entry));
+  EXPECT_EQ(entry, nullptr);
+  EXPECT_EQ(rib.size(), size);
+  EXPECT_EQ(rib.candidate_count(), candidates);
+  EXPECT_EQ(rib.version(), version);
+  EXPECT_EQ(rib.find(Prefix::parse("224.1.0.0/16")), nullptr);
+
+  // Absent candidate under a held prefix: same.
+  EXPECT_FALSE(rib.remove(held, 7));
+  EXPECT_EQ(rib.size(), size);
+  EXPECT_EQ(rib.candidate_count(), candidates);
+  EXPECT_EQ(rib.version(), version);
+
+  // A real removal still counts, and the last one erases the entry.
+  EXPECT_TRUE(rib.remove(held, 0, &entry));
+  EXPECT_NE(entry, nullptr);
+  EXPECT_GT(rib.version(), version);
+  EXPECT_EQ(rib.candidate_count(), candidates - 1);
+  EXPECT_TRUE(rib.remove(held, 1, &entry));
+  EXPECT_EQ(entry, nullptr);
+  EXPECT_EQ(rib.size(), 0u);
+  EXPECT_EQ(rib.candidate_count(), 0u);
+}
+
+// -------------------------------------------------------------- AdjRibOut
+
+RouteRef route_ref(const char* prefix, DomainId origin) {
+  return RouteRef::intern(
+      Route{Prefix::parse(prefix), PathRef::intern({origin}), origin, 100});
+}
+
+TEST(AdjRibOut, RowLivesWhileAnyCellIsSet) {
+  AdjRibOut out;
+  out.add_column();
+  out.add_column();
+  const Prefix p = Prefix::parse("224.2.0.0/16");
+  const RouteRef r = route_ref("224.2.0.0/16", 9);
+  std::uint32_t row = out.find(p);
+  EXPECT_EQ(row, AdjRibOut::kNoRow);
+  EXPECT_FALSE(out.assign(p, row, 0, r).has_value());
+  ASSERT_NE(row, AdjRibOut::kNoRow);
+  EXPECT_FALSE(out.assign(p, row, 1, r).has_value());
+  EXPECT_EQ(out.cell(row, 0), r);
+  EXPECT_EQ(out.find(p), row);
+
+  EXPECT_EQ(out.clear(p, row, 0), r);
+  EXPECT_NE(row, AdjRibOut::kNoRow);  // peer 1's cell keeps the row
+  EXPECT_FALSE(out.cell(row, 0).has_value());
+  EXPECT_EQ(out.clear(p, row, 1), r);
+  EXPECT_EQ(row, AdjRibOut::kNoRow);
+  EXPECT_EQ(out.find(p), AdjRibOut::kNoRow);
+}
+
+TEST(AdjRibOut, NewColumnKeepsExistingCells) {
+  AdjRibOut out;
+  out.add_column();
+  const Prefix a = Prefix::parse("224.3.0.0/16");
+  const Prefix b = Prefix::parse("224.4.0.0/16");
+  const RouteRef ra = route_ref("224.3.0.0/16", 3);
+  const RouteRef rb = route_ref("224.4.0.0/16", 4);
+  std::uint32_t row_a = AdjRibOut::kNoRow;
+  std::uint32_t row_b = AdjRibOut::kNoRow;
+  out.assign(a, row_a, 0, ra);
+  out.assign(b, row_b, 0, rb);
+  out.add_column();  // a peering added after rows exist
+  EXPECT_EQ(out.cell(out.find(a), 0), ra);
+  EXPECT_EQ(out.cell(out.find(b), 0), rb);
+  EXPECT_FALSE(out.cell(out.find(a), 1).has_value());
+  out.assign(a, row_a, 1, ra);
+
+  // Clearing peer 0's column drops b's row only.
+  out.clear_column(0);
+  EXPECT_EQ(out.find(b), AdjRibOut::kNoRow);
+  ASSERT_NE(out.find(a), AdjRibOut::kNoRow);
+  std::vector<Prefix> column;
+  out.for_each_in_column(1, [&](const Prefix& p, const RouteRef& ref) {
+    column.push_back(p);
+    EXPECT_EQ(ref, ra);
+  });
+  EXPECT_EQ(column, std::vector<Prefix>{a});
+}
+
 // ------------------------------------------------------------- environment
 
 struct TestNet {
@@ -161,6 +255,33 @@ TEST(Speaker, LatePeeringGetsFullTable) {
   t.settle();
   EXPECT_TRUE(s2.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3")));
   EXPECT_TRUE(s2.lookup(RouteType::kUnicast, Ipv4Addr::parse("10.1.2.3")));
+}
+
+TEST(Speaker, PeeringAddedAfterRowsExistGetsFullTable) {
+  TestNet t;
+  Speaker& s1 = t.speaker(1, "s1");
+  Speaker& s2 = t.speaker(2, "s2");
+  Speaker& s3 = t.speaker(3, "s3");
+  const Prefix group = Prefix::parse("224.1.0.0/16");
+  s1.originate(RouteType::kGroup, group);
+  Speaker::connect(s1, s2, Relationship::kLateral);
+  t.settle();
+  Speaker::connect(s1, s3, Relationship::kLateral);
+  t.settle();
+  for (const PeerIndex peer : {PeerIndex{0}, PeerIndex{1}}) {
+    std::vector<Prefix> sent;
+    s1.for_each_advertised(RouteType::kGroup, peer,
+                           [&](const Prefix& p, const Route& route) {
+                             sent.push_back(p);
+                             EXPECT_EQ(route.as_path, std::vector<DomainId>{1});
+                           });
+    EXPECT_EQ(sent, std::vector<Prefix>{group}) << "peer " << peer;
+  }
+  EXPECT_TRUE(s3.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3")));
+  s1.withdraw(RouteType::kGroup, group);
+  t.settle();
+  EXPECT_FALSE(s2.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3")));
+  EXPECT_FALSE(s3.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3")));
 }
 
 TEST(Speaker, WithdrawPropagates) {

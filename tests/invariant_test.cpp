@@ -6,9 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "bgp/messages.hpp"
+#include "bgp/speaker.hpp"
+#include "check/invariant.hpp"
+#include "core/internet.hpp"
 #include "eval/chaos.hpp"
 
 namespace eval {
@@ -164,6 +170,83 @@ TEST(ChaosInjection, ViolationReplaysExactlyFromSeed) {
     EXPECT_EQ(a.violations[i].subject, b.violations[i].subject);
     EXPECT_EQ(a.violations[i].detail, b.violations[i].detail);
   }
+}
+
+// ------------------------------------------------- Adj-RIB-Out agreement
+
+/// Three domains in a line, A - B - C, each announcing its unicast prefix,
+/// converged.
+struct Line {
+  core::Internet net{1};
+  core::Domain& a = net.add_domain({.id = 1, .name = "A",
+                                    .announce_unicast = true});
+  core::Domain& b = net.add_domain({.id = 2, .name = "B",
+                                    .announce_unicast = true});
+  core::Domain& c = net.add_domain({.id = 3, .name = "C",
+                                    .announce_unicast = true});
+  Line() {
+    net.link(a, b, bgp::Relationship::kLateral);
+    net.link(b, c, bgp::Relationship::kLateral);
+    net.settle();
+  }
+
+  /// Delivers `route` to B as if A had sent it — an update A's
+  /// Adj-RIB-Out never recorded.
+  void forge_from_a(const bgp::Route& route) {
+    bgp::Speaker& speaker = b.speaker(0);
+    auto update = std::make_unique<bgp::UpdateMessage>();
+    update->deltas.push_back(bgp::UpdateMessage::Delta{
+        bgp::RouteType::kUnicast, route.prefix, route});
+    speaker.on_message(speaker.peer_channel(0), std::move(update));
+    net.settle();
+  }
+};
+
+std::vector<check::Violation> adj_rib_out_violations(core::Internet& net) {
+  std::vector<check::Violation> out;
+  check::BgpAdjRibOutInvariant().check(net, out);
+  return out;
+}
+
+TEST(AdjRibOutChecker, ConvergedStateIsClean) {
+  Line line;
+  EXPECT_TRUE(adj_rib_out_violations(line.net).empty());
+  EXPECT_TRUE(check::CheckerSuite::standard().run(line.net, true).empty());
+}
+
+TEST(AdjRibOutChecker, ForgedAnnouncementIsCaught) {
+  Line line;
+  const net::Prefix forged = net::Prefix::parse("10.200.0.0/16");
+  line.forge_from_a(
+      bgp::Route{forged, bgp::PathRef::intern({1}), 1, 100});
+  ASSERT_TRUE(line.b.speaker(0).lookup(bgp::RouteType::kUnicast,
+                                       net::Ipv4Addr::parse("10.200.0.1")));
+  const std::vector<check::Violation> found =
+      adj_rib_out_violations(line.net);
+  // Only the A -> B session disagrees: B re-announced the route to C and
+  // recorded that in its own Adj-RIB-Out.
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].invariant, "bgp-adj-rib-out");
+  EXPECT_NE(found[0].subject.find(forged.to_string()), std::string::npos)
+      << found[0].subject;
+  bool in_suite = false;
+  for (const check::Violation& v :
+       check::CheckerSuite::standard().run(line.net, true)) {
+    if (v.invariant == "bgp-adj-rib-out") in_suite = true;
+  }
+  EXPECT_TRUE(in_suite);
+}
+
+TEST(AdjRibOutChecker, ForgedPathIsCaught) {
+  Line line;
+  // A really announced its own prefix with path [1]; B now holds [1 7].
+  line.forge_from_a(bgp::Route{line.a.unicast_prefix(),
+                               bgp::PathRef::intern({1, 7}), 1, 100});
+  const std::vector<check::Violation> found =
+      adj_rib_out_violations(line.net);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_NE(found[0].detail.find("but the peer holds"), std::string::npos)
+      << found[0].detail;
 }
 
 }  // namespace
