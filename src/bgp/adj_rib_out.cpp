@@ -28,7 +28,7 @@ RouteRef AdjRibOut::assign(const net::Prefix& prefix, std::uint32_t& row,
       live_.push_back(0);
       cells_.resize(cells_.size() + width_);
     }
-    rows_.insert(prefix, row);
+    rows_.get_or_insert(prefix) = row;
   }
   RouteRef& slot = cell_mut(row, peer);
   if (!slot.has_value()) ++live_[row];

@@ -3,11 +3,11 @@
 // A speaker remembers, per view and per peer, the last route it announced
 // to that peer. Kept as one trie per peer, every best-route change paid one
 // cold trie descent per peer — the dominant cost of BGP update processing
-// on backbone speakers with dozens of peers. Here one net::PrefixTrie maps
+// on backbone speakers with dozens of peers. Here one net::PrefixMap maps
 // each prefix to a row of interned RouteRef cells, one per PeerIndex, held
 // in a single slab with a stride of the peer count. A best-route change
-// costs one row lookup; each peer's "does the Adj-RIB-Out already agree?"
-// is then a 4-byte compare inside that row.
+// costs one probe for the row; each peer's "does the Adj-RIB-Out already
+// agree?" is then a 4-byte compare inside that row.
 //
 // A row exists only while some cell is non-null, so a stub domain, which
 // split horizon stops from re-advertising to its only provider, keeps rows
@@ -21,7 +21,7 @@
 #include "bgp/rib.hpp"
 #include "bgp/route_table.hpp"
 #include "net/prefix.hpp"
-#include "net/prefix_trie.hpp"
+#include "net/prefix_map.hpp"
 
 namespace bgp {
 
@@ -81,7 +81,7 @@ class AdjRibOut {
   }
 
   /// Prefix -> row index.
-  net::PrefixTrie<std::uint32_t> rows_;
+  net::PrefixMap<std::uint32_t> rows_;
   /// Row r's cells are cells_[r * width_, (r + 1) * width_).
   std::vector<RouteRef> cells_;
   /// Non-null cells per row slot; a free slot has 0 and all-null cells.

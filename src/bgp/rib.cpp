@@ -163,7 +163,7 @@ void RibEntry::clear() {
 
 std::optional<std::pair<net::Prefix, const Candidate*>> Rib::longest_match(
     net::Ipv4Addr addr) const {
-  const auto hit = trie_.longest_match(addr);
+  const auto hit = map_.longest_match(addr);
   if (!hit) return std::nullopt;
   const Candidate* best = hit->second->best();
   if (best == nullptr) return std::nullopt;  // defensive; entries are pruned
@@ -174,7 +174,7 @@ bool Rib::upsert(const net::Prefix& prefix, Candidate candidate,
                  const RibEntry** entry_out) {
   // An upsert always stores a candidate, so it always counts as a change.
   ++version_;
-  RibEntry& e = trie_.get_or_insert(prefix);
+  RibEntry& e = map_.get_or_insert(prefix);
   const std::size_t before = e.candidate_count();
   const bool changed = e.upsert(std::move(candidate));
   candidates_ += e.candidate_count() - before;
@@ -186,7 +186,7 @@ bool Rib::remove(const net::Prefix& prefix, PeerIndex via,
                  const RibEntry** entry_out) {
   // A miss (no entry, or no candidate via `via`) is a pure lookup: nothing
   // is inserted and version() stays put, so lookup caches survive it.
-  RibEntry* e = trie_.find(prefix);
+  RibEntry* e = map_.find(prefix);
   if (entry_out != nullptr) *entry_out = e;
   if (e == nullptr) return false;
   const std::size_t before = e->candidate_count();
@@ -195,7 +195,7 @@ bool Rib::remove(const net::Prefix& prefix, PeerIndex via,
   ++version_;
   --candidates_;
   if (e->empty()) {
-    trie_.erase(prefix);
+    map_.erase(prefix);
     if (entry_out != nullptr) *entry_out = nullptr;
   }
   return changed;
@@ -203,7 +203,7 @@ bool Rib::remove(const net::Prefix& prefix, PeerIndex via,
 
 std::vector<std::pair<net::Prefix, Route>> Rib::best_routes() const {
   std::vector<std::pair<net::Prefix, Route>> out;
-  out.reserve(trie_.size());
+  out.reserve(map_.size());
   for_each_best([&](const net::Prefix& p, const Candidate& best) {
     out.emplace_back(p, best.route);
   });

@@ -10,7 +10,7 @@
 
 #include "net/chunked_store.hpp"
 #include "net/prefix.hpp"
-#include "net/prefix_trie.hpp"
+#include "net/prefix_map.hpp"
 #include "bgp/types.hpp"
 #include "obs/concurrency.hpp"
 
@@ -183,8 +183,8 @@ class RibEntry {
   }
   RibEntry(const RibEntry&) = delete;
   RibEntry& operator=(const RibEntry&) = delete;
-  // Empty-chain fast path: most destructions are moved-from shells (trie
-  // node-pool growth, erase), and the out-of-line clear() touches the
+  // Empty-chain fast path: most destructions are moved-from shells (map
+  // growth, erase), and the out-of-line clear() touches the
   // thread-local arena even when there is nothing to release.
   ~RibEntry() {
     if (head_ != CandidateArena::kNil) clear();
@@ -230,10 +230,10 @@ class RibEntry {
 class Rib {
  public:
   /// Entry count — the paper's "G-RIB size" metric is rib(kGroup).size().
-  [[nodiscard]] std::size_t size() const { return trie_.size(); }
+  [[nodiscard]] std::size_t size() const { return map_.size(); }
 
   [[nodiscard]] const RibEntry* find(const net::Prefix& prefix) const {
-    return trie_.find(prefix);
+    return map_.find(prefix);
   }
 
   /// Longest-prefix match: the best route whose prefix contains `addr`.
@@ -245,7 +245,7 @@ class Rib {
   /// demand. Returns true if the best route (selection) changed. When
   /// `entry_out` is non-null it receives the touched entry, valid until
   /// the next table mutation — callers fanning the change out to peers
-  /// read the new best from it instead of re-descending the trie.
+  /// read the new best from it instead of probing the table again.
   bool upsert(const net::Prefix& prefix, Candidate candidate,
               const RibEntry** entry_out = nullptr);
 
@@ -266,16 +266,16 @@ class Rib {
   /// the copy-free path for snapshots, exports and metrics refreshes.
   template <typename Fn>
   void for_each_best(Fn&& fn) const {
-    trie_.for_each([&](const net::Prefix& p, const RibEntry& entry) {
+    map_.for_each([&](const net::Prefix& p, const RibEntry& entry) {
       if (const Candidate* best = entry.best()) fn(p, *best);
     });
   }
 
-  /// Same, restricted to entries (non-strictly) inside `within` — a
-  /// subtree walk, not a table scan.
+  /// Same, restricted to entries (non-strictly) inside `within`, in the
+  /// same order.
   template <typename Fn>
   void for_each_best_within(const net::Prefix& within, Fn&& fn) const {
-    trie_.for_each_within(
+    map_.for_each_within(
         within, [&](const net::Prefix& p, const RibEntry& entry) {
           if (const Candidate* best = entry.best()) fn(p, *best);
         });
@@ -286,14 +286,14 @@ class Rib {
 
   /// Candidates across all entries (Adj-RIB-In size). Maintained as a
   /// running total by upsert()/remove() so metrics refresh hooks can read
-  /// it every recorder tick without an O(entries) trie walk — at 1k+
+  /// it every recorder tick without an O(entries) table walk — at 1k+
   /// domains the unicast tables make that walk O(domains²) per snapshot.
   [[nodiscard]] std::size_t candidate_count() const { return candidates_; }
 
-  /// Bytes of routing state held by this view: the trie's node pool plus
+  /// Bytes of routing state held by this view: the map's slot array plus
   /// this view's share of the candidate arena (one slot per candidate).
   [[nodiscard]] std::size_t state_bytes() const {
-    return trie_.memory_bytes() +
+    return map_.memory_bytes() +
            candidate_count() * CandidateArena::slot_bytes();
   }
 
@@ -302,12 +302,12 @@ class Rib {
   /// set and compare against the stored selection.
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
-    trie_.for_each(
+    map_.for_each(
         [&](const net::Prefix& p, const RibEntry& entry) { fn(p, entry); });
   }
 
  private:
-  net::PrefixTrie<RibEntry> trie_;
+  net::PrefixMap<RibEntry> map_;
   std::uint64_t version_ = 0;
   std::size_t candidates_ = 0;
 };

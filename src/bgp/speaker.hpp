@@ -142,7 +142,7 @@ class Speaker final : public net::Endpoint {
   }
 
   /// Bytes of routing state held by this speaker: the three RIB views
-  /// (trie pools + candidate slots), the origin tables, and the three
+  /// (map slot arrays + candidate slots), the origin tables, and the three
   /// Adj-RIB-Out tables. Feeds the core.state_bytes_per_domain gauge.
   [[nodiscard]] std::size_t state_bytes() const;
 
@@ -237,7 +237,7 @@ class Speaker final : public net::Endpoint {
   /// Best-route change fan-out: notifies listeners and resyncs peers.
   /// `entry` is the loc-RIB entry the triggering mutation touched (nullptr
   /// when it was erased) — passed through so the fan-out does not repeat
-  /// the trie descent the mutation just performed.
+  /// the lookup the mutation just performed.
   void best_changed(RouteType type, const net::Prefix& prefix,
                     const RibEntry* entry);
 

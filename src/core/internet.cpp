@@ -299,7 +299,7 @@ Domain* Internet::domain_of_address(net::Ipv4Addr addr) const {
 
 void Internet::register_unicast_prefix(const net::Prefix& prefix,
                                        Domain& domain) {
-  unicast_map_.insert(prefix, &domain);
+  unicast_map_.get_or_insert(prefix) = &domain;
 }
 
 std::vector<Domain*> Internet::build_from_graph(const topology::Graph& graph,

@@ -15,7 +15,7 @@
 #include "core/domain.hpp"
 #include "net/event.hpp"
 #include "net/network.hpp"
-#include "net/prefix_trie.hpp"
+#include "net/prefix_map.hpp"
 #include "net/probe.hpp"
 #include "topology/graph.hpp"
 #include "topology/paths.hpp"
@@ -180,7 +180,7 @@ class Internet {
   /// mirroring add_domain()/link()/set_link_state().
   topology::DynamicPaths domain_paths_;
   std::map<const Domain*, topology::NodeId> domain_nodes_;
-  net::PrefixTrie<Domain*> unicast_map_;
+  net::PrefixMap<Domain*> unicast_map_;
   DeliveryObserver observer_;
   int threads_ = 1;
   /// Channel count when the partition was last built; a mismatch at run

@@ -1,9 +1,10 @@
 // Path-compressed (Patricia) radix trie keyed by CIDR prefixes.
 //
-// This is the workhorse behind every routing table in the library: the BGP
-// RIB/G-RIB longest-prefix match (§4.2 — "uses its more specific G-RIB entry
-// … to direct packets to the root domain"), the MASC bookkeeping of claimed
-// ranges, and the free-space search of the claim algorithm (§4.3.3).
+// The table for containment queries: the MASC bookkeeping of claimed
+// ranges and the free-space search of the claim algorithm (§4.3.3) walk
+// ancestor chains and test overlaps, and a BGP speaker checks whether one
+// of its own originations covers a prefix. Exact-match tables (the BGP
+// RIBs and Adj-RIB-Out, the unicast address map) use net::PrefixMap.
 //
 // Unlike a one-bit-per-level binary trie (one heap node and one pointer
 // dereference per bit), nodes here cover whole runs of bits: a node exists
@@ -18,8 +19,8 @@
 // never accumulates dead interior nodes.
 //
 // T must be default-constructible and movable. References and pointers
-// returned by find()/get_or_insert()/longest_match() are invalidated by any
-// subsequent insert/erase/clear (the pool may move), like vector iterators.
+// returned by find()/longest_match() are invalidated by any subsequent
+// insert/erase/clear (the pool may move), like vector iterators.
 #pragma once
 
 #include <algorithm>
@@ -41,7 +42,6 @@ class PrefixTrie {
  public:
   /// Inserts or overwrites the value at `key`. Returns true if newly added.
   bool insert(const Prefix& key, T value) {
-    invalidate_jump();
     const std::uint32_t node = ensure_node(key);
     Node& n = nodes_[node];
     const bool added = !n.has_value;
@@ -49,19 +49,6 @@ class PrefixTrie {
     values_[node].v = std::move(value);
     if (added) ++size_;
     return added;
-  }
-
-  /// The value at `key`, default-constructing it if absent. One descent
-  /// where find-then-insert would take two.
-  T& get_or_insert(const Prefix& key) {
-    invalidate_jump();
-    const std::uint32_t node = ensure_node(key);
-    Node& n = nodes_[node];
-    if (!n.has_value) {
-      n.has_value = true;
-      ++size_;
-    }
-    return values_[node].v;
   }
 
   /// Removes `key`. Returns true if it was present.
@@ -86,7 +73,6 @@ class PrefixTrie {
       ++depth;
     }
     if (cur == kNull || !nodes_[cur].has_value) return false;
-    invalidate_jump();
     Node& n = nodes_[cur];
     n.has_value = false;
     values_[cur].v = T{};  // release resources held by the value now
@@ -146,27 +132,11 @@ class PrefixTrie {
   }
 
   /// Longest stored prefix containing `addr`, with its value.
-  ///
-  /// Large tries additionally keep a level-compressed jump table over the
-  /// top address bits: one array load replaces the whole upper descent, so
-  /// a lookup touches the node pool only for the few levels below the
-  /// table. The table is rebuilt lazily after mutations (see rebuild_jump).
   [[nodiscard]] std::optional<std::pair<Prefix, const T*>> longest_match(
       Ipv4Addr addr) const {
     const std::uint32_t a = addr.value();
     std::uint32_t best = kNull;
     std::uint32_t cur = root_;
-    if (size_ >= kJumpMinSize) {
-      if (!jump_valid_ &&
-          ++stale_lookups_ >= (jump_.size() + size_) / 64 + 32) {
-        rebuild_jump();
-      }
-      if (jump_valid_) {
-        const JumpEntry e = jump_[a >> (32 - jump_bits_)];
-        best = e.best;
-        cur = e.resume;
-      }
-    }
     while (cur != kNull) {
       const Node& n = nodes_[cur];
       // A mismatch inside this node's bit run rules out its whole subtree:
@@ -274,14 +244,13 @@ class PrefixTrie {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// Bytes held by the node pool, value pool, free list and jump table.
+  /// Bytes held by the node pool, value pool and free list.
   /// Heap memory owned by the values is not counted (callers add their own
   /// value accounting).
   [[nodiscard]] std::size_t memory_bytes() const {
     return nodes_.capacity() * sizeof(Node) +
            values_.capacity() * sizeof(ValueSlot) +
-           free_.capacity() * sizeof(std::uint32_t) +
-           jump_.capacity() * sizeof(JumpEntry);
+           free_.capacity() * sizeof(std::uint32_t);
   }
 
   void clear() {
@@ -290,7 +259,6 @@ class PrefixTrie {
     free_.clear();
     root_ = kNull;
     size_ = 0;
-    invalidate_jump();
   }
 
  private:
@@ -405,71 +373,6 @@ class PrefixTrie {
     }
   }
 
-  // ------------------------------------------- level-compressed jump table
-  //
-  // For tries with >= kJumpMinSize entries, `jump_` caches, per value of
-  // the top `jump_bits_` address bits: the deepest valued node shallower
-  // than `jump_bits_` containing those addresses (`best`), and the node
-  // where the Patricia descent resumes (`resume`, checked in full by the
-  // lookup loop so a stale-looking resume target is still safe). Any
-  // mutation invalidates the whole table; it is rebuilt lazily once enough
-  // lookups have queried a stale table to amortise the O(2^bits + n)
-  // rebuild, and plain descents serve lookups in between. Small tries
-  // never allocate it.
-
-  struct JumpEntry {
-    std::uint32_t best;
-    std::uint32_t resume;
-  };
-  static constexpr std::size_t kJumpMinSize = 256;
-
-  void invalidate_jump() {
-    jump_valid_ = false;
-    stale_lookups_ = 0;
-  }
-
-  void rebuild_jump() const {
-    const int bits = std::min(
-        16, std::max(10, static_cast<int>(std::bit_width(size_)) + 2));
-    jump_bits_ = bits;
-    jump_.assign(std::size_t{1} << bits, JumpEntry{kNull, kNull});
-    fill_jump(root_, 0, std::size_t{1} << bits, kNull);
-    jump_valid_ = true;
-    stale_lookups_ = 0;
-  }
-
-  /// Fills `jump_[lo, hi)` — the slots whose addresses reach `cur` after
-  /// passing every ancestor's bit-run check — given the deepest valued
-  /// ancestor `best`.
-  void fill_jump(std::uint32_t cur, std::size_t lo, std::size_t hi,
-                 std::uint32_t best) const {
-    if (cur == kNull) {
-      std::fill(jump_.begin() + lo, jump_.begin() + hi,
-                JumpEntry{best, kNull});
-      return;
-    }
-    const Node& n = nodes_[cur];
-    if (n.len >= jump_bits_) {
-      // Descent must resume at (and fully check) this node.
-      std::fill(jump_.begin() + lo, jump_.begin() + hi,
-                JumpEntry{best, cur});
-      return;
-    }
-    // The slots actually matching this node's bit run; the rest of [lo, hi)
-    // is a guaranteed mismatch within the table-covered bits, so those
-    // lookups can stop at `best` without touching the pool.
-    const auto nlo = std::size_t{n.base >> (32 - jump_bits_)};
-    const auto nhi = nlo + (std::size_t{1} << (jump_bits_ - n.len));
-    std::fill(jump_.begin() + lo, jump_.begin() + nlo,
-              JumpEntry{best, kNull});
-    std::fill(jump_.begin() + nhi, jump_.begin() + hi,
-              JumpEntry{best, kNull});
-    if (n.has_value) best = cur;
-    const std::size_t mid = nlo + (std::size_t{1} << (jump_bits_ - n.len - 1));
-    fill_jump(n.child[0], nlo, mid, best);
-    fill_jump(n.child[1], mid, nhi, best);
-  }
-
   template <typename Fn>
   void visit(std::uint32_t idx, Fn& fn) const {
     if (idx == kNull) return;
@@ -493,12 +396,6 @@ class PrefixTrie {
   std::vector<std::uint32_t> free_;
   std::uint32_t root_ = kNull;
   std::size_t size_ = 0;
-
-  // Lazily (re)built by const lookups — see rebuild_jump().
-  mutable std::vector<JumpEntry> jump_;
-  mutable int jump_bits_ = 0;
-  mutable bool jump_valid_ = false;
-  mutable std::size_t stale_lookups_ = 0;
 };
 
 }  // namespace net

@@ -121,6 +121,26 @@ TEST(Rib, RemovingAbsentPrefixOrCandidateChangesNothing) {
   EXPECT_EQ(rib.candidate_count(), 0u);
 }
 
+TEST(Rib, LongestMatchFallsBackAfterLongestIsRemoved) {
+  Rib rib;
+  const Prefix p8 = Prefix::parse("224.0.0.0/8");
+  const Prefix p16 = Prefix::parse("224.0.0.0/16");
+  const Prefix p24 = Prefix::parse("224.0.0.0/24");
+  rib.upsert(p8, make_candidate(0, {2}, 100, 5));
+  rib.upsert(p16, make_candidate(1, {3}, 100, 6));
+  rib.upsert(p24, make_candidate(2, {4}, 100, 7));
+  const Ipv4Addr addr = Ipv4Addr::parse("224.0.0.9");
+  ASSERT_TRUE(rib.longest_match(addr).has_value());
+  EXPECT_EQ(rib.longest_match(addr)->first, p24);
+
+  // Removing the /24's only candidate erases the last /24 in the table.
+  EXPECT_TRUE(rib.remove(p24, 2));
+  const auto hit = rib.longest_match(addr);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->first, p16);
+  EXPECT_EQ(hit->second->via, 1u);
+}
+
 // -------------------------------------------------------------- AdjRibOut
 
 RouteRef route_ref(const char* prefix, DomainId origin) {

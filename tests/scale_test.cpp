@@ -29,10 +29,10 @@ namespace {
 constexpr std::uint64_t kDigest256 = 8763681109611083281ULL;
 
 /// Per-domain routing-state budget for the capped 1k rung. Measured at
-/// 107,521 B/domain with one Adj-RIB-Out table per view, against 148,010 B
-/// with one Adj-RIB-Out trie per peer: the margin allows allocator and
-/// capacity jitter, and a return to per-peer storage fails the test.
-constexpr double kStateBytesBudget1k = 128.0 * 1024.0;
+/// 67,833 B/domain with flat prefix maps under the RIBs and Adj-RIB-Out,
+/// against 107,521 B with trie-backed tables: the margin allows allocator
+/// and capacity jitter, and a return to the trie fails the test.
+constexpr double kStateBytesBudget1k = 80.0 * 1024.0;
 
 ScenarioSpec ladder_spec(int domains) {
   ScenarioSpec spec;

@@ -217,40 +217,5 @@ TEST(TrieOracle, RandomizedMutationsMatchBruteForce) {
   }
 }
 
-TEST(TrieOracle, JumpTableAgreesAfterMutationBursts) {
-  // Grow past the jump-table threshold, hammer longest_match so the table
-  // builds, then mutate and verify lookups stay consistent through the
-  // invalidate → stale-descent → rebuild cycle.
-  PrefixTrie<int> trie;
-  Oracle oracle;
-  PrefixSource source(4242);
-  net::Rng rng(17);
-
-  std::vector<Prefix> alive;
-  for (int i = 0; i < 3000; ++i) {
-    const Prefix p = source.next();
-    trie.insert(p, i);
-    oracle.insert(p, i);
-    source.remember(p);
-    alive.push_back(p);
-  }
-  for (int burst = 0; burst < 20; ++burst) {
-    // Enough lookups to force a rebuild of the stale table…
-    check_equivalent(trie, oracle, source, 400);
-    // …then churn: erase and reinsert a batch.
-    for (int i = 0; i < 50; ++i) {
-      const auto at = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(alive.size()) - 1));
-      trie.erase(alive[at]);
-      oracle.erase(alive[at]);
-      const Prefix p = source.next();
-      trie.insert(p, burst * 1000 + i);
-      oracle.insert(p, burst * 1000 + i);
-      alive[at] = p;
-    }
-  }
-  check_equivalent(trie, oracle, source, 400);
-}
-
 }  // namespace
 }  // namespace net
