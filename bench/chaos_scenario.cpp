@@ -6,7 +6,7 @@
 // Usage:
 //   chaos_scenario [--seeds N | --seed S] [--domains D] [--steps T]
 //                  [--check-every K] [--loss P] [--reorder P]
-//                  [--groups G] [--joins J] [--threads N] [--out FILE]
+//                  [--groups G] [--joins J] [--out FILE]
 //                  [--check] [--workload]
 //                  [--inject-skip-waiting] [--expect-violations]
 //                  [--telemetry] [--telemetry-interval SEC]
@@ -65,8 +65,6 @@ int main(int argc, char** argv) {
   args.opt("--reorder", &base.reorder_rate, "base transport reorder rate");
   args.opt("--groups", &base.groups, "groups to lease (0 = domains/4)");
   args.opt("--joins", &base.joins, "initial member joins per group");
-  args.opt("--threads", &base.threads,
-           "execution width per seed (byte-identical schedule at any value)");
   args.opt("--out", &out_path, "write the JSON records here");
   args.flag("--check", &gate, "exit 1 unless every seed passes");
   args.flag("--workload", &with_workload,

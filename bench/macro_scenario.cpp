@@ -137,7 +137,6 @@ Results run_scenario(const eval::ScenarioSpec& spec,
   const auto start = Clock::now();
 
   core::Internet net(spec.seed);
-  net.set_threads(spec.threads);
   // Declared after the internet so it detaches before the network dies.
   std::optional<eval::TelemetrySession> telemetry;
   if (spec.telemetry.enabled()) telemetry.emplace(net, spec.telemetry);
@@ -312,7 +311,6 @@ void write_rung(const Results& r, std::ostream& os, const char* indent) {
      << ", \"seed\": " << s.seed << ", \"max_tops\": " << s.max_tops
      << ", \"active_children\": " << s.active_children
      << ", \"flap_pairs\": " << s.flap_pairs
-     << ", \"threads\": " << s.threads
      << ", \"workload\": " << (s.workload.enabled ? 1 : 0)
      << ", \"workload_groups\": "
      << (s.workload.enabled ? s.workload.groups : 0)
@@ -425,9 +423,6 @@ bool params_match(const Results& now, const std::string& base) {
     return scrape(base, key, p) ? static_cast<std::uint64_t>(p) == want
                                 : want == 0;
   };
-  // `threads` is deliberately not matched: execution width never changes
-  // the deterministic outputs, so a --threads 4 run checks cleanly
-  // against a --threads 1 baseline (that equality is the whole point).
   const workload::Spec& w = now.spec.workload;
   return required("domains", static_cast<std::uint64_t>(now.spec.domains)) &&
          required("groups", static_cast<std::uint64_t>(now.spec.groups)) &&
@@ -624,9 +619,6 @@ int main(int argc, char** argv) {
            "cap how many children source traffic (0 = all)");
   args.opt("--flap-pairs", &spec.flap_pairs,
            "cap the ring pairs flapped in phase 3 (0 = all)");
-  args.opt("--threads", &spec.threads,
-           "execution width (1 = serial; >1 = partition-sharded parallel "
-           "executor, byte-identical schedule)");
   args.opt("--ladder", &ladder,
            "run one rung per domain count, ascending (csv); rungs > 512 "
            "domains apply the scale caps");

@@ -16,7 +16,6 @@
 #include "net/event.hpp"
 #include "net/message_pool.hpp"
 #include "net/network.hpp"
-#include "net/parallel.hpp"
 #include "net/prefix_trie.hpp"
 #include "net/rng.hpp"
 #include "obs/metrics.hpp"
@@ -351,105 +350,6 @@ void BM_BgpPropagation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BgpPropagation)->Unit(benchmark::kMillisecond);
-
-// -------------------------------------------------- parallel executor
-
-/// One quantum cycle of the parallel executor: pop the timestamp's keys,
-/// census, fan out to the worker pool, barrier, replay. Events are
-/// leaves (no parked side effects), so this isolates the window-advance
-/// machinery itself — the overhead every parallel quantum pays before any
-/// useful work parallelises. Arg = events per quantum across 4 shards.
-void BM_ShardWindowAdvance(benchmark::State& state) {
-  const int per_quantum = static_cast<int>(state.range(0));
-  constexpr std::uint32_t kDomains = 64;
-  constexpr std::uint32_t kShards = 4;
-  for (auto _ : state) {
-    state.PauseTiming();
-    net::EventQueue queue;
-    obs::Metrics metrics;
-    net::ParallelExecutor executor(queue, metrics);
-    std::vector<std::uint32_t> shard_of(kDomains + 1,
-                                        net::ParallelExecutor::kUnassignedShard);
-    for (std::uint32_t d = 1; d <= kDomains; ++d) shard_of[d] = (d - 1) % kShards;
-    executor.configure(4, std::move(shard_of), kShards,
-                       net::SimTime::milliseconds(1).ns(), /*cut_edges=*/16);
-    std::uint64_t fired = 0;
-    // 64 quanta, each a same-timestamp burst spread over every shard.
-    for (int q = 0; q < 64; ++q) {
-      for (int i = 0; i < per_quantum; ++i) {
-        queue.schedule_at(net::SimTime::milliseconds(q + 1),
-                          [&fired] { ++fired; }, "bench.window",
-                          static_cast<std::uint32_t>(i % kDomains) + 1);
-      }
-    }
-    state.ResumeTiming();
-    executor.run();
-    benchmark::DoNotOptimize(fired);
-    state.PauseTiming();
-    // Tear the pool down outside the timed region.
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_ShardWindowAdvance)->Arg(8)->Arg(64)->ArgNames({"events"});
-
-/// The cross-shard message path: an event in shard 0 sends to a domain in
-/// shard 1, so the Network::send parks in the worker and commits at
-/// replay (trace stamp, seq reservation, FIFO arm all on the
-/// coordinator). Measures the full park → barrier → commit → delivery
-/// round trip against the same-shard baseline of ordinary delivery.
-void BM_CrossShardHandoff(benchmark::State& state) {
-  struct BenchEndpoint final : net::Endpoint {
-    explicit BenchEndpoint(std::uint64_t id) : id_(id) {}
-    void on_message(net::ChannelId, std::unique_ptr<net::Message>) override {
-      ++delivered;
-    }
-    [[nodiscard]] std::string name() const override {
-      return "d" + std::to_string(id_);
-    }
-    [[nodiscard]] std::uint64_t owner_id() const override { return id_; }
-    std::uint64_t id_;
-    std::uint64_t delivered = 0;
-  };
-  struct BenchMessage final : net::Message {
-    [[nodiscard]] std::string describe() const override { return "x"; }
-  };
-  const int pairs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    net::EventQueue queue;
-    obs::Metrics metrics;
-    net::Network network(queue, &metrics);
-    net::ParallelExecutor executor(queue, metrics);
-    BenchEndpoint a(1), b(2);
-    const net::ChannelId ch =
-        network.connect(a, b, net::SimTime::milliseconds(1));
-    // Two singleton shards; the channel between them is the (only) cut,
-    // so the window equals its latency.
-    executor.configure(2, {net::ParallelExecutor::kUnassignedShard, 0u, 1u},
-                       2, net::SimTime::milliseconds(1).ns(),
-                       /*cut_edges=*/1);
-    // Each quantum holds one sender event per side, so it parallelises
-    // and every send crosses the cut.
-    for (int q = 0; q < 64; ++q) {
-      for (int i = 0; i < pairs; ++i) {
-        queue.schedule_at(
-            net::SimTime::milliseconds(q * 2 + 1),
-            [&] { network.send(ch, a, std::make_unique<BenchMessage>()); },
-            "bench.handoff", 1);
-        queue.schedule_at(
-            net::SimTime::milliseconds(q * 2 + 1),
-            [&] { network.send(ch, b, std::make_unique<BenchMessage>()); },
-            "bench.handoff", 2);
-      }
-    }
-    state.ResumeTiming();
-    executor.run();
-    benchmark::DoNotOptimize(a.delivered + b.delivered);
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * 2 * state.range(0));
-}
-BENCHMARK(BM_CrossShardHandoff)->Arg(1)->Arg(16)->ArgNames({"pairs"});
 
 // ------------------------------------------------------- workload engine
 

@@ -6,7 +6,7 @@
 // metrics snapshot with cross-run histogram quantiles.
 //
 // Usage:
-//   sweep_scenario [--threads N] [--cell-threads N]
+//   sweep_scenario [--threads N]
 //                  [--scenarios claim,join,flap,workload]
 //                  [--domains 16,32,48] [--seeds 1,2,3,4]
 //                  [--groups G] [--joins J] [--out FILE] [--smoke]
@@ -30,7 +30,6 @@
 
 int main(int argc, char** argv) {
   int threads = 1;
-  int cell_threads = 1;
   int groups = 0;
   int joins = 4;
   std::vector<std::string> scenarios = eval::scenario_names();
@@ -46,9 +45,6 @@ int main(int argc, char** argv) {
   eval::Args args("sweep_scenario",
                   "parallel deterministic (scenario × domains × seed) sweep");
   args.opt("--threads", &threads, "worker threads (one cell per worker)");
-  args.opt("--cell-threads", &cell_threads,
-           "execution width inside each cell (byte-identical digests; "
-           "useful when the grid is one big cell)");
   args.opt("--scenarios", &scenarios, "scenario names (csv)");
   args.opt("--domains", &domains, "domain counts (csv)");
   args.opt("--seeds", &seeds, "seeds (csv)");
@@ -71,7 +67,6 @@ int main(int argc, char** argv) {
 
   eval::SweepConfig config;
   config.threads = threads;
-  config.cell_threads = cell_threads;
   if (telemetry || !telemetry_dir.empty()) {
     config.telemetry.recorder_interval_seconds = telemetry_interval;
     config.telemetry.span_sample_rate = span_sample;

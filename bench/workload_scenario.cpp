@@ -9,7 +9,7 @@
 // as JSON.
 //
 // Usage:
-//   workload_scenario [--domains N] [--seed S] [--threads T]
+//   workload_scenario [--domains N] [--seed S]
 //                     [--max-tops M] [--active-children A]
 //                     [--groups G] [--days D] [--tick SEC]
 //                     [--arrivals RATE] [--lifetime SEC] [--zipf ALPHA]
@@ -18,9 +18,9 @@
 //                     [--span-base N] [--span-alpha ALPHA]
 //                     [--packets RATE] [--out FILE]
 //
-// The run is a pure function of {seed, parameters}: rib_digest and
-// engine_digest are byte-identical at any --threads, which is what the
-// determinism grid asserts. Defaults follow ScenarioSpec ladder practice:
+// The run is a pure function of {seed, parameters}: rerunning it yields a
+// byte-identical rib_digest and engine_digest, which is what the
+// determinism tests assert. Defaults follow ScenarioSpec ladder practice:
 // above 512 domains the scale caps apply unless overridden.
 #include <chrono>
 #include <cstdint>
@@ -45,7 +45,7 @@ void write_report(const eval::ScenarioSpec& spec,
   const workload::Spec& w = spec.workload;
   os << "{\n  \"bench\": \"workload_scenario\",\n"
      << "  \"params\": {\"domains\": " << spec.domains
-     << ", \"seed\": " << spec.seed << ", \"threads\": " << spec.threads
+     << ", \"seed\": " << spec.seed
      << ", \"max_tops\": " << spec.max_tops
      << ", \"active_children\": " << spec.active_children
      << ", \"workload_groups\": " << w.groups
@@ -129,8 +129,6 @@ int main(int argc, char** argv) {
                   "MASC/MAAS/BGP/BGMP pipeline");
   args.opt("--domains", &spec.domains, "domain count");
   args.opt("--seed", &spec.seed, "workload seed");
-  args.opt("--threads", &spec.threads,
-           "execution width (byte-identical schedule at any value)");
   args.opt("--max-tops", &spec.max_tops,
            "cap the backbone size (-1 = ladder caps, 0 = domains/8)");
   args.opt("--active-children", &spec.active_children,
@@ -173,7 +171,6 @@ int main(int argc, char** argv) {
   const auto start = Clock::now();
 
   core::Internet net(spec.seed);
-  net.set_threads(spec.threads);
   const eval::BuiltScenario topo = eval::build_scenario(net, spec);
   eval::phase_claim(net, topo);
   std::unique_ptr<workload::Session> session =

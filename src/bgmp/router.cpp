@@ -70,7 +70,7 @@ Router::Router(net::Network& network, bgp::Speaker& speaker,
               reresolve_pending_ = false;
               reresolve_parents();
             },
-            "bgmp.reresolve", static_cast<std::uint32_t>(owner_id()));
+            "bgmp.reresolve");
       });
 }
 
@@ -508,7 +508,7 @@ void Router::on_channel_down(net::ChannelId channel) {
     network_.events().schedule_in(
         repair_delay_,
         [this, group]() { repair_group(group, /*attempts_left=*/5); },
-        "bgmp.repair", static_cast<std::uint32_t>(owner_id()));
+        "bgmp.repair");
   }
 }
 
@@ -529,7 +529,7 @@ void Router::repair_group(Group group, int attempts_left) {
           [this, group, attempts_left]() {
             repair_group(group, attempts_left - 1);
           },
-          "bgmp.repair", static_cast<std::uint32_t>(owner_id()));
+          "bgmp.repair");
     }
     return;
   }
@@ -640,7 +640,7 @@ void Router::schedule_prune_expiry(net::Ipv4Addr source, Group group) {
         source_entries_.erase(it);
         sync_migp_state(key.group);
       },
-      "bgmp.prune_expiry", static_cast<std::uint32_t>(owner_id()));
+      "bgmp.prune_expiry");
 }
 
 void Router::handle_prune_source(net::Ipv4Addr source, Group group,

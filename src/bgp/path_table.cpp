@@ -2,18 +2,9 @@
 
 namespace bgp {
 
-namespace {
-thread_local PathTable* t_path_table_override = nullptr;
-}  // namespace
-
 PathTable& PathTable::instance() {
-  if (t_path_table_override != nullptr) return *t_path_table_override;
   thread_local PathTable table;
   return table;
-}
-
-void PathTable::bind_thread(PathTable* table) {
-  t_path_table_override = table;
 }
 
 std::uint64_t PathTable::hash_hops(const DomainId* hops, std::size_t count) {
@@ -28,15 +19,6 @@ std::uint64_t PathTable::hash_hops(const DomainId* hops, std::size_t count) {
 }
 
 std::uint32_t PathTable::intern(const DomainId* hops, std::size_t count) {
-  if (obs::concurrent()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return intern_locked(hops, count);
-  }
-  return intern_locked(hops, count);
-}
-
-std::uint32_t PathTable::intern_locked(const DomainId* hops,
-                                       std::size_t count) {
   ++stats_.interned;
   if (count == 0) {
     ++stats_.hits;
@@ -57,9 +39,7 @@ std::uint32_t PathTable::intern_locked(const DomainId* hops,
     }
     if (equal) {
       ++stats_.hits;
-      // May resurrect an entry a decref just dropped to zero refs: that
-      // decref re-checks the count once it takes the mutex and backs off.
-      obs::counter_add(e.refs, 1);
+      ++e.refs;
       return id;
     }
   }
@@ -73,7 +53,7 @@ std::uint32_t PathTable::intern_locked(const DomainId* hops,
   Entry& e = entries_[id];
   e.hops.assign(hops, hops + count);
   e.hash = hash;
-  e.refs.store(1, std::memory_order_relaxed);
+  e.refs = 1;
   e.next = buckets_[bucket];
   buckets_[bucket] = id;
   ++live_;
@@ -84,23 +64,7 @@ std::uint32_t PathTable::intern_locked(const DomainId* hops,
 
 void PathTable::decref(std::uint32_t id) {
   Entry& e = entries_[id];
-  if (obs::concurrent()) {
-    if (e.refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    // intern_locked may have resurrected the entry between the decrement
-    // and the lock; it is only dead if the count is still zero here.
-    if (e.refs.load(std::memory_order_relaxed) != 0) return;
-    release(id, e);
-    return;
-  }
-  const std::uint32_t left =
-      e.refs.load(std::memory_order_relaxed) - 1;
-  e.refs.store(left, std::memory_order_relaxed);
-  if (left != 0) return;
-  release(id, e);
-}
-
-void PathTable::release(std::uint32_t id, Entry& e) {
+  if (--e.refs != 0) return;
   unlink(id);
   e.hops.clear();
   free_ids_.push_back(id);
@@ -118,10 +82,6 @@ void PathTable::unlink(std::uint32_t id) {
 
 void PathTable::maybe_grow_buckets() {
   if (live_ < buckets_.size()) return;  // load factor < 1
-  // Relink by walking the old chains, not by scanning entries for nonzero
-  // refs: a worker's decref can leave a still-linked entry at zero refs
-  // until its locked release runs, and dropping it here would strand that
-  // pending unlink on a chain that no longer contains the id.
   std::vector<std::uint32_t> fresh(buckets_.size() * 2, 0);
   for (std::uint32_t head : buckets_) {
     for (std::uint32_t id = head; id != 0;) {

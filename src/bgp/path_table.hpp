@@ -16,28 +16,16 @@
 // each worker's id space is independent. Ids are an implementation detail —
 // they are never ordered, persisted, or compared across threads; all
 // observable behaviour flows through the hop sequences they name.
-//
-// The parallel executor is the one exception to thread confinement: its
-// workers execute events of *one* simulation, whose routes were interned on
-// the coordinator thread, so each worker binds its instance() to the
-// coordinator's table (bind_thread). While workers are live
-// (obs::concurrent()) refcounts flip to atomic RMW and the structural
-// operations — intern, the release path of a dying entry, bucket growth —
-// serialize on a table mutex; the dominant traffic (incref/decref on routes
-// with other refs outstanding, reading hops through a held ref) stays
-// lock-free. Entries live in a ChunkedStore so a concurrent append under
-// the lock never moves an entry another thread is reading.
+// Entries live in a ChunkedStore, so a hop array read through a held ref
+// stays put while further paths are interned.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <mutex>
 #include <vector>
 
 #include "net/chunked_store.hpp"
-#include "obs/concurrency.hpp"
 
 namespace bgp {
 
@@ -105,12 +93,6 @@ class PathTable {
  public:
   static PathTable& instance();
 
-  /// Points this thread's instance() at `table` (nullptr restores the
-  /// thread's own). The parallel executor binds its workers to the
-  /// coordinator's table so one simulation's path ids stay canonical
-  /// across the pool.
-  static void bind_thread(PathTable* table);
-
   struct Stats {
     std::uint64_t interned = 0;    ///< intern() calls (incl. prepends)
     std::uint64_t hits = 0;        ///< served an existing entry
@@ -135,7 +117,7 @@ class PathTable {
   struct Entry {
     std::vector<DomainId> hops;
     std::uint64_t hash = 0;
-    std::atomic<std::uint32_t> refs{0};
+    std::uint32_t refs = 0;
     std::uint32_t next = 0;  ///< hash-bucket chain (0 = end)
   };
 
@@ -144,10 +126,8 @@ class PathTable {
   PathTable() { entries_.emplace_back(); }
 
   std::uint32_t intern(const DomainId* hops, std::size_t count);
-  std::uint32_t intern_locked(const DomainId* hops, std::size_t count);
-  void incref(std::uint32_t id) { obs::counter_add(entries_[id].refs, 1); }
+  void incref(std::uint32_t id) { ++entries_[id].refs; }
   void decref(std::uint32_t id);
-  void release(std::uint32_t id, Entry& e);
   [[nodiscard]] const Entry& entry(std::uint32_t id) const {
     return entries_[id];
   }
@@ -164,9 +144,6 @@ class PathTable {
   std::vector<std::uint32_t> buckets_ = std::vector<std::uint32_t>(64, 0);
   std::size_t live_ = 0;
   Stats stats_;
-  /// Guards the structural state (buckets, chains, free list, stats) while
-  /// parallel-executor workers are live; untouched in serial phases.
-  std::mutex mutex_;
 };
 
 // Refcount traffic is the cost of every Route copy — keep it inline.

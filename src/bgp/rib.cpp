@@ -17,29 +17,12 @@ bool better(const Candidate& a, const Candidate& b) {
   return a.exit_uid < b.exit_uid;
 }
 
-namespace {
-thread_local CandidateArena* t_arena_override = nullptr;
-}  // namespace
-
 CandidateArena& CandidateArena::instance() {
-  if (t_arena_override != nullptr) return *t_arena_override;
   thread_local CandidateArena arena;
   return arena;
 }
 
-void CandidateArena::bind_thread(CandidateArena* arena) {
-  t_arena_override = arena;
-}
-
 std::uint32_t CandidateArena::allocate(Candidate value) {
-  if (obs::concurrent()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return allocate_locked(std::move(value));
-  }
-  return allocate_locked(std::move(value));
-}
-
-std::uint32_t CandidateArena::allocate_locked(Candidate value) {
   std::uint32_t index;
   if (free_head_ != kNil) {
     index = free_head_;
@@ -55,15 +38,6 @@ std::uint32_t CandidateArena::allocate_locked(Candidate value) {
 }
 
 void CandidateArena::release(std::uint32_t index) {
-  if (obs::concurrent()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    release_locked(index);
-    return;
-  }
-  release_locked(index);
-}
-
-void CandidateArena::release_locked(std::uint32_t index) {
   Slot& s = slot(index);
   s.value = Candidate{};  // drop the path ref now, not at slot reuse
   s.next = free_head_;

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "net/prefix.hpp"
 #include "net/prefix_map.hpp"
 #include "bgp/types.hpp"
-#include "obs/concurrency.hpp"
 
 namespace bgp {
 
@@ -52,23 +50,12 @@ struct Candidate {
 /// the slots (the net::PrefixTrie pool idiom, thread-confined like
 /// bgp::PathTable). Blocks are fixed-size, so Candidate pointers handed
 /// out by best() stay stable until that candidate is removed.
-///
-/// Under the parallel executor, workers bind to the coordinator's arena
-/// (bind_thread, like the intern tables): slot contents stay shard-private
-/// — a RibEntry's chain belongs to one domain — but the free list is
-/// shared, so allocate()/release() serialize on a mutex while workers are
-/// live (obs::concurrent()). Chain reads/writes through held indices stay
-/// lock-free.
 class CandidateArena {
  public:
   static constexpr std::uint32_t kNil = UINT32_MAX;
 
   /// The calling thread's arena (simulations are thread-confined).
   static CandidateArena& instance();
-
-  /// Points this thread's instance() at `arena` (nullptr restores the
-  /// thread's own). See PathTable::bind_thread.
-  static void bind_thread(CandidateArena* arena);
 
   /// Takes a slot (reusing freed ones first), returning its index. The
   /// slot's chain link starts at kNil.
@@ -102,9 +89,6 @@ class CandidateArena {
   };
   static constexpr std::uint32_t kBlockSlots = 1024;
 
-  std::uint32_t allocate_locked(Candidate value);
-  void release_locked(std::uint32_t index);
-
   [[nodiscard]] Slot& slot(std::uint32_t index) { return slots_[index]; }
   [[nodiscard]] const Slot& slot(std::uint32_t index) const {
     return slots_[index];
@@ -115,8 +99,6 @@ class CandidateArena {
   net::ChunkedStore<Slot, kBlockSlots, 65536> slots_;
   std::uint32_t free_head_ = kNil;
   std::size_t live_ = 0;
-  /// Guards the free list while parallel-executor workers are live.
-  std::mutex mutex_;
 };
 
 constexpr std::size_t CandidateArena::slot_bytes() { return sizeof(Slot); }

@@ -2,18 +2,9 @@
 
 namespace bgp {
 
-namespace {
-thread_local RouteTable* t_route_table_override = nullptr;
-}  // namespace
-
 RouteTable& RouteTable::instance() {
-  if (t_route_table_override != nullptr) return *t_route_table_override;
   thread_local RouteTable table;
   return table;
-}
-
-void RouteTable::bind_thread(RouteTable* table) {
-  t_route_table_override = table;
 }
 
 RouteRef RouteRef::intern(const Route& route) {
@@ -39,14 +30,6 @@ std::uint64_t RouteTable::hash_route(const Route& route) {
 }
 
 std::uint32_t RouteTable::intern(const Route& route) {
-  if (obs::concurrent()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return intern_locked(route);
-  }
-  return intern_locked(route);
-}
-
-std::uint32_t RouteTable::intern_locked(const Route& route) {
   ++stats_.interned;
   const std::uint64_t hash = hash_route(route);
   const std::size_t bucket = hash & (buckets_.size() - 1);
@@ -54,9 +37,7 @@ std::uint32_t RouteTable::intern_locked(const Route& route) {
        id = entries_[id].next) {
     Entry& e = entries_[id];
     if (e.hash == hash && e.route == route) {
-      // May resurrect an entry a decref just dropped to zero refs: that
-      // decref re-checks the count once it takes the mutex and backs off.
-      obs::counter_add(e.refs, 1);
+      ++e.refs;
       ++stats_.hits;
       return id;
     }
@@ -72,7 +53,7 @@ std::uint32_t RouteTable::intern_locked(const Route& route) {
   Entry& e = entries_[id];
   e.route = route;
   e.hash = hash;
-  e.refs.store(1, std::memory_order_relaxed);
+  e.refs = 1;
   e.next = buckets_[bucket];
   buckets_[bucket] = id;
   ++live_;
@@ -83,23 +64,7 @@ std::uint32_t RouteTable::intern_locked(const Route& route) {
 
 void RouteTable::decref(std::uint32_t id) {
   Entry& e = entries_[id];
-  if (obs::concurrent()) {
-    if (e.refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    // intern_locked may have resurrected the entry between the decrement
-    // and the lock; it is only dead if the count is still zero here.
-    if (e.refs.load(std::memory_order_relaxed) != 0) return;
-    release(id, e);
-    return;
-  }
-  const std::uint32_t left =
-      e.refs.load(std::memory_order_relaxed) - 1;
-  e.refs.store(left, std::memory_order_relaxed);
-  if (left > 0) return;
-  release(id, e);
-}
-
-void RouteTable::release(std::uint32_t id, Entry& e) {
+  if (--e.refs != 0) return;
   unlink(id);
   e.route = Route{};  // drop the path ref now, not at slot reuse
   e.hash = 0;

@@ -13,21 +13,15 @@
 //     thread), so "does the Adj-RIB-Out already agree?" is an id compare.
 //
 // Thread-local like the path table: every simulation is confined to one
-// sweep worker thread, so no locks, and ids never cross threads — except
-// under the parallel executor, whose workers bind their instance() to the
-// coordinator's table and share it with atomic refcounts plus a mutex on
-// the structural paths (see path_table.hpp for the full scheme).
+// sweep worker thread, so no locks, and ids never cross threads.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "bgp/types.hpp"
 #include "net/chunked_store.hpp"
-#include "obs/concurrency.hpp"
 
 namespace bgp {
 
@@ -75,10 +69,6 @@ class RouteTable {
  public:
   static RouteTable& instance();
 
-  /// Points this thread's instance() at `table` (nullptr restores the
-  /// thread's own). See PathTable::bind_thread.
-  static void bind_thread(RouteTable* table);
-
   struct Stats {
     std::uint64_t interned = 0;     ///< intern() calls
     std::uint64_t hits = 0;         ///< served an existing entry
@@ -110,7 +100,7 @@ class RouteTable {
   struct Entry {
     Route route;
     std::uint64_t hash = 0;
-    std::atomic<std::uint32_t> refs{0};
+    std::uint32_t refs = 0;
     std::uint32_t next = 0;  ///< hash-bucket chain (0 = end)
   };
 
@@ -118,10 +108,8 @@ class RouteTable {
   RouteTable() { entries_.emplace_back(); }
 
   std::uint32_t intern(const Route& route);
-  std::uint32_t intern_locked(const Route& route);
-  void incref(std::uint32_t id) { obs::counter_add(entries_[id].refs, 1); }
+  void incref(std::uint32_t id) { ++entries_[id].refs; }
   void decref(std::uint32_t id);
-  void release(std::uint32_t id, Entry& e);
   [[nodiscard]] const Entry& entry(std::uint32_t id) const {
     return entries_[id];
   }
@@ -138,8 +126,6 @@ class RouteTable {
   std::vector<std::uint32_t> buckets_ = std::vector<std::uint32_t>(64, 0);
   std::size_t live_ = 0;
   Stats stats_;
-  /// Guards the structural state while parallel-executor workers are live.
-  std::mutex mutex_;
 };
 
 // Refcount traffic is the cost of every Adj-RIB-Out touch — keep inline.

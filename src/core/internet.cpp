@@ -7,12 +7,7 @@
 #include <utility>
 
 #include "bgmp/router.hpp"
-#include "bgp/path_table.hpp"
-#include "bgp/rib.hpp"
-#include "bgp/route_table.hpp"
-#include "net/parallel.hpp"
 #include "obs/trace.hpp"
-#include "topology/partition.hpp"
 
 namespace core {
 
@@ -194,83 +189,13 @@ void Internet::masc_siblings(Domain& a, Domain& b) {
       MascPeering{&a, &b, masc::MascNode::PeerKind::kSibling, channel});
 }
 
-void Internet::settle(std::uint64_t max_events) {
-  if (executor_) {
-    rebuild_partition();
-    executor_->run(max_events);
-    return;
-  }
-  events_.run(max_events);
-}
+void Internet::settle(std::uint64_t max_events) { events_.run(max_events); }
 
-void Internet::run_until(net::SimTime t) {
-  if (executor_) {
-    rebuild_partition();
-    executor_->run_until(t);
-    return;
-  }
-  events_.run_until(t);
-}
-
-void Internet::set_threads(int threads) {
-  threads_ = std::max(1, threads);
-  if (threads_ == 1) {
-    executor_.reset();
-    return;
-  }
-  if (!executor_) {
-    executor_ = std::make_unique<net::ParallelExecutor>(events_, metrics());
-    // Pool threads execute routing code of this (coordinator-confined)
-    // simulation, so they must resolve the thread-local intern tables and
-    // candidate arena to the coordinator's instances.
-    executor_->set_thread_init([paths = &bgp::PathTable::instance(),
-                                routes = &bgp::RouteTable::instance(),
-                                arena = &bgp::CandidateArena::instance()]() {
-      bgp::PathTable::bind_thread(paths);
-      bgp::RouteTable::bind_thread(routes);
-      bgp::CandidateArena::bind_thread(arena);
-    });
-  }
-  partitioned_channels_ = SIZE_MAX;  // force a rebuild at the next run
-}
-
-void Internet::rebuild_partition() {
-  if (partitioned_channels_ == network_.channel_count()) return;
-  partitioned_channels_ = network_.channel_count();
-  std::vector<std::uint32_t> nodes;
-  nodes.reserve(domains_.size());
-  for (const auto& domain : domains_) {
-    nodes.push_back(domain->id());
-  }
-  std::vector<topology::PartitionEdge> edges;
-  edges.reserve(network_.channel_count());
-  for (std::size_t i = 0; i < network_.channel_count(); ++i) {
-    const auto id = static_cast<net::ChannelId>(i);
-    const auto [a, b] = network_.channel_owners(id);
-    if (a == 0 || b == 0 || a == b) continue;  // hosts, intra-domain wiring
-    edges.push_back(topology::PartitionEdge{
-        static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b),
-        network_.latency(id).ns()});
-  }
-  topology::PartitionResult part = topology::partition_domains(
-      nodes, edges, static_cast<std::uint32_t>(threads_));
-  executor_->configure(threads_, std::move(part.shard_of), part.shard_count,
-                       part.min_cut_latency_ns, part.cut_edges.size());
-}
+void Internet::run_until(net::SimTime t) { events_.run_until(t); }
 
 void Internet::report_delivery(const Delivery& delivery) {
   deliveries_->inc();
-  if (!observer_) return;
-  // On an executor worker the observer runs user code (eval recorders)
-  // whose effects are order-sensitive; park it for serial-order replay.
-  if (net::WorkerContext* w = net::t_worker; w != nullptr) {
-    net::ParkedOp op;
-    op.kind = net::ParkedOp::Kind::kGeneric;
-    op.fn = [this, delivery]() { observer_(delivery); };
-    w->ops.push_back(std::move(op));
-    return;
-  }
-  observer_(delivery);
+  if (observer_) observer_(delivery);
 }
 
 void Internet::enable_step_profiling() {

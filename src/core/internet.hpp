@@ -20,10 +20,6 @@
 #include "topology/graph.hpp"
 #include "topology/paths.hpp"
 
-namespace net {
-class ParallelExecutor;
-}
-
 namespace core {
 
 class Internet {
@@ -114,15 +110,6 @@ class Internet {
   void settle(std::uint64_t max_events = 50'000'000);
   void run_until(net::SimTime t);
 
-  /// Sets the execution width. 1 (the default) is the plain serial run
-  /// loop; >1 installs a net::ParallelExecutor over a latency-cut domain
-  /// partition (topology/partition.hpp) with that many threads. The
-  /// schedule — and every digest derived from it — is byte-identical at
-  /// any setting. The partition is rebuilt lazily whenever the channel
-  /// population has changed by the next settle()/run_until().
-  void set_threads(int threads);
-  [[nodiscard]] int threads() const { return threads_; }
-
   /// Observer for every data delivery to a domain's members.
   using DeliveryObserver = std::function<void(const Delivery&)>;
   void set_delivery_observer(DeliveryObserver observer) {
@@ -182,14 +169,6 @@ class Internet {
   std::map<const Domain*, topology::NodeId> domain_nodes_;
   net::PrefixMap<Domain*> unicast_map_;
   DeliveryObserver observer_;
-  int threads_ = 1;
-  /// Channel count when the partition was last built; a mismatch at run
-  /// time triggers a rebuild (links only ever get added).
-  std::size_t partitioned_channels_ = SIZE_MAX;
-  void rebuild_partition();
-  /// Declared last: its destructor joins the worker pool while the queue,
-  /// network and domains it references are all still alive.
-  std::unique_ptr<net::ParallelExecutor> executor_;
 };
 
 }  // namespace core

@@ -57,7 +57,6 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   spec.workload = config.workload;
 
   core::Internet net(config.seed);
-  net.set_threads(config.threads);
   // Declared after the internet (destroyed first — see telemetry.hpp);
   // attached before the workload so setup-phase convergence is covered too.
   std::optional<TelemetrySession> telemetry;

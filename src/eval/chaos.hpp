@@ -39,10 +39,6 @@ struct ChaosConfig {
   /// Sweep the always-on checkers every this many steps (1 = every step).
   int check_every = 4;
 
-  /// Execution width (core::Internet::set_threads); byte-identical
-  /// behaviour at any value.
-  int threads = 1;
-
   /// Transport disturbance applied for the whole chaos phase.
   double loss_rate = 0.01;
   net::SimTime retransmit_delay = net::SimTime::milliseconds(200);

@@ -55,11 +55,6 @@ struct ScenarioSpec {
   int flap_pairs = 0;
 
   // ---- harness options --------------------------------------------------
-  /// Execution width (core::Internet::set_threads): 1 = plain serial run
-  /// loop, >1 = the partition-sharded parallel executor. The schedule and
-  /// every digest are byte-identical at any value, so this is a pure
-  /// throughput knob and is excluded from baseline parameter matching.
-  int threads = 1;
   /// Telemetry attached for the run (recorder ticks, span sampling); the
   /// harness owning the Internet turns this into a TelemetrySession.
   TelemetrySpec telemetry;

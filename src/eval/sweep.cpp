@@ -101,7 +101,6 @@ SweepCellResult run_cell(const SweepCell& cell, ScenarioFn scenario,
   out.cell = cell;
   try {
     core::Internet net(cell.seed);
-    net.set_threads(config.cell_threads);
     std::optional<TelemetrySession> telemetry;
     if (config.telemetry.enabled()) telemetry.emplace(net, config.telemetry);
     scenario(net, cell);

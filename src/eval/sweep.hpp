@@ -68,10 +68,6 @@ struct SweepCellResult {
 struct SweepConfig {
   std::vector<SweepCell> cells;
   int threads = 1;
-  /// Execution width *inside* each cell (core::Internet::set_threads).
-  /// Cell digests are byte-identical at any value; useful when the grid
-  /// is one big cell and cross-cell parallelism has nothing to chew on.
-  int cell_threads = 1;
   /// Per-cell telemetry (each cell gets its own session on its own
   /// isolated Internet, so sampling stays schedule-independent).
   TelemetrySpec telemetry;

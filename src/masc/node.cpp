@@ -208,7 +208,7 @@ void MascNode::start_claim(std::uint64_t addresses, int retries,
   known_claims_.claim(pending.prefix, domain_, pending.expires, now());
   pending.timer = network_.events().schedule_in(
       params_.waiting_period, [this]() { claim_granted(); },
-      "masc.waiting_period", static_cast<std::uint32_t>(domain_));
+      "masc.waiting_period");
   pending_ = pending;
   obs::log_info(name_, [&](auto& os) {
     os << "claiming " << pending_->prefix.to_string() << " (waiting "

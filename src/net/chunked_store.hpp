@@ -1,18 +1,18 @@
 // Stable-address growable element store.
 //
-// std::vector reallocation moves elements and invalidates every pointer —
-// fatal once the parallel executor lets one thread append (under a lock)
-// while others read elements they already own indices for. ChunkedStore
-// grows by whole chunks behind a fixed top-level directory, so an element's
-// address never changes for the store's lifetime, elements are never moved
-// or copied, and a reader holding index i needs no synchronization with a
-// concurrent append (the append touches only a later chunk; publication of
-// the chunk pointer is ordered by whatever lock or barrier handed the
-// reader its index — the executor's quantum barrier in practice).
+// std::vector reallocation moves elements and invalidates every pointer and
+// reference into it. ChunkedStore grows by whole chunks behind a fixed
+// top-level directory, so an element's address never changes for the
+// store's lifetime and elements are never moved or copied.
 //
-// Used for the event queue's cancellation slots and the BGP intern tables'
-// entry pools, which workers read concurrently while the coordinator (or
-// another worker, under the table lock) appends.
+// Serial code relies on this wherever a reference into a pool stays live
+// across a call that may append to the same pool:
+//   * bgp::CandidateArena — RibEntry::best() pointers are handed to
+//     for_each_best callbacks, which can allocate candidates in the arena;
+//   * bgp::RouteTable / bgp::PathTable — RouteRef::get() and
+//     PathRef::data() return references into the entry pools, held while
+//     callers intern further routes and paths.
+// The event queue's cancellation slots use it too.
 #pragma once
 
 #include <cstddef>

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "net/parallel.hpp"
-
 namespace net {
 namespace {
 
@@ -34,7 +32,6 @@ void EventQueue::free_slot(std::uint32_t slot) {
   s.action = Action{};  // release captures (e.g. held state) promptly
   s.tag = kDefaultEventTag;
   s.cancelled = false;
-  s.quantum_seq = UINT64_MAX;
   // Bumping the generation on free invalidates every outstanding EventId
   // for this tenancy immediately.
   ++s.generation;
@@ -75,56 +72,23 @@ const char* EventQueue::intern_tag(const char* tag) {
   return interned;
 }
 
-EventId EventQueue::schedule_at(SimTime at, Action action, const char* tag,
-                                std::uint32_t partition_hint) {
-  if (WorkerContext* w = t_worker; w != nullptr && w->events == this) {
-    // Parallel-quantum worker: the slot (and thus the EventId) must exist
-    // immediately — handlers stash ids for later cancellation — but the
-    // seq is what fixes the event's place in the global order, and only
-    // the coordinator may assign it. Allocate and fill the slot under the
-    // worker mutex, park the insertion; commit_parked_schedule() assigns
-    // the seq during replay, in exact serial order.
-    if (at < now_) {
-      throw std::invalid_argument("EventQueue: scheduling in the past (" +
-                                  at.to_string() + " < " + now_.to_string() +
-                                  ")");
-    }
-    std::uint32_t slot = 0;
-    std::uint32_t generation = 0;
-    {
-      std::lock_guard<std::mutex> lock(worker_mutex_);
-      slot = allocate_slot();
-      Slot& s = slots_[slot];
-      s.tag = intern_tag(tag);
-      s.action = std::move(action);
-      generation = s.generation;
-      ++live_;
-    }
-    ParkedOp op;
-    op.kind = ParkedOp::Kind::kSchedule;
-    op.at_ns = at.ns();
-    op.slot = slot;
-    op.hint = partition_hint;
-    w->ops.push_back(std::move(op));
-    return EventId{(static_cast<std::uint64_t>(generation) << 32) | slot};
-  }
-  return schedule_key(at, next_seq_++, std::move(action), tag, partition_hint);
+EventId EventQueue::schedule_at(SimTime at, Action action, const char* tag) {
+  return schedule_key(at, next_seq_++, std::move(action), tag);
 }
 
 EventId EventQueue::schedule_reserved(SimTime at, std::uint64_t seq,
-                                      Action action, const char* tag,
-                                      std::uint32_t partition_hint) {
+                                      Action action, const char* tag) {
   assert(seq < next_seq_ && "seq must come from reserve_seq()");
 #ifndef NDEBUG
   assert((at.ns() > last_run_at_ ||
           (at.ns() == last_run_at_ && seq > last_run_seq_)) &&
          "reserved (time, seq) position has already been passed");
 #endif
-  return schedule_key(at, seq, std::move(action), tag, partition_hint);
+  return schedule_key(at, seq, std::move(action), tag);
 }
 
 EventId EventQueue::schedule_key(SimTime at, std::uint64_t seq, Action action,
-                                 const char* tag, std::uint32_t partition) {
+                                 const char* tag) {
   if (at < now_) {
     throw std::invalid_argument("EventQueue: scheduling in the past (" +
                                 at.to_string() + " < " + now_.to_string() +
@@ -134,7 +98,7 @@ EventId EventQueue::schedule_key(SimTime at, std::uint64_t seq, Action action,
   Slot& s = slots_[slot];
   s.tag = intern_tag(tag);
   s.action = std::move(action);
-  insert_key(Key{at.ns(), seq, slot, partition});
+  insert_key(Key{at.ns(), seq, slot});
   ++live_;
   ++stored_;
   high_water_ = std::max(high_water_, stored_);
@@ -340,28 +304,6 @@ void EventQueue::build_rung_from_top() {
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (WorkerContext* w = t_worker; w != nullptr && w->events == this) {
-    // Worker cancels are intra-domain in practice (a node cancelling its
-    // own timer), so the target slot is owned by this worker's shard or
-    // pending outside the quantum; the mutex covers live_ and the slot
-    // census against concurrent parked schedules.
-    std::lock_guard<std::mutex> lock(worker_mutex_);
-    const std::uint32_t slot = slot_of(id);
-    if (slot >= slots_.size()) return false;
-    Slot& s = slots_[slot];
-    if (s.generation != generation_of(id) || s.cancelled) return false;
-    if (s.quantum_seq != UINT64_MAX && s.quantum_seq <= w->current_seq) {
-      // A quantum member at or before the event being executed: in serial
-      // order it has already run (== is a self-cancel, whose EventId died
-      // the moment its action started), so the serial cancel would have
-      // found a dead id.
-      return false;
-    }
-    s.cancelled = true;
-    s.action = Action{};
-    --live_;
-    return true;
-  }
   const std::uint32_t slot = slot_of(id);
   if (slot >= slots_.size()) return false;
   Slot& s = slots_[slot];
@@ -390,78 +332,10 @@ bool EventQueue::pop_next(Key& out) {
   }
 }
 
-bool EventQueue::pop_quantum(std::vector<QuantumEntry>& out) {
-  if (!ensure_bottom()) return false;
-  const std::int64_t at = bottom_.front().at;
-  for (;;) {
-    while (!bottom_.empty() && bottom_.front().at == at) {
-      const Key key = bottom_.front();
-      std::pop_heap(bottom_.begin(), bottom_.end(), key_greater);
-      bottom_.pop_back();
-      --stored_;
-      // Lazily-cancelled keys stay in the census as skip entries: their
-      // (at, seq) still participated in the serial batching-guard order,
-      // and their slots recycle at the same replay position a serial pop
-      // would have freed them.
-      out.push_back(QuantumEntry{key, slots_[key.slot].cancelled});
-    }
-    // Draining the bottom can expose more keys at `at` (a clamped rung
-    // straggler materializes late) — re-ensure until the front moves past
-    // the quantum's timestamp.
-    if (!bottom_.empty()) break;
-    if (!ensure_bottom()) break;
-    if (bottom_.front().at != at) break;
-  }
-  return true;
-}
-
-void EventQueue::reinsert_quantum(const std::vector<QuantumEntry>& entries) {
-  // high_water_ is not re-bumped: these keys were already counted when
-  // first scheduled. The increment trails each insert so the drained-reset
-  // path inside insert_key sees stored_ == 0 exactly when the queue really
-  // is empty.
-  for (const QuantumEntry& entry : entries) {
-    insert_key(entry.key);
-    ++stored_;
-  }
-}
-
-std::optional<EventQueue::NextKey> EventQueue::peek_stored_front() {
+std::optional<EventQueue::NextKey> EventQueue::peek_next_stored() {
   if (!ensure_bottom()) return std::nullopt;
   const Key& key = bottom_.front();
-  return NextKey{SimTime::nanoseconds(key.at), key.seq, key.partition};
-}
-
-std::optional<EventQueue::NextKey> EventQueue::peek_next_stored() {
-  if (WorkerContext* w = t_worker; w != nullptr && w->events == this) {
-    // Frozen census first: the earliest quantum key after the one being
-    // executed (cancelled ones included — the serial guard would have
-    // seen their stored keys too), then the pre-quantum tail snapshot.
-    // Keys created mid-quantum can never flip the answer: their seqs
-    // exceed every pre-quantum reserved seq, so they neither precede a
-    // FIFO follower the census admits nor outrank one the census blocks.
-    const std::uint64_t* begin = w->seqs;
-    const std::uint64_t* end = w->seqs + w->seq_count;
-    const std::uint64_t* next = std::upper_bound(begin, end, w->current_seq);
-    if (next != end) {
-      return NextKey{SimTime::nanoseconds(w->quantum_at), *next, 0};
-    }
-    if (w->has_tail) {
-      return NextKey{SimTime::nanoseconds(w->tail_at), w->tail_seq, 0};
-    }
-    return std::nullopt;
-  }
-  return peek_stored_front();
-}
-
-void EventQueue::commit_parked_schedule(std::int64_t at_ns, std::uint32_t slot,
-                                        std::uint32_t partition) {
-  // The serial-order seq is assigned here, at the event's replay position;
-  // the key is inserted even if the slot was cancelled mid-quantum (the
-  // usual lazy-cancellation discipline).
-  insert_key(Key{at_ns, next_seq_++, slot, partition});
-  ++stored_;
-  high_water_ = std::max(high_water_, stored_);
+  return NextKey{SimTime::nanoseconds(key.at), key.seq};
 }
 
 std::optional<EventQueue::NextKey> EventQueue::peek_next() {
@@ -475,7 +349,7 @@ std::optional<EventQueue::NextKey> EventQueue::peek_next() {
       --stored_;
       continue;
     }
-    return NextKey{SimTime::nanoseconds(key.at), key.seq, key.partition};
+    return NextKey{SimTime::nanoseconds(key.at), key.seq};
   }
 }
 

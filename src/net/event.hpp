@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,8 +29,6 @@
 #include "net/time.hpp"
 
 namespace net {
-
-class ParallelExecutor;
 
 /// Handle for cancelling a scheduled event. Packs a slot index and a
 /// generation counter, so a stale handle (the event already ran or was
@@ -61,21 +58,13 @@ class EventQueue {
   /// cannot corrupt profiling — but callers should still pass string
   /// literals: the pointer-keyed intern memo assumes a pointer's content
   /// never changes (debug builds assert it).
-  /// `partition_hint` is the sharded-execution seam: the owning domain's
-  /// id, carried on the event's key. Serial execution ignores it; the
-  /// parallel executor (net/parallel.hpp) groups a quantum's events by
-  /// the hint's shard without re-deriving ownership from the closures.
-  /// Hint 0 (unattributable) forces the event's quantum onto the serial
-  /// fallback path.
   EventId schedule_at(SimTime at, Action action,
-                      const char* tag = kDefaultEventTag,
-                      std::uint32_t partition_hint = 0);
+                      const char* tag = kDefaultEventTag);
 
   /// Schedules `action` to run `delay` from now.
   EventId schedule_in(SimTime delay, Action action,
-                      const char* tag = kDefaultEventTag,
-                      std::uint32_t partition_hint = 0) {
-    return schedule_at(now_ + delay, std::move(action), tag, partition_hint);
+                      const char* tag = kDefaultEventTag) {
+    return schedule_at(now_ + delay, std::move(action), tag);
   }
 
   /// Reserves the next sequence number without scheduling anything.
@@ -92,8 +81,7 @@ class EventQueue {
   /// event that has run (asserted in debug builds). Reserved positions
   /// must be scheduled at most once.
   EventId schedule_reserved(SimTime at, std::uint64_t seq, Action action,
-                            const char* tag = kDefaultEventTag,
-                            std::uint32_t partition_hint = 0);
+                            const char* tag = kDefaultEventTag);
 
   /// Installs (or, with nullptr-like empty function, removes) the wall-clock
   /// profiler. When unset, step() does not read the clock at all, so the
@@ -118,29 +106,22 @@ class EventQueue {
   /// gauge (0 when everything pending fits the bottom window or overflow).
   [[nodiscard]] std::size_t rung_count() const { return rungs_.size(); }
 
-  /// The (time, seq, partition_hint) key of the earliest live pending
-  /// event, or nullopt when drained. Discards lazily-cancelled entries it
-  /// encounters (their EventIds were already invalid), but never runs
-  /// anything. Delivery batching uses this as its order-exactness guard:
-  /// a FIFO follower may be delivered inline only if its reserved key
-  /// precedes every key still pending here.
+  /// The (time, seq) key of the earliest live pending event, or nullopt
+  /// when drained. Discards lazily-cancelled entries it encounters (their
+  /// EventIds were already invalid), but never runs anything.
   struct NextKey {
     SimTime at;
     std::uint64_t seq = 0;
-    std::uint32_t partition = 0;
   };
   std::optional<NextKey> peek_next();
 
-  /// peek_next() for callers that may be running inside a parallel-executor
-  /// worker. On the coordinator (or in plain serial runs) it reads the
-  /// stored front directly — unlike peek_next() it does NOT skip
-  /// lazily-cancelled entries, so a cancelled front conservatively blocks
-  /// whatever optimisation the caller was gating (delivery batching). On a
-  /// worker it answers from the quantum's frozen key census plus the
-  /// pre-quantum tail snapshot, which is provably the same answer the
-  /// serial run's guard would produce (see DESIGN.md, "Parallel
-  /// execution"). Delivery batching must use this, never peek_next(),
-  /// because workers may not mutate the ladder.
+  /// The stored front key, cancelled or not. Delivery batching uses this
+  /// as its order-exactness guard: a FIFO follower may be delivered inline
+  /// only if its reserved key precedes every key still stored here. Unlike
+  /// peek_next() it does NOT skip lazily-cancelled entries, so a cancelled
+  /// front still blocks batching; batching past it would carry more
+  /// deliveries per event and change events_run, which every committed run
+  /// pins.
   std::optional<NextKey> peek_next_stored();
 
   /// Runs the next event. Returns false if the queue is empty.
@@ -159,10 +140,9 @@ class EventQueue {
   /// The hot sort key. 24 bytes, trivially copyable: rung distribution and
   /// bottom sorts move only these, never the callables.
   struct Key {
-    std::int64_t at = 0;         // absolute time, ns
-    std::uint64_t seq = 0;       // tie-break: FIFO among equal timestamps
-    std::uint32_t slot = 0;      // cancellation slot + payload (see slots_)
-    std::uint32_t partition = 0; // sharded-execution seam; unused serially
+    std::int64_t at = 0;     // absolute time, ns
+    std::uint64_t seq = 0;   // tie-break: FIFO among equal timestamps
+    std::uint32_t slot = 0;  // cancellation slot + payload (see slots_)
   };
   static_assert(sizeof(Key) == 24, "Key must stay lean: rungs copy these");
 
@@ -185,12 +165,6 @@ class EventQueue {
     bool cancelled = false;
     const char* tag = kDefaultEventTag;  // interned; owned by the queue
     Action action;
-    /// While the slot's event is part of an in-flight parallel quantum,
-    /// the event's seq; UINT64_MAX otherwise. Workers use it to decide
-    /// whether a cancel targets a quantum member (mark, don't touch the
-    /// ladder — the coordinator reconciles at replay) and whether the
-    /// target already fired within the quantum.
-    std::uint64_t quantum_seq = UINT64_MAX;
   };
 
   /// One rung: a span of equal power-of-two-width time buckets. Keys in a
@@ -226,37 +200,8 @@ class EventQueue {
   void free_slot(std::uint32_t slot);
   const char* intern_tag(const char* tag);
 
-  friend class ParallelExecutor;
-
-  /// One stored key popped by pop_quantum(). `skip` marks entries that
-  /// were lazily cancelled before the quantum began: they carry no action,
-  /// but their (at, seq) still participated in the serial guard order, so
-  /// the executor keeps them in the quantum census and merely recycles
-  /// their slot at replay.
-  struct QuantumEntry {
-    Key key;
-    bool skip = false;
-  };
-
-  /// Pops EVERY stored key at the earliest pending timestamp into `out`
-  /// (cancelled ones flagged as skip), in (at, seq) order. Returns false
-  /// with `out` untouched when the queue is drained. Does not advance
-  /// now(), run anything, or free any slot — the executor owns both.
-  bool pop_quantum(std::vector<QuantumEntry>& out);
-  /// Puts keys taken by pop_quantum() back, unchanged, when the executor
-  /// decides the quantum must run serially after all.
-  void reinsert_quantum(const std::vector<QuantumEntry>& entries);
-  /// The stored front key (after materializing the bottom), cancelled or
-  /// not, with no mutation beyond ensure_bottom(). Nullopt when drained.
-  std::optional<NextKey> peek_stored_front();
-  /// Commits a worker-parked schedule: assigns the serial-order seq and
-  /// inserts the key for the already-allocated `slot`. Counterpart of the
-  /// worker branch in schedule_key().
-  void commit_parked_schedule(std::int64_t at_ns, std::uint32_t slot,
-                              std::uint32_t partition);
-
   EventId schedule_key(SimTime at, std::uint64_t seq, Action action,
-                       const char* tag, std::uint32_t partition);
+                       const char* tag);
   void insert_key(const Key& key);
   void insert_into_rung(Rung& rung, const Key& key);
   // Refill machinery: materializes buckets until the bottom holds the
@@ -285,7 +230,8 @@ class EventQueue {
   // pop comes from. Covers (-inf, bottom_end_): any schedule below
   // bottom_end_ lands here in O(log size) with no memmove, which matters
   // because reserved-seq arms (delivery FIFO heads) insert mid-order into
-  // the active quantum. Materializing a bucket is an O(n) heapify.
+  // the active same-timestamp burst. Materializing a bucket is an O(n)
+  // heapify.
   std::vector<Key> bottom_;
   std::int64_t bottom_end_ = 0;
 
@@ -300,16 +246,8 @@ class EventQueue {
 
   std::vector<std::vector<Key>> bucket_pool_;  // recycled bucket storage
 
-  // ChunkedStore, not vector: workers read (and, for quantum members,
-  // write) their own entries' slots while another worker appends new slots
-  // under worker_mutex_ — growth must never move existing slots.
   ChunkedStore<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-
-  /// Serializes the *allocation* side of worker-originated schedules and
-  /// cancels (slot/free-list/live_/tag-memo mutation). Uncontended in
-  /// serial runs — never touched outside worker context.
-  std::mutex worker_mutex_;
 
   // Tag interning: owned copies (stable addresses) plus a pointer-keyed
   // memo so the hot path is one pointer compare for a repeated literal.

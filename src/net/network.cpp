@@ -3,12 +3,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/parallel.hpp"
 #include "obs/trace.hpp"
 
 namespace net {
-
-thread_local std::uint64_t Network::active_trace_id_ = 0;
 
 Network::Network(EventQueue& events, obs::Metrics* metrics)
     : events_(events),
@@ -81,17 +78,6 @@ void Network::record_span(obs::SpanEvent::Kind kind, const Message& msg,
   event.from = from.name();
   event.to = to.name();
   event.message = msg.describe();
-  if (WorkerContext* w = t_worker; w != nullptr) {
-    // Parallel-quantum worker: sinks are single-threaded, so the event is
-    // built here (the message is still alive; wants() is pure) and the
-    // record itself parks for serial replay.
-    ParkedOp op;
-    op.kind = ParkedOp::Kind::kGeneric;
-    obs::SpanSink* sink = span_sink_;
-    op.fn = [sink, event = std::move(event)]() { sink->record(event); };
-    w->ops.push_back(std::move(op));
-    return;
-  }
   span_sink_->record(event);
 }
 
@@ -101,23 +87,6 @@ void Network::notify_activity() {
 
 std::uint64_t Network::send(ChannelId id, const Endpoint& from,
                             std::unique_ptr<Message> msg) {
-  if (WorkerContext* w = t_worker; w != nullptr) {
-    // Parallel-quantum worker: park the whole send before ANY side effect.
-    // Trace stamping, disturbance RNG draws and seq reservation are all
-    // order-sensitive, so they happen at replay — in exact serial order —
-    // via commit_parked_send. The return value is the already-stamped id
-    // or 0 (no in-tree caller consumes it).
-    const std::uint64_t trace = msg->trace_id;
-    ParkedOp op;
-    op.kind = ParkedOp::Kind::kSend;
-    op.network = this;
-    op.channel = id;
-    op.from = &from;
-    op.msg = std::move(msg);
-    op.ambient_trace = active_trace_id_;
-    w->ops.push_back(std::move(op));
-    return trace;
-  }
   Channel& ch = channel(id);
   Endpoint* to = nullptr;
   if (ch.a == &from) {
@@ -153,22 +122,6 @@ std::uint64_t Network::send(ChannelId id, const Endpoint& from,
   record_span(obs::SpanEvent::Kind::kSend, *msg, from, *to);
   schedule_delivery(id, to, std::move(msg), events_.now(), ch.latency);
   return trace_id;
-}
-
-void Network::commit_parked_send(ChannelId id, const Endpoint& from,
-                                 std::unique_ptr<Message> msg,
-                                 std::uint64_t ambient_trace) {
-  // Restore the sender's ambient trace context around the serial send
-  // body, so causal stamping matches what the serial run would have done.
-  const std::uint64_t prev = active_trace_id_;
-  active_trace_id_ = ambient_trace;
-  try {
-    send(id, from, std::move(msg));
-  } catch (...) {
-    active_trace_id_ = prev;
-    throw;
-  }
-  active_trace_id_ = prev;
 }
 
 SimTime Network::disturbance_delay() {
@@ -218,18 +171,16 @@ void Network::arm_direction(ChannelId id, bool toward_b) {
   if (dir.timer_armed || dir.draining || dir.flight.empty()) return;
   dir.timer_armed = true;
   InFlight& head = dir.flight.front();
-  // A head due at the current instant re-reserves its position: its
-  // original seq may lie among events that already ran this instant (a
-  // parallel quantum replays arms after executing the whole timestamp),
-  // and a reserved position must never point into the past. Applied
-  // unconditionally — serial runs make the same choice, keeping the
-  // schedule identical at every --threads.
+  // A head due at the current instant takes a fresh seq, placing its drain
+  // after everything already scheduled for this instant rather than at its
+  // original send-time position. Every committed digest and events_run
+  // count was produced under this rule; dropping it re-orders same-instant
+  // drains.
   if (head.deliver_at == events_.now()) head.seq = events_.reserve_seq();
-  const Endpoint* to = toward_b ? ch.b : ch.a;
   events_.schedule_reserved(
       head.deliver_at, head.seq,
-      [this, id, toward_b]() { drain_direction(id, toward_b); }, "net.deliver",
-      static_cast<std::uint32_t>(to->owner_id()));
+      [this, id, toward_b]() { drain_direction(id, toward_b); },
+      "net.deliver");
 }
 
 void Network::drain_direction(ChannelId id, bool toward_b) {
@@ -253,10 +204,9 @@ void Network::drain_direction(ChannelId id, bool toward_b) {
       // else can legally run first: same delivery instant, and its
       // reserved key precedes every key still pending in the queue. This
       // makes batching invisible to the global (time, seq) order.
-      // peek_next_stored, not peek_next: the guard must be answerable
-      // from a parallel worker (which may not mutate the ladder), so both
-      // modes compare against the raw stored front — a lazily-cancelled
-      // front conservatively blocks batching in either mode.
+      // peek_next_stored, not peek_next: a lazily-cancelled stored front
+      // still blocks batching. peek_next would discard it and batch more,
+      // changing events_run from what every committed run pins.
       const InFlight& next = dir.flight.front();
       if (next.deliver_at != events_.now()) break;
       if (const auto pending = events_.peek_next_stored()) {
@@ -284,24 +234,6 @@ void Network::drain_direction(ChannelId id, bool toward_b) {
     if (carried) batched_->inc();
     deliver(id, toward_b ? *ch.b : *ch.a, std::move(item.msg), item.sent_at);
   }
-  if (WorkerContext* w = t_worker; w != nullptr) {
-    // Re-arming reads the head's delivery time against now() and may
-    // reserve a seq — both schedule-order-sensitive, so the arm replays
-    // serially. `draining` stays raised until the parked op runs: sends
-    // replayed from events that *preceded* this drain in serial order must
-    // see the same "drain pending" no-op the serial run gave them, and the
-    // flag clears (followed by the arm) at exactly this drain's replay
-    // position.
-    ParkedOp op;
-    op.kind = ParkedOp::Kind::kGeneric;
-    op.fn = [this, id, toward_b]() {
-      Direction& d = toward_b ? channel(id).to_b : channel(id).to_a;
-      d.draining = false;
-      arm_direction(id, toward_b);
-    };
-    w->ops.push_back(std::move(op));
-    return;
-  }
   Direction& dir = toward_b ? channel(id).to_b : channel(id).to_a;
   dir.draining = false;
   arm_direction(id, toward_b);
@@ -309,21 +241,10 @@ void Network::drain_direction(ChannelId id, bool toward_b) {
 
 void Network::deliver(ChannelId id, Endpoint& to, std::unique_ptr<Message> msg,
                       SimTime sent_at) {
-  delivered_->inc();  // dual-mode atomic: safe from a parallel worker
-  // Order-sensitive instruments defer themselves when a worker calls them
-  // (see obs/concurrency.hpp); record_span parks internally.
+  delivered_->inc();
   delivered_by_domain_->add(to.owner_id());
   delivery_latency_->observe((events_.now() - sent_at).to_seconds());
-  if (WorkerContext* w = t_worker; w != nullptr) {
-    // Activity listeners (convergence probes, telemetry) are serial-only
-    // state; the notification replays at this event's serial position.
-    ParkedOp op;
-    op.kind = ParkedOp::Kind::kGeneric;
-    op.fn = [this]() { notify_activity(); };
-    w->ops.push_back(std::move(op));
-  } else {
-    notify_activity();
-  }
+  notify_activity();
   record_span(obs::SpanEvent::Kind::kDeliver, *msg, peer_of(id, to), to);
   // Everything the handler sends synchronously is causally downstream of
   // this message; expose its id as the ambient trace context. The previous
@@ -383,7 +304,5 @@ Endpoint& Network::peer_of(ChannelId id, const Endpoint& self) const {
   if (ch.b == &self) return *ch.a;
   throw std::invalid_argument("Network::peer_of: endpoint not on channel");
 }
-
-SimTime Network::latency(ChannelId id) const { return channel(id).latency; }
 
 }  // namespace net

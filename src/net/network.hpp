@@ -10,7 +10,6 @@
 // than the session's hold time.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -179,18 +178,6 @@ class Network {
   [[nodiscard]] Endpoint& peer_of(ChannelId channel,
                                   const Endpoint& self) const;
 
-  [[nodiscard]] SimTime latency(ChannelId channel) const;
-  [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
-
-  /// Owner ids of the two endpoints on `channel` (a-side, b-side) — the
-  /// partitioner's edge source and the parallel executor's cross-shard
-  /// message classifier. 0 means unattributed (hosts, test endpoints).
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> channel_owners(
-      ChannelId id) const {
-    const Channel& ch = channel(id);
-    return {ch.a->owner_id(), ch.b->owner_id()};
-  }
-
   /// Total messages handed to `send` / delivered to endpoints. Thin
   /// delegates over the registry counters net.messages_sent/_delivered.
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_->value(); }
@@ -223,18 +210,7 @@ class Network {
   /// Reserves a fresh trace id without sending anything — for originators
   /// that fan one logical operation out over several messages (a MASC
   /// claim goes to the parent and every sibling) and want them on one span.
-  /// Handlers may call this from a parallel-quantum worker, so the counter
-  /// is a dual-mode atomic: worker-allocated ids at --threads > 1 are
-  /// accepted-nondeterministic (they never feed the RIB digest; the span
-  /// stream is excluded from cross-thread comparisons).
-  std::uint64_t allocate_trace_id() {
-    if (obs::concurrent()) {
-      return next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-    const std::uint64_t v = next_trace_id_.load(std::memory_order_relaxed) + 1;
-    next_trace_id_.store(v, std::memory_order_relaxed);
-    return v;
-  }
+  std::uint64_t allocate_trace_id() { return ++next_trace_id_; }
 
   /// Monotonic per-network id for endpoints that tie-break on creation
   /// order (BGP's lowest-uid best-exit election). Scoped to the network —
@@ -250,8 +226,6 @@ class Network {
   }
 
  private:
-  friend class ParallelExecutor;
-
   struct QueuedMsg {
     Endpoint* to;
     std::unique_ptr<Message> msg;
@@ -315,12 +289,6 @@ class Network {
   }
   void deliver(ChannelId id, Endpoint& to, std::unique_ptr<Message> msg,
                SimTime sent_at);
-  /// Replays a worker-parked send with the sender's ambient trace context
-  /// restored — the full serial send body (trace stamping, RNG delay
-  /// draws, seq reservation) runs here, in exact serial order.
-  void commit_parked_send(ChannelId id, const Endpoint& from,
-                          std::unique_ptr<Message> msg,
-                          std::uint64_t ambient_trace);
   void schedule_delivery(ChannelId id, Endpoint* to,
                          std::unique_ptr<Message> msg, SimTime sent_at,
                          SimTime latency);
@@ -330,7 +298,7 @@ class Network {
   void arm_direction(ChannelId id, bool toward_b);
   /// Delivers the direction's head, then keeps draining inline as long as
   /// the next message is provably the globally next event (same delivery
-  /// quantum and its reserved key precedes everything pending in the event
+  /// instant and its reserved key precedes everything pending in the event
   /// queue) — one scheduled event carries a whole same-link batch without
   /// changing arrival order. Re-arms for the new head on exit.
   void drain_direction(ChannelId id, bool toward_b);
@@ -356,14 +324,11 @@ class Network {
   Disturbance disturbance_;
   Rng* disturbance_rng_ = nullptr;  // nullptr = disturbance disabled
   obs::SpanSink* span_sink_ = nullptr;
-  std::atomic<std::uint64_t> next_trace_id_{0};
+  std::uint64_t next_trace_id_ = 0;
   std::uint64_t next_uid_ = 0;
-  // Ambient trace id during on_message. thread_local (and therefore
-  // static): parallel-quantum workers each deliver their own shard's
-  // messages and must see their own ambient context. Shared across Network
-  // instances on one thread — fine, because the save/restore discipline in
-  // deliver() nests correctly and no in-tree handler crosses networks.
-  static thread_local std::uint64_t active_trace_id_;
+  // Ambient trace id during on_message; deliver() saves and restores it,
+  // so nested deliveries see their own context.
+  std::uint64_t active_trace_id_ = 0;
   std::vector<std::function<void()>> activity_listeners_;
   std::vector<Channel> channels_;
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/concurrency.hpp"
-
 namespace obs {
 
 int Histogram::bucket_index(double value) {
@@ -26,12 +24,6 @@ double Histogram::bucket_upper_bound(int index) {
 }
 
 void Histogram::observe(double value) {
-  // sum_ is a float accumulation, so byte-identical results need the
-  // serial observation order — parallel workers defer (see sharded.cpp).
-  if (MetricDeferQueue* defer = t_metric_defer; defer != nullptr) {
-    defer->ops.push_back(DeferredMetricOp{nullptr, 0, 0, this, value});
-    return;
-  }
   if (!(value > 0.0)) value = 0.0;  // clamp negatives and NaN
   if (count_ == 0) {
     min_ = max_ = value;

@@ -14,13 +14,10 @@
 // rather than count events use plain nouns: `bgmp.tree_entries`. Latency
 // histograms use `<module>.<noun>_latency` and record seconds.
 //
-// Single-threaded by default; while the parallel executor has workers live,
-// counters flip to relaxed atomic adds and order-sensitive instruments are
-// deferred and replayed serially (see obs/concurrency.hpp). Registration,
-// snapshots and gauges remain serial-only operations.
+// Single-threaded: a registry belongs to one simulation, and concurrent
+// simulations (sweep cells) each own theirs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -30,7 +27,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/concurrency.hpp"
 #include "obs/histogram.hpp"
 #include "obs/sharded.hpp"
 
@@ -38,17 +34,14 @@ namespace obs {
 
 /// A monotonically increasing event count. References returned by
 /// Metrics::counter() are stable for the registry's lifetime, so hot paths
-/// cache them once at construction. Sums are commutative, so concurrent
-/// workers add directly (relaxed) instead of going through a defer queue.
+/// cache them once at construction.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { counter_add(value_, n); }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t n = 1) { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// A point-in-time measurement (queue depth, utilisation, RIB size).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/concurrency.hpp"
-
 namespace obs {
 
 namespace {
@@ -18,13 +16,6 @@ bool item_order(const ShardedItem& a, const ShardedItem& b) {
 }  // namespace
 
 void ShardedCounter::add(std::uint64_t key, std::uint64_t n) {
-  // Space-saving eviction makes the sketch a function of arrival *order*,
-  // not just of the multiset of adds — a parallel worker defers instead of
-  // mutating, and the executor replays queues in serial event order.
-  if (MetricDeferQueue* defer = t_metric_defer; defer != nullptr) {
-    defer->ops.push_back(DeferredMetricOp{this, key, n, nullptr, 0.0});
-    return;
-  }
   total_ += n;
   // Attribution is bursty (one domain's sync storm produces a run of adds
   // for the same key): a one-entry cache turns the run into a direct slot

@@ -22,8 +22,7 @@
 // (u01 / poisson / draw_index below) over std::mt19937_64 — no
 // std::*_distribution, whose draw counts vary across standard libraries.
 // The only platform dependence left is libm rounding in log/sin; ticks
-// run on the coordinator thread between event-queue quanta, so results
-// are byte-identical at any execution width.
+// run between event-queue runs, so same-seed reruns are byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -109,7 +108,7 @@ class Engine {
   }
 
   /// FNV-1a over the full count state plus the event totals — the value
-  /// the determinism grid compares across thread widths.
+  /// the determinism tests compare across same-seed reruns.
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Flushes the lazy per-domain load accumulators up to ticks_done() and

@@ -7,11 +7,10 @@
 // `bgmp.tree_edge_load.by_domain`, and keeps the `workload.*` instruments
 // current.
 //
-// Ticks are applied on the coordinator thread *between* event-queue
-// quanta (advance_to() never runs events), exactly like chaos
-// perturbations — which is why a workload run is byte-identical at any
-// --threads: the parallel executor only ever sees the already-scheduled
-// protocol consequences.
+// Ticks are applied *between* event-queue runs (advance_to() never runs
+// events), exactly like chaos perturbations, so the protocol only ever
+// sees a tick's already-scheduled consequences and a rerun with the same
+// seed is byte-identical.
 #pragma once
 
 #include <cstdint>

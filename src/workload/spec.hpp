@@ -10,7 +10,7 @@
 //
 // Everything here is plain data: a workload run is a pure function of
 // {seed, Spec}, which is what makes the differential oracle test and the
-// any-thread-width byte-identity guarantee possible.
+// same-seed byte-identity guarantee possible.
 #pragma once
 
 #include <cmath>

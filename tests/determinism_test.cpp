@@ -4,18 +4,10 @@
 // simulation's reproducibility against accidental ordering dependence in
 // the batched-update and lazy-cancel plumbing (iteration order of pending
 // maps, heap tie-breaks, cache effects).
-//
-// The parallel executor extends the contract across execution widths: at
-// any --threads value the event schedule — and therefore every RIB line
-// and every protocol metric — must be byte-identical to the serial run.
-// Only the executor's own book-keeping instruments may differ between
-// widths (see kThreadDependentMetrics).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bgp/speaker.hpp"
@@ -32,44 +24,12 @@ namespace {
 
 struct RunResult {
   std::string metrics_json;
-  /// metrics_json minus the executor book-keeping instruments that
-  /// legitimately vary with execution width.
-  std::string portable_metrics_json;
-  /// Schedule-derived executor counters: identical between runs at the
-  /// same width (unlike the wall-clock idle gauge and the slot-pool
-  /// high-water, which depend on worker interleaving).
-  std::uint64_t shard_window_advances = 0;
-  std::uint64_t cross_shard_messages = 0;
-  double partition_cut_edges = 0.0;
   /// Per domain: "<name> U:<unicast rib> G:<group rib> P:<held prefixes>".
   std::vector<std::string> domains;
 };
 
-/// Instruments whose values depend on the execution width (shard count,
-/// window count, idle time, partition shape) or on how the queue grew
-/// under parallel slot allocation. Everything else — every protocol
-/// counter, gauge, histogram and sharded instrument — must match the
-/// serial run exactly.
-constexpr std::string_view kThreadDependentMetrics[] = {
-    "net.event_queue_high_water",  "net.shard_window_advances",
-    "net.cross_shard_messages",    "sim.shard_idle_seconds",
-    "core.partition_cut_edges",
-};
-
-std::string portable_json(obs::Snapshot snapshot) {
-  std::erase_if(snapshot.samples, [](const obs::Sample& s) {
-    return std::find(std::begin(kThreadDependentMetrics),
-                     std::end(kThreadDependentMetrics),
-                     s.name) != std::end(kThreadDependentMetrics);
-  });
-  std::ostringstream json;
-  snapshot.write_json(json);
-  return json.str();
-}
-
-RunResult run_once(std::uint64_t seed, int threads = 1) {
+RunResult run_once(std::uint64_t seed) {
   Internet net(seed);
-  net.set_threads(threads);
   constexpr int kTops = 3;
   constexpr int kDomains = 12;
   std::vector<Domain*> tops;
@@ -127,13 +87,6 @@ RunResult run_once(std::uint64_t seed, int threads = 1) {
   std::ostringstream json;
   snapshot.write_json(json);
   result.metrics_json = json.str();
-  result.portable_metrics_json = portable_json(snapshot);
-  result.shard_window_advances =
-      snapshot.counter_value("net.shard_window_advances");
-  result.cross_shard_messages =
-      snapshot.counter_value("net.cross_shard_messages");
-  result.partition_cut_edges =
-      snapshot.gauge_value("core.partition_cut_edges");
   for (std::size_t i = 0; i < net.domain_count(); ++i) {
     Domain& d = net.domain(i);
     std::ostringstream line;
@@ -169,57 +122,20 @@ TEST(Determinism, SameSeedRunsAreByteIdentical) {
   EXPECT_EQ(a.metrics_json, b.metrics_json);
 }
 
-TEST(Determinism, ParallelRunsMatchTheSerialScheduleByteForByte) {
-  // The tentpole contract: {1, 2, 4, 8} execution widths produce the same
-  // RIB lines and — outside the executor's own instruments — the same
-  // metrics JSON, for multiple seeds.
-  for (const std::uint64_t seed : {21u, 22u}) {
-    const RunResult serial = run_once(seed, 1);
-    for (const int threads : {2, 4, 8}) {
-      const RunResult parallel = run_once(seed, threads);
-      ASSERT_EQ(serial.domains.size(), parallel.domains.size());
-      for (std::size_t i = 0; i < serial.domains.size(); ++i) {
-        EXPECT_EQ(serial.domains[i], parallel.domains[i])
-            << "seed " << seed << " threads " << threads << " domain " << i;
-      }
-      EXPECT_EQ(serial.portable_metrics_json, parallel.portable_metrics_json)
-          << "seed " << seed << " threads " << threads;
-    }
-  }
-}
-
-TEST(Determinism, SameWidthParallelRunsAreByteIdentical) {
-  // Two runs at the same width must agree on everything deterministic:
-  // the portable snapshot plus the schedule-derived executor counters.
-  // (The idle gauge is wall-clock-derived and the slot-pool high-water
-  // depends on worker interleaving; those two alone may differ.)
-  const RunResult a = run_once(21, 4);
-  const RunResult b = run_once(21, 4);
-  ASSERT_EQ(a.domains.size(), b.domains.size());
-  for (std::size_t i = 0; i < a.domains.size(); ++i) {
-    EXPECT_EQ(a.domains[i], b.domains[i]) << "domain " << i;
-  }
-  EXPECT_EQ(a.portable_metrics_json, b.portable_metrics_json);
-  EXPECT_EQ(a.shard_window_advances, b.shard_window_advances);
-  EXPECT_EQ(a.cross_shard_messages, b.cross_shard_messages);
-  EXPECT_EQ(a.partition_cut_edges, b.partition_cut_edges);
-}
-
 /// A scenario run with the aggregate workload attached: the engine's
-/// churn is applied on the coordinator between event quanta, so its
-/// digest, the converged RIBs and every portable metric must be
-/// byte-identical at any execution width.
+/// churn is applied between event-queue runs, so a rerun with the same
+/// seed must reproduce its digest, the converged RIBs and every metric
+/// byte for byte.
 struct WorkloadRun {
-  std::string portable_metrics_json;
+  std::string metrics_json;
   std::uint64_t rib_digest = 0;
   std::uint64_t engine_digest = 0;
   std::uint64_t members = 0;
   std::uint64_t tree_joins = 0;
 };
 
-WorkloadRun run_workload_once(std::uint64_t seed, int threads) {
+WorkloadRun run_workload_once(std::uint64_t seed) {
   Internet net(seed);
-  net.set_threads(threads);
   eval::ScenarioSpec spec;
   spec.domains = 24;
   spec.seed = seed;
@@ -243,24 +159,21 @@ WorkloadRun run_workload_once(std::uint64_t seed, int threads) {
     result.tree_joins = report.tree_joins;
   }
   result.rib_digest = eval::rib_digest(net);
-  result.portable_metrics_json = portable_json(net.metrics_snapshot());
+  std::ostringstream json;
+  net.metrics_snapshot().write_json(json);
+  result.metrics_json = json.str();
   return result;
 }
 
-TEST(Determinism, WorkloadRunsAreByteIdenticalAcrossThreadWidths) {
+TEST(Determinism, WorkloadRerunsAreByteIdentical) {
   for (const std::uint64_t seed : {3u, 9u}) {
-    const WorkloadRun serial = run_workload_once(seed, 1);
-    ASSERT_GT(serial.members, 0u) << "seed " << seed;
-    ASSERT_GT(serial.tree_joins, 0u) << "seed " << seed;
-    for (const int threads : {2, 4, 8}) {
-      const WorkloadRun parallel = run_workload_once(seed, threads);
-      EXPECT_EQ(serial.engine_digest, parallel.engine_digest)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(serial.rib_digest, parallel.rib_digest)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(serial.portable_metrics_json, parallel.portable_metrics_json)
-          << "seed " << seed << " threads " << threads;
-    }
+    const WorkloadRun a = run_workload_once(seed);
+    ASSERT_GT(a.members, 0u) << "seed " << seed;
+    ASSERT_GT(a.tree_joins, 0u) << "seed " << seed;
+    const WorkloadRun b = run_workload_once(seed);
+    EXPECT_EQ(a.engine_digest, b.engine_digest) << "seed " << seed;
+    EXPECT_EQ(a.rib_digest, b.rib_digest) << "seed " << seed;
+    EXPECT_EQ(a.metrics_json, b.metrics_json) << "seed " << seed;
   }
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/event.hpp"
@@ -563,6 +565,48 @@ TEST(Network, CountersDelegateToMetricsRegistry) {
   const obs::Snapshot snap = network.metrics().snapshot();
   EXPECT_EQ(snap.counter_value("net.messages_sent"), 1u);
   EXPECT_EQ(snap.gauge_value("net.channels"), 1.0);
+}
+
+TEST(Network, LazilyCancelledFrontBlocksDeliveryBatching) {
+  // Two messages due at the same instant on one link normally share one
+  // drain event: the second is carried inline by the first's event. A
+  // cancelled event stored between them must still block that batching —
+  // the guard reads the stored front (peek_next_stored), not the first
+  // live key, and every pinned events_run count depends on that choice.
+  struct Outcome {
+    std::vector<std::string> received;
+    std::uint64_t batched = 0;
+    std::uint64_t events_run = 0;
+  };
+  const auto run = [](bool blocker) {
+    EventQueue q;
+    Network network(q);
+    Recorder a("a"), b("b");
+    const auto ch = network.connect(a, b, SimTime::milliseconds(10));
+    network.send(ch, a, std::make_unique<TextMessage>("m1"));
+    EventId noop{};
+    if (blocker) noop = q.schedule_at(SimTime::milliseconds(10), [] {});
+    network.send(ch, a, std::make_unique<TextMessage>("m2"));
+    if (blocker) {
+      EXPECT_TRUE(q.cancel(noop));
+    }
+    q.run();
+    Outcome out;
+    for (const auto& [channel, text] : b.received) out.received.push_back(text);
+    out.batched =
+        network.metrics().counter("net.deliveries_batched").value();
+    out.events_run = q.events_run();
+    return out;
+  };
+  const Outcome blocked = run(true);
+  EXPECT_EQ(blocked.received, (std::vector<std::string>{"m1", "m2"}));
+  EXPECT_EQ(blocked.batched, 0u);
+  EXPECT_EQ(blocked.events_run, 2u);
+
+  const Outcome free_run = run(false);
+  EXPECT_EQ(free_run.received, (std::vector<std::string>{"m1", "m2"}));
+  EXPECT_EQ(free_run.batched, 1u);
+  EXPECT_EQ(free_run.events_run, 1u);
 }
 
 TEST(Network, InjectedRegistryAggregatesAcrossNetworks) {

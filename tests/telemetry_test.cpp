@@ -3,8 +3,8 @@
 // internet), its zero-perturbation guarantee, critical-path analysis of
 // real convergence windows, the spans JSONL round-trip behind
 // bench/analyze_run, and the METRICS.md audit — every instrument a real
-// run exports must be documented, and the doc must not drift ahead of the
-// code.
+// run exports must be documented, and every documented instrument must be
+// exported by a real run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 
 #include "core/internet.hpp"
 #include "eval/critical_path.hpp"
+#include "eval/masc_sim.hpp"
 #include "eval/scenario.hpp"
 #include "eval/telemetry.hpp"
 #include "net/rng.hpp"
@@ -258,10 +259,12 @@ TEST(CriticalPath, ReArmSupersedesAndUnmatchedFiresAreCounted) {
 
 #ifdef METRICS_MD_PATH
 TEST(Docs, EveryExportedMetricAppearsInMetricsMd) {
-  // Run the full workload with telemetry attached, snapshot every
-  // instrument the stack registers, and require METRICS.md to name each
-  // one. A new instrument without a doc row fails here — the reference
-  // table cannot silently rot.
+  // Run the full workload with telemetry attached, plus the MASC
+  // allocation simulation (the masc_sim-only instruments), and snapshot
+  // every instrument the stack registers. METRICS.md must name each one,
+  // and each instrument row of METRICS.md must name one of them: a new
+  // instrument without a doc row fails here, and so does a row left
+  // behind when its instrument goes away.
   std::ifstream doc(METRICS_MD_PATH);
   ASSERT_TRUE(doc.is_open()) << "cannot read " << METRICS_MD_PATH;
   std::stringstream buffer;
@@ -280,22 +283,45 @@ TEST(Docs, EveryExportedMetricAppearsInMetricsMd) {
   eval::TelemetrySession session(net, telemetry);
   run_workload(net, spec);
 
-  const obs::Snapshot snap = net.metrics_snapshot();
+  eval::MascSimParams masc;
+  masc.top_level_domains = 4;
+  masc.children_per_top = 6;
+  masc.horizon = net::SimTime::days(120);
+  masc.seed = 42;
+
   std::set<std::string> names;
-  for (const obs::Sample& s : snap.samples) names.insert(s.name);
-  for (const obs::HistogramSample& h : snap.histograms) names.insert(h.name);
-  for (const obs::ShardedSample& s : snap.sharded) names.insert(s.name);
+  for (const obs::Snapshot& snap :
+       {net.metrics_snapshot(), eval::run_masc_sim(masc).final_metrics}) {
+    for (const obs::Sample& s : snap.samples) names.insert(s.name);
+    for (const obs::HistogramSample& h : snap.histograms) names.insert(h.name);
+    for (const obs::ShardedSample& s : snap.sharded) names.insert(s.name);
+  }
   ASSERT_GT(names.size(), 30u);  // the audit covers the real surface
 
+  // Per-tag step histograms are documented once by their prefix row.
+  const std::string kStepPrefix = "sim.step_wall_seconds.";
+  const std::string kStepRow = kStepPrefix + "<tag>";
   for (const std::string& name : names) {
-    // Per-tag step histograms are documented once by their prefix row.
     const std::string lookup =
-        name.rfind("sim.step_wall_seconds.", 0) == 0
-            ? "sim.step_wall_seconds.<tag>"
-            : name;
+        name.rfind(kStepPrefix, 0) == 0 ? kStepRow : name;
     EXPECT_NE(text.find("`" + lookup + "`"), std::string::npos)
         << "metric \"" << name << "\" is not documented in METRICS.md";
   }
+
+  std::istringstream lines(text);
+  std::size_t rows = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << line;
+    const std::string row = line.substr(3, end - 3);
+    ++rows;
+    if (row == kStepRow) continue;
+    EXPECT_EQ(names.count(row), 1u)
+        << "METRICS.md documents \"" << row
+        << "\" but no audited run exports it";
+  }
+  EXPECT_GT(rows, 30u);  // the row scan found the instrument tables
 }
 #endif  // METRICS_MD_PATH
 

@@ -201,11 +201,15 @@ TEST(TrieOracle, RandomizedMutationsMatchBruteForce) {
         const int* got = trie.find(p);
         const int* want = oracle.find(p);
         ASSERT_EQ(got != nullptr, want != nullptr) << p.to_string();
-        if (got != nullptr) EXPECT_EQ(*got, *want);
+        if (got != nullptr) {
+          EXPECT_EQ(*got, *want);
+        }
         const auto lm = trie.longest_match(p);
         const auto olm = oracle.longest_match(p);
         ASSERT_EQ(lm.has_value(), olm.has_value()) << p.to_string();
-        if (lm.has_value()) EXPECT_EQ(lm->first, olm->first);
+        if (lm.has_value()) {
+          EXPECT_EQ(lm->first, olm->first);
+        }
       } else {  // overlap query
         const Prefix p = source.next();
         ASSERT_EQ(trie.overlaps_any(p), oracle.overlaps_any(p))
