@@ -128,7 +128,7 @@ int protocol_check(std::uint64_t seed, const char* metrics_out) {
     const eval::TreeModel model(
         graph, scenario,
         rib_tree(bgp::RouteType::kGroup, group, scenario.root),
-        rib_tree(bgp::RouteType::kMulticast, source_host, scenario.source));
+        rib_tree(bgp::RouteType::kUnicast, source_host, scenario.source));
 
     const auto bidir = model.path_lengths(eval::TreeType::kBidirectional);
     const auto hyb = model.path_lengths(eval::TreeType::kHybrid);

@@ -46,11 +46,11 @@
 //
 // --check compares this run against a previously emitted JSON file: the
 // baseline rung with matching parameters (a flat old-style report counts
-// as one rung) must reproduce the converged RIB digest exactly, and the
-// deterministic work counters (events run, messages sent, BGP updates)
-// may grow at most FRAC (default 0.25) before the exit code turns
-// nonzero. Wall-clock throughput and RSS are reported but not gated —
-// they are properties of the host, not of the code under test.
+// as one rung) must reproduce the converged RIB, path and tree digests
+// exactly, and the deterministic work counters (events run, messages
+// sent, BGP updates) may grow at most FRAC (default 0.25) before the exit
+// code turns nonzero. Wall-clock throughput and RSS are reported but not
+// gated — they are properties of the host, not of the code under test.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -97,6 +97,8 @@ struct Results {
   std::uint64_t deliveries_batched = 0;  // drained inline by a link FIFO
   std::uint64_t grib_entries_total = 0;
   std::uint64_t rib_digest = 0;  // FNV-1a over every domain's final RIBs
+  std::uint64_t path_digest = 0;  // chosen neighbours and hop sequences
+  std::uint64_t tree_digest = 0;  // BGMP (*,G)/(S,G) target lists
   double events_per_second = 0.0;
   double items_per_second = 0.0;  // protocol ops (claims+joins+deliveries)
   std::uint64_t peak_rss_kib = 0;
@@ -189,6 +191,8 @@ Results run_scenario(const eval::ScenarioSpec& spec,
         net.domain(i).speaker().rib(bgp::RouteType::kGroup).size();
   }
   r.rib_digest = eval::rib_digest(net);
+  r.path_digest = eval::path_digest(net);
+  r.tree_digest = eval::tree_digest(net);
   r.events_per_second =
       static_cast<double>(r.events_run) / r.wall_seconds;
   const auto items = r.claims_granted + r.bgmp_joins_sent + r.deliveries;
@@ -362,7 +366,9 @@ void write_rung(const Results& r, std::ostream& os, const char* indent) {
        << indent << "\"recorder_frames\": " << r.recorder_frames << ",\n"
        << indent << "\"spans_sampled\": " << r.spans_sampled << ",\n";
   }
-  os << indent << "\"rib_digest\": " << r.rib_digest << "\n";
+  os << indent << "\"path_digest\": " << r.path_digest << ",\n"
+     << indent << "\"tree_digest\": " << r.tree_digest << ",\n"
+     << indent << "\"rib_digest\": " << r.rib_digest << "\n";
 }
 
 void write_json(const std::vector<Results>& runs, bool ladder,
@@ -482,6 +488,8 @@ int check_one(const Results& now, const std::string& base, double tolerance,
   // Converged state must be reproduced bit-for-bit…
   exact("grib_entries_total", now.grib_entries_total);
   exact("rib_digest", now.rib_digest);
+  exact("path_digest", now.path_digest);
+  exact("tree_digest", now.tree_digest);
   // …including the realized member population: exact whenever the
   // baseline carries the column (post-workload baselines always do), and
   // the full engine state digest on workload rungs.

@@ -195,10 +195,10 @@ std::optional<Router::RootwardHop> Router::rootward(Group group) const {
 
 std::optional<Router::RootwardHop> Router::sourceward(
     net::Ipv4Addr source) const {
-  // M-RIB first (§2: RPF checks use the M-RIB when topologies are
-  // incongruent), unicast as fallback.
-  auto lookup = speaker_.lookup(bgp::RouteType::kMulticast, source);
-  if (!lookup) lookup = speaker_.lookup(bgp::RouteType::kUnicast, source);
+  // §2 keeps an M-RIB for RPF checks where multicast and unicast
+  // topologies diverge; every topology here is congruent, so RPF reads
+  // the unicast view.
+  const auto lookup = speaker_.lookup(bgp::RouteType::kUnicast, source);
   if (!lookup) return std::nullopt;
   if (lookup->next_hop == nullptr) {
     return RootwardHop{TargetKey::migp(), nullptr, /*self_rooted=*/true};

@@ -1,7 +1,7 @@
 // The BGMP component of a domain border router (§5).
 //
 // Each border router pairs a BGMP component with a BGP speaker (for G-RIB
-// and M-RIB lookups) and a view of its domain's MIGP (through the
+// and unicast RPF lookups) and a view of its domain's MIGP (through the
 // DomainService interface, implemented by the core glue). BGMP components
 // of different domains hold persistent peerings over which they exchange
 // joins, prunes and data; components of the same domain coordinate through
@@ -262,7 +262,7 @@ class Router final : public net::Endpoint {
     bool self_rooted = false;
   };
   [[nodiscard]] std::optional<RootwardHop> rootward(Group group) const;
-  /// Same, toward a source (M-RIB with unicast fallback).
+  /// Same, toward a source, from the unicast view (the RPF lookup).
   [[nodiscard]] std::optional<RootwardHop> sourceward(
       net::Ipv4Addr source) const;
 

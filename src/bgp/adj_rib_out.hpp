@@ -71,6 +71,18 @@ class AdjRibOut {
     });
   }
 
+  /// Calls `fn(prefix, peer, ref)` for every non-null cell, row by row in
+  /// address order: one walk of the table, whatever the peer count.
+  template <typename Fn>
+  void for_each_cell(Fn&& fn) const {
+    rows_.for_each([&](const net::Prefix& prefix, std::uint32_t row) {
+      for (PeerIndex peer = 0; peer < width_; ++peer) {
+        const RouteRef& ref = cell(row, peer);
+        if (ref.has_value()) fn(prefix, peer, ref);
+      }
+    });
+  }
+
   /// Bytes held by the prefix index, the cell slab and the row
   /// bookkeeping. The interned routes are the RouteTable's.
   [[nodiscard]] std::size_t memory_bytes() const;

@@ -43,7 +43,7 @@ struct Candidate {
 /// The thread's pool of RIB candidates. Every RibEntry used to own a
 /// `std::vector<Candidate>` — one heap allocation per prefix per table,
 /// and 40 bytes of vector/optional header per entry even for the common
-/// single-candidate case. At Internet scale (10k domains × 3 views ×
+/// single-candidate case. At Internet scale (10k domains × 2 views ×
 /// per-peer candidate churn) that allocation traffic and header overhead
 /// dominate routing-state memory, so candidates now live in one chunked
 /// thread-local arena and entries hold 4-byte slot indices chained through
@@ -208,7 +208,7 @@ class RibEntry {
   std::uint32_t size_ = 0;
 };
 
-/// One routing-table view (unicast RIB, M-RIB or G-RIB).
+/// One routing-table view (unicast RIB or G-RIB).
 class Rib {
  public:
   /// Entry count — the paper's "G-RIB size" metric is rib(kGroup).size().

@@ -1,7 +1,6 @@
 #include "bgp/speaker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 namespace bgp {
@@ -76,15 +75,30 @@ PeerIndex Speaker::add_peer(Speaker& peer, net::ChannelId channel,
   return static_cast<PeerIndex>(peers_.size() - 1);
 }
 
-PeerIndex Speaker::peer_by_channel(net::ChannelId channel) const {
+PeerIndex Speaker::find_peer(net::ChannelId channel) const {
   // Channel ids are allocated in connect order, so this vector is
   // ascending and a hub speaker's lookup is a binary search.
   const auto it = std::lower_bound(peer_channels_.begin(),
                                    peer_channels_.end(), channel);
-  if (it == peer_channels_.end() || *it != channel) {
+  if (it == peer_channels_.end() || *it != channel) return kLocalPeer;
+  return static_cast<PeerIndex>(it - peer_channels_.begin());
+}
+
+PeerIndex Speaker::peer_by_channel(net::ChannelId channel) const {
+  const PeerIndex index = find_peer(channel);
+  if (index == kLocalPeer) {
     throw std::logic_error("Speaker: message on unknown channel");
   }
-  return static_cast<PeerIndex>(it - peer_channels_.begin());
+  return index;
+}
+
+const Route* Speaker::advertised(RouteType type, PeerIndex peer,
+                                 const net::Prefix& prefix) const {
+  const AdjRibOut& out = adj_rib_out_[static_cast<std::size_t>(type)];
+  const std::uint32_t row = out.find(prefix);
+  if (row == AdjRibOut::kNoRow) return nullptr;
+  const RouteRef& ref = out.cell(row, peer);
+  return ref.has_value() ? &ref.get() : nullptr;
 }
 
 void Speaker::originate(RouteType type, const net::Prefix& prefix) {

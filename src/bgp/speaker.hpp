@@ -1,6 +1,6 @@
 // A BGP speaker: one per border router.
 //
-// Speakers hold the three MBGP routing-table views (unicast, M-RIB, G-RIB),
+// Speakers hold the two MBGP routing-table views (unicast and G-RIB),
 // exchange update messages over peering channels, run the decision process,
 // and apply export policy. Two behaviours from the paper are first-class:
 //
@@ -129,20 +129,28 @@ class Speaker final : public net::Endpoint {
   [[nodiscard]] net::ChannelId peer_channel(PeerIndex index) const {
     return peers_.at(index).channel;
   }
+  /// The peering on `channel`, or kLocalPeer when there is none: a binary
+  /// search, since channel ids ascend in connect order.
+  [[nodiscard]] PeerIndex find_peer(net::ChannelId channel) const;
 
-  /// Read-only walk of what this speaker last announced to one peer in
-  /// one view (its Adj-RIB-Out column): `fn(prefix, route)` per announced
-  /// route, in address order.
+  /// Read-only walk of what this speaker last announced in one view (its
+  /// Adj-RIB-Out): `fn(prefix, peer, route)` per announced route, in
+  /// address order, one table walk for every peer.
   template <typename Fn>
-  void for_each_advertised(RouteType type, PeerIndex peer, Fn&& fn) const {
-    adj_rib_out_[static_cast<std::size_t>(type)].for_each_in_column(
-        peer, [&](const net::Prefix& prefix, const RouteRef& ref) {
-          fn(prefix, ref.get());
+  void for_each_advertised(RouteType type, Fn&& fn) const {
+    adj_rib_out_[static_cast<std::size_t>(type)].for_each_cell(
+        [&](const net::Prefix& prefix, PeerIndex peer, const RouteRef& ref) {
+          fn(prefix, peer, ref.get());
         });
   }
 
-  /// Bytes of routing state held by this speaker: the three RIB views
-  /// (map slot arrays + candidate slots), the origin tables, and the three
+  /// What this speaker last announced to `peer` for `prefix` in one view
+  /// (its Adj-RIB-Out cell), or nullptr.
+  [[nodiscard]] const Route* advertised(RouteType type, PeerIndex peer,
+                                        const net::Prefix& prefix) const;
+
+  /// Bytes of routing state held by this speaker: the two RIB views
+  /// (map slot arrays + candidate slots), the origin tables, and the two
   /// Adj-RIB-Out tables. Feeds the core.state_bytes_per_domain gauge.
   [[nodiscard]] std::size_t state_bytes() const;
 

@@ -1,9 +1,11 @@
 // Route types and route attributes for the multiprotocol BGP substrate.
 //
 // The paper (§2) relies on the MBGP extension carrying "multiple types of
-// routes … and consequently multiple logical views of the routing table":
-// the unicast RIB, the M-RIB used for RPF checks when multicast and unicast
-// topologies diverge, and the G-RIB holding the *group routes* MASC injects.
+// routes … and consequently multiple logical views of the routing table".
+// Two views exist here: the unicast RIB, which also serves RPF checks, and
+// the G-RIB holding the *group routes* MASC injects. The paper's M-RIB
+// matters only where multicast and unicast topologies diverge, and every
+// topology here is congruent (DESIGN.md, Substitutions).
 #pragma once
 
 #include <cstdint>
@@ -17,16 +19,14 @@ namespace bgp {
 
 /// The logical routing-table views of §2 (MBGP route types).
 enum class RouteType : std::uint8_t {
-  kUnicast = 0,    ///< ordinary unicast reachability
-  kMulticast = 1,  ///< M-RIB: topology for RPF checks
-  kGroup = 2,      ///< G-RIB: group routes binding ranges to root domains
+  kUnicast = 0,  ///< unicast reachability; RPF checks read it too
+  kGroup = 1,    ///< G-RIB: group routes binding ranges to root domains
 };
-inline constexpr int kRouteTypeCount = 3;
+inline constexpr int kRouteTypeCount = 2;
 
 [[nodiscard]] constexpr const char* to_string(RouteType type) {
   switch (type) {
     case RouteType::kUnicast: return "unicast";
-    case RouteType::kMulticast: return "m-rib";
     case RouteType::kGroup: return "g-rib";
   }
   return "?";

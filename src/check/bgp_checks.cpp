@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -93,72 +92,77 @@ void BgpNextHopLiveInvariant::check(core::Internet& net,
 
 void BgpAdjRibOutInvariant::check(core::Internet& net,
                                   std::vector<Violation>& out) {
-  std::vector<net::Prefix> announced;
-  for_each_speaker(net, [&](bgp::Speaker& a) {
-    for (bgp::PeerIndex i = 0; i < a.peer_count(); ++i) {
-      const bgp::Speaker& b = *a.peer_speaker(i);
-      const bool up = a.peer_session_up(i);
-      // b's index for this same session.
-      bgp::PeerIndex back = bgp::kLocalPeer;
-      for (bgp::PeerIndex j = 0; j < b.peer_count(); ++j) {
-        if (b.peer_channel(j) == a.peer_channel(i)) back = j;
-      }
-      if (back == bgp::kLocalPeer) {
+  // far[i]: the peer's index for speaker s's session i (kLocalPeer: the
+  // peer has no end of it). Each Adj-RIB-Out table and each RIB is walked
+  // once, and the other side of every pairing is one probe.
+  std::vector<bgp::PeerIndex> far;
+  for_each_speaker(net, [&](bgp::Speaker& s) {
+    far.assign(s.peer_count(), bgp::kLocalPeer);
+    for (bgp::PeerIndex i = 0; i < s.peer_count(); ++i) {
+      far[i] = s.peer_speaker(i)->find_peer(s.peer_channel(i));
+      if (far[i] == bgp::kLocalPeer) {
         out.push_back(Violation{std::string(name()),
-                                a.name() + " -> " + b.name(),
+                                s.name() + " -> " + s.peer_speaker(i)->name(),
                                 "the peer has no end of this session"});
-        continue;
       }
-      for (int t = 0; t < bgp::kRouteTypeCount; ++t) {
-        const auto type = static_cast<bgp::RouteType>(t);
-        const bgp::Rib& rib = b.rib(type);
-        const auto subject = [&](const net::Prefix& prefix) {
-          return a.name() + " -> " + b.name() + " " + bgp::to_string(type) +
-                 " " + prefix.to_string();
-        };
-        announced.clear();
-        a.for_each_advertised(
-            type, i, [&](const net::Prefix& prefix, const bgp::Route& sent) {
-              announced.push_back(prefix);
-              if (!up) {
-                out.push_back(Violation{
-                    std::string(name()), subject(prefix),
-                    "Adj-RIB-Out cell survives while the session is down"});
-                return;
+    }
+    for (int t = 0; t < bgp::kRouteTypeCount; ++t) {
+      const auto type = static_cast<bgp::RouteType>(t);
+      const auto subject = [&](const bgp::Speaker& from,
+                               const bgp::Speaker& to,
+                               const net::Prefix& prefix) {
+        return from.name() + " -> " + to.name() + " " + bgp::to_string(type) +
+               " " + prefix.to_string();
+      };
+      // Announced => held: every cell s sent matches the candidate the
+      // peer holds via this session.
+      s.for_each_advertised(
+          type, [&](const net::Prefix& prefix, bgp::PeerIndex i,
+                    const bgp::Route& sent) {
+            if (far[i] == bgp::kLocalPeer) return;
+            const bgp::Speaker& b = *s.peer_speaker(i);
+            if (!s.peer_session_up(i)) {
+              out.push_back(Violation{
+                  std::string(name()), subject(s, b, prefix),
+                  "Adj-RIB-Out cell survives while the session is down"});
+              return;
+            }
+            const bgp::Candidate* held =
+                candidate_via(b.rib(type), prefix, far[i]);
+            if (held == nullptr) {
+              out.push_back(Violation{
+                  std::string(name()), subject(s, b, prefix),
+                  "announced " + sent.describe() +
+                      " but the peer holds no candidate via this session"});
+            } else if (held->route.prefix != sent.prefix ||
+                       held->route.as_path != sent.as_path ||
+                       held->route.origin_as != sent.origin_as) {
+              out.push_back(Violation{
+                  std::string(name()), subject(s, b, prefix),
+                  "announced " + sent.describe() + " but the peer holds " +
+                      held->route.describe()});
+            }
+          });
+      // Held => announced: every candidate s holds via a live session is
+      // in the sender's Adj-RIB-Out cell for that session.
+      s.rib(type).for_each_entry(
+          [&](const net::Prefix& prefix, const bgp::RibEntry& entry) {
+            for (const bgp::Candidate& candidate : entry.candidates()) {
+              const bgp::PeerIndex via = candidate.via;
+              if (via == bgp::kLocalPeer || far[via] == bgp::kLocalPeer ||
+                  !s.peer_session_up(via)) {
+                continue;
               }
-              const bgp::Candidate* held = candidate_via(rib, prefix, back);
-              if (held == nullptr) {
+              const bgp::Speaker& a = *s.peer_speaker(via);
+              if (a.advertised(type, far[via], prefix) == nullptr) {
                 out.push_back(Violation{
-                    std::string(name()), subject(prefix),
-                    "announced " + sent.describe() +
-                        " but the peer holds no candidate via this session"});
-              } else if (held->route.prefix != sent.prefix ||
-                         held->route.as_path != sent.as_path ||
-                         held->route.origin_as != sent.origin_as) {
-                out.push_back(Violation{
-                    std::string(name()), subject(prefix),
-                    "announced " + sent.describe() + " but the peer holds " +
-                        held->route.describe()});
+                    std::string(name()), subject(a, s, prefix),
+                    "peer holds " + candidate.route.describe() +
+                        " via this session, but no Adj-RIB-Out cell "
+                        "announces it"});
               }
-            });
-        if (!up) continue;
-        std::sort(announced.begin(), announced.end());
-        rib.for_each_entry(
-            [&](const net::Prefix& prefix, const bgp::RibEntry& entry) {
-              for (const bgp::Candidate& candidate : entry.candidates()) {
-                if (candidate.via != back) continue;
-                if (!std::binary_search(announced.begin(), announced.end(),
-                                        prefix)) {
-                  out.push_back(Violation{
-                      std::string(name()), subject(prefix),
-                      "peer holds " + candidate.route.describe() +
-                          " via this session, but no Adj-RIB-Out cell "
-                          "announces it"});
-                }
-                break;
-              }
-            });
-      }
+            }
+          });
     }
   });
 }

@@ -27,7 +27,7 @@ Domain::Domain(Internet& internet, Config config)
     throw std::invalid_argument("Domain: need at least one border router");
   }
   // The MIGP RPF resolver: which border router is the best exit toward an
-  // external source (wired to BGP M-RIB lookups below).
+  // external source (wired to BGP unicast lookups below).
   auto rpf_fn = [this](net::Ipv4Addr source) -> migp::RouterId {
     bgmp::Router* exit = rpf_exit(source);
     return exit != nullptr ? internal_id_of(*exit) : config_.borders[0];
@@ -124,7 +124,6 @@ bgmp::Router& Domain::bgmp_router(std::size_t border) {
 void Domain::announce_unicast() {
   for (Border& b : borders_) {
     b.speaker->originate(bgp::RouteType::kUnicast, unicast_prefix());
-    b.speaker->originate(bgp::RouteType::kMulticast, unicast_prefix());
   }
 }
 
@@ -299,8 +298,7 @@ void Domain::encapsulate(bgmp::Router& self, bgmp::Router& to,
 
 bgmp::Router* Domain::rpf_exit(net::Ipv4Addr source) {
   bgp::Speaker& ref = *borders_[0].speaker;
-  auto lookup = ref.lookup(bgp::RouteType::kMulticast, source);
-  if (!lookup) lookup = ref.lookup(bgp::RouteType::kUnicast, source);
+  const auto lookup = ref.lookup(bgp::RouteType::kUnicast, source);
   if (!lookup || lookup->next_hop == nullptr) return borders_[0].bgmp.get();
   if (!lookup->internal) return borders_[0].bgmp.get();
   bgmp::Router* exit = router_for_speaker(lookup->next_hop);

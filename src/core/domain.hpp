@@ -53,7 +53,7 @@ class Domain final : public bgmp::DomainService,
     std::optional<topology::Graph> internal_graph;
     /// Which internal routers are border routers; {0} by default.
     std::vector<migp::RouterId> borders{0};
-    /// Whether to originate the domain's unicast/M-RIB prefix into BGP at
+    /// Whether to originate the domain's unicast prefix into BGP at
     /// construction (off for very large evaluations, where only source
     /// domains announce).
     bool announce_unicast = false;
@@ -81,8 +81,8 @@ class Domain final : public bgmp::DomainService,
   [[nodiscard]] masc::MascNode& masc_node() { return *masc_; }
   [[nodiscard]] masc::Maas& maas() { return *maas_; }
 
-  /// Announces the unicast/M-RIB prefix from every border router (for
-  /// domains that will source data).
+  /// Announces the unicast prefix from every border router (for domains
+  /// that will source data; RPF checks toward them read it).
   void announce_unicast();
 
   /// Directly originates a multicast range as this domain's (bypassing

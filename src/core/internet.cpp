@@ -27,7 +27,6 @@ Internet::Internet(std::uint64_t seed)
     std::uint64_t allocated = 0;
     std::size_t tree_entries = 0;
     std::size_t grib = 0;
-    std::size_t mrib = 0;
     std::size_t urib = 0;
     std::size_t state_bytes = 0;
     obs::TopKGauge& bytes_by_domain = m.topk_gauge("core.state_bytes.by_domain");
@@ -42,7 +41,6 @@ Internet::Internet(std::uint64_t seed)
         domain_bytes += r.state_bytes();
         const bgp::Speaker& s = domain->speaker(b);
         grib += s.rib(bgp::RouteType::kGroup).size();
-        mrib += s.rib(bgp::RouteType::kMulticast).size();
         urib += s.rib(bgp::RouteType::kUnicast).size();
         domain_bytes += s.state_bytes();
       }
@@ -58,7 +56,6 @@ Internet::Internet(std::uint64_t seed)
                                 static_cast<double>(claimed));
     m.gauge("bgmp.tree_entries").set(static_cast<double>(tree_entries));
     m.gauge("bgp.grib_routes").set(static_cast<double>(grib));
-    m.gauge("bgp.mrib_routes").set(static_cast<double>(mrib));
     m.gauge("bgp.unicast_routes").set(static_cast<double>(urib));
     m.gauge("core.domains").set(static_cast<double>(domains_.size()));
     // Bytes of routing state (RIB views, Adj-RIB-Outs, origin tables,

@@ -12,9 +12,53 @@ namespace eval {
 
 namespace {
 
+constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ull;
+
 void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v;
   h *= 0x100000001B3ull;
+}
+
+/// splitmix64 finalizer: spreads each per-entry FNV hash over all 64 bits
+/// before path_digest and tree_digest add it to their sums.
+std::uint64_t finalize(std::uint64_t h) {
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+  return h ^ (h >> 31);
+}
+
+std::uint64_t name_hash(const char* name) {
+  std::uint64_t h = kFnvBasis;
+  for (; *name != '\0'; ++name) fnv_mix(h, static_cast<unsigned char>(*name));
+  return h;
+}
+
+/// Seeds one entry's hash with its holder: domain id and border index.
+std::uint64_t holder_hash(std::uint64_t tag, const core::Domain& d,
+                          std::size_t border) {
+  std::uint64_t h = kFnvBasis;
+  fnv_mix(h, tag);
+  fnv_mix(h, d.id());
+  fnv_mix(h, border);
+  return h;
+}
+
+void mix_target(std::uint64_t& h, const bgmp::TargetKey& target) {
+  fnv_mix(h, static_cast<std::uint64_t>(target.kind));
+  fnv_mix(h, target.order);
+}
+
+template <typename Entry>
+void mix_targets(std::uint64_t& h, const Entry& entry) {
+  // No parent hashes apart from any target: kind values are 0 and 1.
+  if (entry.parent.has_value()) {
+    mix_target(h, *entry.parent);
+  } else {
+    fnv_mix(h, 0xFF);
+  }
+  // TargetList keeps its children sorted by (kind, order).
+  fnv_mix(h, entry.children.size());
+  for (const auto& [target, refs] : entry.children) mix_target(h, target);
 }
 
 }  // namespace
@@ -185,7 +229,7 @@ std::unique_ptr<workload::Session> phase_workload(core::Internet& net,
 }
 
 std::uint64_t rib_digest(core::Internet& net) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  std::uint64_t h = kFnvBasis;
   for (std::size_t i = 0; i < net.domain_count(); ++i) {
     core::Domain& d = net.domain(i);
     for (const bgp::RouteType type :
@@ -200,6 +244,64 @@ std::uint64_t rib_digest(core::Internet& net) {
     }
   }
   return h;
+}
+
+std::uint64_t path_digest(core::Internet& net) {
+  // Views are tagged by name, so renumbering RouteType moves nothing.
+  // Neighbour AS of a local route: no real AS (ids are 16-bit here).
+  constexpr std::uint64_t kLocalNeighbour = 0xFFFFFFFFull;
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < net.domain_count(); ++i) {
+    core::Domain& d = net.domain(i);
+    for (std::size_t b = 0; b < d.border_count(); ++b) {
+      const bgp::Speaker& s = d.speaker(b);
+      for (const bgp::RouteType type :
+           {bgp::RouteType::kUnicast, bgp::RouteType::kGroup}) {
+        const std::uint64_t tag = name_hash(bgp::to_string(type));
+        s.rib(type).for_each_best(
+            [&](const net::Prefix& p, const bgp::Candidate& c) {
+              std::uint64_t h = holder_hash(tag, d, b);
+              fnv_mix(h, p.base().value());
+              fnv_mix(h, static_cast<std::uint64_t>(p.length()));
+              fnv_mix(h, c.route.origin_as);
+              fnv_mix(h, c.via == bgp::kLocalPeer
+                             ? kLocalNeighbour
+                             : std::uint64_t{s.peer_speaker(c.via)->as()});
+              fnv_mix(h, c.internal ? 1 : 0);
+              fnv_mix(h, c.route.as_path.size());
+              for (const bgp::DomainId hop : c.route.as_path) fnv_mix(h, hop);
+              sum += finalize(h);
+            });
+      }
+    }
+  }
+  return sum;
+}
+
+std::uint64_t tree_digest(core::Internet& net) {
+  const std::uint64_t star_tag = name_hash("(*,G)");
+  const std::uint64_t source_tag = name_hash("(S,G)");
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < net.domain_count(); ++i) {
+    core::Domain& d = net.domain(i);
+    for (std::size_t b = 0; b < d.border_count(); ++b) {
+      const bgmp::Router& r = d.bgmp_router(b);
+      for (const auto& [group, entry] : r.star_entries()) {
+        std::uint64_t h = holder_hash(star_tag, d, b);
+        fnv_mix(h, group.value());
+        mix_targets(h, entry);
+        sum += finalize(h);
+      }
+      for (const auto& [key, entry] : r.source_entries()) {
+        std::uint64_t h = holder_hash(source_tag, d, b);
+        fnv_mix(h, key.source.value());
+        fnv_mix(h, key.group.value());
+        mix_targets(h, entry);
+        sum += finalize(h);
+      }
+    }
+  }
+  return sum;
 }
 
 }  // namespace eval

@@ -137,4 +137,18 @@ void phase_flap(core::Internet& net, const ScenarioSpec& spec,
 /// tables produce identical digests regardless of the message history.
 [[nodiscard]] std::uint64_t rib_digest(core::Internet& net);
 
+/// Digest of the chosen paths: every best route in the unicast view and
+/// the G-RIB of every border speaker, each hashed with its holder, the
+/// view's name, prefix, origin AS, neighbour AS, iBGP flag and full hop
+/// sequence. rib_digest sees only path lengths; this one moves when a tie
+/// is broken toward a different neighbour. Per-route hashes are summed,
+/// so the digest does not depend on walk order.
+[[nodiscard]] std::uint64_t path_digest(core::Internet& net);
+
+/// Digest of the BGMP trees: every (*,G) and (S,G) entry of every border
+/// router, each hashed with its holder, group (and source), parent target
+/// and sorted child targets. A target is hashed as (kind,
+/// TargetKey::order), never as a pointer. Per-entry hashes are summed.
+[[nodiscard]] std::uint64_t tree_digest(core::Internet& net);
+
 }  // namespace eval

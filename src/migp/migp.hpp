@@ -67,7 +67,7 @@ class Migp {
  public:
   /// Resolves the border router that is the domain's best exit toward an
   /// external source address — the target of internal RPF checks. Wired by
-  /// the domain glue to BGP M-RIB lookups.
+  /// the domain glue to BGP unicast lookups.
   using RpfExitFn = std::function<RouterId(net::Ipv4Addr source)>;
 
   virtual ~Migp() = default;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bgp/adj_rib_out.hpp"
@@ -238,7 +239,7 @@ TEST(Speaker, PropagatesRouteAcrossALine) {
   EXPECT_EQ(at1->next_hop, nullptr);  // locally originated: root domain
 }
 
-TEST(Speaker, RouteTypesAreIndependentViews) {
+TEST(Speaker, UnicastAndGroupViewsAreIndependent) {
   TestNet t;
   Speaker& s1 = t.speaker(1, "s1");
   Speaker& s2 = t.speaker(2, "s2");
@@ -247,7 +248,7 @@ TEST(Speaker, RouteTypesAreIndependentViews) {
   s1.originate(RouteType::kGroup, Prefix::parse("224.1.0.0/16"));
   t.settle();
   EXPECT_TRUE(s2.lookup(RouteType::kUnicast, Ipv4Addr::parse("10.1.2.3")));
-  EXPECT_FALSE(s2.lookup(RouteType::kMulticast, Ipv4Addr::parse("10.1.2.3")));
+  EXPECT_FALSE(s2.lookup(RouteType::kGroup, Ipv4Addr::parse("10.1.2.3")));
   EXPECT_FALSE(
       s2.lookup(RouteType::kUnicast, Ipv4Addr::parse("224.1.2.3")).has_value());
   EXPECT_TRUE(s2.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3")));
@@ -288,15 +289,15 @@ TEST(Speaker, PeeringAddedAfterRowsExistGetsFullTable) {
   t.settle();
   Speaker::connect(s1, s3, Relationship::kLateral);
   t.settle();
-  for (const PeerIndex peer : {PeerIndex{0}, PeerIndex{1}}) {
-    std::vector<Prefix> sent;
-    s1.for_each_advertised(RouteType::kGroup, peer,
-                           [&](const Prefix& p, const Route& route) {
-                             sent.push_back(p);
-                             EXPECT_EQ(route.as_path, std::vector<DomainId>{1});
-                           });
-    EXPECT_EQ(sent, std::vector<Prefix>{group}) << "peer " << peer;
-  }
+  std::vector<std::pair<PeerIndex, Prefix>> sent;
+  s1.for_each_advertised(
+      RouteType::kGroup, [&](const Prefix& p, PeerIndex peer,
+                             const Route& route) {
+        sent.emplace_back(peer, p);
+        EXPECT_EQ(route.as_path, std::vector<DomainId>{1});
+      });
+  EXPECT_EQ(sent, (std::vector<std::pair<PeerIndex, Prefix>>{{0, group},
+                                                              {1, group}}));
   EXPECT_TRUE(s3.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3")));
   s1.withdraw(RouteType::kGroup, group);
   t.settle();

@@ -114,6 +114,28 @@ TEST(RouteChangeListener, SilentOnNoOpUpdates) {
   EXPECT_EQ(fired, 0);
 }
 
+// --------------------------------------------- unicast announcement cost
+
+TEST(AnnounceUnicast, SendsOneUpdatePerExternalPeer) {
+  // RPF checks read the unicast view, so announcing a domain's prefix
+  // into live peerings is one update per peer. A separate M-RIB copy of
+  // the prefix would go out as a second wave of updates.
+  core::Internet net;
+  core::Domain& a = net.add_domain({.id = 1, .name = "A"});
+  core::Domain& b = net.add_domain({.id = 2, .name = "B"});
+  core::Domain& c = net.add_domain({.id = 3, .name = "C"});
+  net.link(a, b, bgp::Relationship::kCustomer);
+  net.link(a, c, bgp::Relationship::kCustomer);
+  net.settle();
+  const auto updates_sent = [&net] {
+    return net.metrics_snapshot().counter_value("bgp.updates_sent");
+  };
+  const std::uint64_t before = updates_sent();
+  a.announce_unicast();
+  net.settle();
+  EXPECT_EQ(updates_sent() - before, 2u);
+}
+
 // ------------------------------------------------ MASC adjacency claiming
 
 TEST(ChooseClaimNear, PrefersSpaceAdjacentToOwnPrefixes) {

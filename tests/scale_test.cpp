@@ -2,11 +2,13 @@
 //
 // Two gates keep the Internet-scale work honest:
 //
-//  * Behavior: the 256-domain converged-RIB digest is pinned to the value
-//    committed in BENCH_macro.json. The arena RIB, route interning, flat
-//    target lists and incremental path maintenance are all pure storage /
-//    observation changes — any drift in decision order, RNG draws or
-//    message economy flips this digest.
+//  * Behavior: the 256-domain converged-RIB, path and tree digests are
+//    pinned to the values committed in BENCH_macro.json. The arena RIB,
+//    route interning, flat target lists and incremental path maintenance
+//    are all pure storage / observation changes — drift in RNG draws or
+//    message economy flips rib_digest, and a tie broken toward a
+//    different neighbour, which rib_digest cannot see, flips the other
+//    two.
 //  * Memory: a 1k-domain smoke run (capped ladder shape) must keep
 //    core.state_bytes_per_domain under a committed budget, so state that
 //    silently grows superlinearly fails here before the 10k CI rung.
@@ -26,12 +28,15 @@ namespace {
 /// timestamp started always taking a fresh seq (Network::arm_direction):
 /// same-instant drains re-ordered and the whole ladder was re-baselined.
 constexpr std::uint64_t kDigest256 = 8763681109611083281ULL;
+/// eval::path_digest and eval::tree_digest of the same run.
+constexpr std::uint64_t kPathDigest256 = 18125266476311187696ULL;
+constexpr std::uint64_t kTreeDigest256 = 14413308267024295644ULL;
 
 /// Per-domain routing-state budget for the capped 1k rung. Measured at
-/// 67,833 B/domain with flat prefix maps under the RIBs and Adj-RIB-Out,
-/// against 107,521 B with trie-backed tables: the margin allows allocator
-/// and capacity jitter, and a return to the trie fails the test.
-constexpr double kStateBytesBudget1k = 80.0 * 1024.0;
+/// 37,376 B/domain with the unicast view and the G-RIB on flat prefix
+/// maps. The margin allows allocator and capacity jitter; a second copy of
+/// the unicast view (67,833 B with an M-RIB) fails the test.
+constexpr double kStateBytesBudget1k = 48.0 * 1024.0;
 
 ScenarioSpec ladder_spec(int domains) {
   ScenarioSpec spec;
@@ -49,6 +54,8 @@ ScenarioSpec ladder_spec(int domains) {
 
 struct RunResult {
   std::uint64_t digest = 0;
+  std::uint64_t path_digest = 0;
+  std::uint64_t tree_digest = 0;
   double state_bytes_per_domain = 0.0;
 };
 
@@ -63,12 +70,16 @@ RunResult run_ladder_rung(const ScenarioSpec& spec) {
   r.state_bytes_per_domain =
       net.metrics_snapshot().gauge_value("core.state_bytes_per_domain");
   r.digest = rib_digest(net);
+  r.path_digest = path_digest(net);
+  r.tree_digest = tree_digest(net);
   return r;
 }
 
 TEST(ScaleLadder, Digest256MatchesCommittedBaseline) {
   const RunResult r = run_ladder_rung(ladder_spec(256));
   EXPECT_EQ(r.digest, kDigest256);
+  EXPECT_EQ(r.path_digest, kPathDigest256);
+  EXPECT_EQ(r.tree_digest, kTreeDigest256);
   EXPECT_GT(r.state_bytes_per_domain, 0.0);
 }
 
