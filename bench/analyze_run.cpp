@@ -1,20 +1,22 @@
-// Offline critical-path analysis of a spans JSONL artifact.
+// Offline critical-path analysis of a records JSONL artifact.
 //
 // Any harness that ran with span sampling (macro_scenario --telemetry,
 // chaos_scenario --telemetry, sweep_scenario --telemetry-dir) leaves a
-// `.spans.jsonl` file: probe arm/fire markers plus the head-sampled
-// causal chains. This tool reconstructs each convergence measurement's
-// critical path from that file alone — the longest chain of
+// `.records.jsonl` file: probe arm/fire markers, the head-sampled causal
+// chains and the metric frames. This tool reconstructs each convergence
+// measurement's critical path from that file alone — the longest chain of
 // send/hold/deliver hops behind every `core.convergence_latency`
 // observation, broken down by protocol phase (bgp / bgmp / masc / wait)
-// with its single slowest hop called out.
+// with its single slowest hop called out. Log and frame records are
+// skipped, so `--json` reproduces the harness's `.critical_path.json`
+// byte for byte.
 //
-// The report is a pure function of the input bytes: the same spans file
+// The report is a pure function of the input bytes: the same records file
 // produces a byte-identical report no matter the host, thread count or
 // how many times it is run — determinism the telemetry tests gate on.
 //
 // Usage:
-//   analyze_run SPANS.jsonl [--json] [--out FILE]
+//   analyze_run RECORDS.jsonl [--json] [--out FILE]
 //
 // Default output is the human-readable long-pole summary; --json emits
 // the machine-readable report instead.
@@ -32,12 +34,13 @@ int main(int argc, char** argv) {
   std::string in_path;
 
   eval::Args args("analyze_run",
-                  "critical-path analysis of a sampled spans JSONL file");
-  args.opt("--spans", &in_path, "spans JSONL file (or first positional arg)");
+                  "critical-path analysis of a sampled records JSONL file");
+  args.opt("--spans", &in_path,
+           "records JSONL file (or first positional arg)");
   args.flag("--json", &json, "emit the machine-readable JSON report");
   args.opt("--out", &out_path, "also write the report here");
 
-  // Accept the spans file as a bare positional argument: pull it out of
+  // Accept the records file as a bare positional argument: pull it out of
   // argv so the shared parser (flags-only) still validates the rest.
   // "--spans" and "--out" consume the following token as their value.
   std::vector<char*> argv2;
@@ -56,7 +59,8 @@ int main(int argc, char** argv) {
     return args.exit_code();
   }
   if (in_path.empty()) {
-    std::cerr << "analyze_run: no spans file given (positional or --spans)\n";
+    std::cerr
+        << "analyze_run: no records file given (positional or --spans)\n";
     return 2;
   }
 
@@ -65,8 +69,8 @@ int main(int argc, char** argv) {
     std::cerr << "analyze_run: cannot read " << in_path << "\n";
     return 2;
   }
-  const std::vector<obs::SpanEvent> events = eval::read_spans_jsonl(in);
-  const eval::CriticalPathReport report = eval::analyze_spans(events);
+  const eval::CriticalPathReport report =
+      eval::analyze_records(eval::read_records_jsonl(in));
 
   if (json) {
     report.write_json(std::cout);

@@ -12,11 +12,11 @@
 //                  [--telemetry] [--telemetry-interval SEC]
 //                  [--span-sample RATE]
 //
-// --telemetry attaches the obs flight recorder (1 sim-second frames) and
-// head-sampled spans to every seed; a failing seed then also dumps
-// chaos-telemetry-seed<S>.{recorder.jsonl,spans.jsonl,critical_path.json}
-// next to its violation JSON — the time-series and causal-chain evidence
-// CI uploads with a red run.
+// --telemetry puts metric frames (1 sim-second interval) and head-sampled
+// spans on every seed's record stream; a failing seed then also dumps
+// chaos-telemetry-seed<S>.{records.jsonl,critical_path.json} next to its
+// violation JSON — the time-series and causal-chain evidence CI uploads
+// with a red run.
 //
 // --workload runs the aggregate end-host layer (src/workload) through
 // the schedule: Zipf/Poisson membership churn ticks every 30 simulated
@@ -75,10 +75,10 @@ int main(int argc, char** argv) {
   args.flag("--expect-violations", &expect_violations,
             "invert the gate: require a violation on every seed");
   args.flag("--telemetry", &telemetry,
-            "attach the flight recorder + span sampling; failing seeds "
-            "dump their telemetry artifacts");
+            "attach metric frames + span sampling; failing seeds "
+            "dump their records");
   args.opt("--telemetry-interval", &telemetry_interval,
-           "recorder frame interval in simulated seconds");
+           "metric frame interval in simulated seconds");
   args.opt("--span-sample", &span_sample, "head-based span sampling rate");
   if (!args.parse(argc, argv)) return args.exit_code();
   if (telemetry) {

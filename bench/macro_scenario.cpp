@@ -26,8 +26,8 @@
 // members_total (0 when off) plus the workload_* columns, and --check
 // additionally gates members_total and the engine state digest.
 //
-// --telemetry runs every rung twice — once bare, once with the obs
-// flight recorder ticking and head-sampled spans attached — and reports
+// --telemetry runs every rung twice — once bare, once with metric frames
+// and head-sampled spans on the network's record stream — and reports
 // the relative events/s cost as `telemetry_overhead`. The off/on pair is
 // interleaved --telemetry-reps times (default 3); the overhead is the
 // median of the per-pair estimates (adjacent passes see the same host,
@@ -36,6 +36,9 @@
 // telemetry run must reproduce the bare run's digest and event count
 // exactly (the instrumentation is passive); --check additionally fails
 // when the overhead exceeds --telemetry-budget (default 5%).
+// --telemetry-out P dumps each rung's records as P-<domains>.records.jsonl
+// (frames, spans and probe markers in emission order) plus
+// P-<domains>.critical_path.json.
 //
 // --ladder runs one rung per domain count (ascending) and emits a single
 // {"bench": "macro_ladder", "rungs": [...]} report. Rungs above 512
@@ -124,8 +127,8 @@ struct Results {
   // Telemetry yield of this run (non-zero only when spec.telemetry is on).
   std::uint64_t recorder_frames = 0;
   std::uint64_t spans_sampled = 0;
-  // Filled by the --telemetry comparison pass: throughput with the flight
-  // recorder + span sampling attached, and the relative events/s cost
+  // Filled by the --telemetry comparison pass: throughput with metric
+  // frames + span sampling attached, and the relative events/s cost
   // ((off − on) / off, so 0.03 = 3% slower with telemetry).
   bool telemetry_measured = false;
   double events_per_second_telemetry = 0.0;
@@ -224,21 +227,14 @@ Results run_scenario(const eval::ScenarioSpec& spec,
     r.recorder_frames = telemetry->recorder_frames();
     r.spans_sampled = telemetry->spans_recorded();
     if (!telemetry_prefix.empty()) {
-      const std::string stem =
-          telemetry_prefix + "-" + std::to_string(spec.domains);
-      std::ofstream rec(stem + ".recorder.jsonl");
-      telemetry->flush_recorder(rec);
-      std::ofstream spans(stem + ".spans.jsonl");
-      telemetry->flush_spans(spans);
-      std::ofstream cp(stem + ".critical_path.json");
-      telemetry->critical_path().write_json(cp);
+      telemetry->dump(telemetry_prefix + "-" + std::to_string(spec.domains));
     }
   }
   return r;
 }
 
-/// The --telemetry comparison pass: re-runs the rung with the flight
-/// recorder ticking and 1%-style span sampling attached, verifies the
+/// The --telemetry comparison pass: re-runs the rung with metric frames
+/// and 1%-style span sampling attached, verifies the
 /// instrumentation was purely passive (identical converged digest — a
 /// telemetry build that changes behavior is a bug, not an overhead), and
 /// folds the on-column into the off-run's results.
@@ -254,7 +250,17 @@ Results run_with_telemetry_column(const eval::ScenarioSpec& spec,
   // discards the pairs a noise window happened to straddle. The reported
   // throughput columns keep each side's fastest pass. Every pass must
   // reproduce the same digest and event count — a telemetry build that
-  // changes behavior is a bug, not an overhead.
+  // changes behavior is a bug, not an overhead. All three digests are
+  // compared: rib_digest alone misses a change in which route wins a tie.
+  const auto same_state = [](const Results& a, const Results& b) {
+    return a.rib_digest == b.rib_digest && a.path_digest == b.path_digest &&
+           a.tree_digest == b.tree_digest && a.events_run == b.events_run;
+  };
+  const auto state_of = [](const Results& r) {
+    return std::to_string(r.rib_digest) + "/" + std::to_string(r.path_digest) +
+           "/" + std::to_string(r.tree_digest) + "/" +
+           std::to_string(r.events_run);
+  };
   eval::ScenarioSpec on_spec = spec;
   on_spec.telemetry = telemetry;
   Results off = run_scenario(spec);
@@ -265,15 +271,12 @@ Results run_with_telemetry_column(const eval::ScenarioSpec& spec,
   for (int rep = 1; rep < reps; ++rep) {
     const Results off_rep = run_scenario(spec);
     const Results on_rep = run_scenario(on_spec);
-    if (on_rep.rib_digest != off.rib_digest ||
-        on_rep.events_run != off.events_run ||
-        off_rep.rib_digest != off.rib_digest) {
-      std::cerr << "macro_scenario: unstable digest across telemetry reps"
-                << " (rep " << rep << "): off digest/events "
-                << off.rib_digest << "/" << off.events_run
-                << ", off_rep digest " << off_rep.rib_digest
-                << ", on_rep digest/events " << on_rep.rib_digest << "/"
-                << on_rep.events_run << "\n";
+    if (!same_state(on_rep, off) || !same_state(off_rep, off)) {
+      std::cerr << "macro_scenario: unstable state across telemetry reps"
+                << " (rep " << rep << "): rib/path/tree digests and events "
+                << "off " << state_of(off) << ", off_rep "
+                << state_of(off_rep) << ", on_rep " << state_of(on_rep)
+                << "\n";
       std::exit(1);
     }
     pair_overheads.push_back(
@@ -285,10 +288,10 @@ Results run_with_telemetry_column(const eval::ScenarioSpec& spec,
         std::max(on.events_per_second, on_rep.events_per_second);
     off.wall_seconds = std::min(off.wall_seconds, off_rep.wall_seconds);
   }
-  if (on.rib_digest != off.rib_digest || on.events_run != off.events_run) {
-    std::cerr << "macro_scenario: telemetry changed the simulation: digest "
-              << off.rib_digest << " -> " << on.rib_digest << ", events "
-              << off.events_run << " -> " << on.events_run << "\n";
+  if (!same_state(on, off)) {
+    std::cerr << "macro_scenario: telemetry changed the simulation: "
+              << "rib/path/tree digests and events " << state_of(off)
+              << " -> " << state_of(on) << "\n";
     std::exit(1);
   }
   std::sort(pair_overheads.begin(), pair_overheads.end());
@@ -635,10 +638,10 @@ int main(int argc, char** argv) {
   args.opt("--tolerance", &tolerance,
            "allowed growth of the deterministic work counters");
   args.flag("--telemetry", &telemetry,
-            "run each rung a second time with the flight recorder and span "
+            "run each rung a second time with metric frames and span "
             "sampling attached; report the events/s overhead column");
   args.opt("--telemetry-interval", &telemetry_interval,
-           "recorder frame interval in simulated seconds");
+           "metric frame interval in simulated seconds");
   args.opt("--span-sample", &span_sample,
            "head-based span sampling rate for the telemetry column");
   args.opt("--telemetry-budget", &telemetry_budget,
@@ -650,7 +653,7 @@ int main(int argc, char** argv) {
            "with --check: fail if events/s drops more than this fraction "
            "below the committed baseline (0 = report only)");
   args.opt("--telemetry-out", &telemetry_out,
-           "dump per-rung <prefix>-<domains>.{recorder.jsonl,spans.jsonl,"
+           "dump per-rung <prefix>-<domains>.{records.jsonl,"
            "critical_path.json} from the telemetry run");
   args.flag("--workload", &with_workload,
             "run the aggregate end-host layer (Zipf/Poisson membership "

@@ -281,7 +281,7 @@ BENCHMARK(BM_RouteCopy);
 // -------------------------------------------------------- obs snapshots
 
 /// Snapshot lookups on a registry the size a 10k-domain run actually
-/// produces (200+ instruments): recorder ticks and the macro harness call
+/// produces (200+ instruments): metric frames and the macro harness call
 /// find() per series per frame, so it must be the binary search it claims
 /// to be, not a linear scan.
 void BM_SnapshotFind(benchmark::State& state) {

@@ -15,10 +15,12 @@
 //
 // --smoke shrinks the grid to a seconds-long run for CI (the TSan job
 // drives it with --threads 4). Exit code is nonzero if any cell failed.
-// --telemetry gives every cell its own flight recorder + span sampler on
-// its isolated Internet; per-cell frame/span counts land in the report
-// (byte-identical at any --threads), and --telemetry-dir dumps the
-// per-cell JSONL artifacts into an existing directory.
+// --telemetry gives every cell metric frames + span sampling on its
+// isolated Internet's record stream; per-cell frame/span counts land in
+// the report (byte-identical at any --threads), and --telemetry-dir dumps
+// each cell's sweep-<scenario>-<domains>-<seed>.records.jsonl and
+// .critical_path.json into an existing directory. Every cell also reports
+// its rib, path and tree digests.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -53,12 +55,12 @@ int main(int argc, char** argv) {
   args.opt("--out", &out_path, "also write the JSON report here");
   args.flag("--smoke", &smoke, "shrink the grid to a seconds-long CI run");
   args.flag("--telemetry", &telemetry,
-            "attach a per-cell flight recorder + span sampler");
+            "attach per-cell metric frames + span sampling");
   args.opt("--telemetry-interval", &telemetry_interval,
-           "recorder frame interval in simulated seconds");
+           "metric frame interval in simulated seconds");
   args.opt("--span-sample", &span_sample, "head-based span sampling rate");
   args.opt("--telemetry-dir", &telemetry_dir,
-           "dump per-cell recorder/span JSONL into this directory");
+           "dump per-cell records JSONL into this directory");
   if (!args.parse(argc, argv)) return args.exit_code();
   if (smoke) {
     domains = {8, 16};

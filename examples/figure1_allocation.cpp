@@ -13,7 +13,6 @@
 
 #include "core/domain.hpp"
 #include "core/internet.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
@@ -29,8 +28,8 @@ void show_pool(const core::Domain& d, const masc::MascNode& node) {
 }  // namespace
 
 int main() {
-  obs::tracer().level() = obs::TraceLevel::kInfo;  // narrate the exchange
   core::Internet net;
+  net.network().stream().set_level(obs::Level::kInfo);  // narrate the exchange
 
   core::Domain& a = net.add_domain({.id = 10, .name = "A"});
   core::Domain& b = net.add_domain({.id = 20, .name = "B"});

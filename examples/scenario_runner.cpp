@@ -3,21 +3,21 @@
 //
 // Usage: scenario_runner [script.msc] [--metrics-out FILE]
 //                        [--metrics-every SECONDS] [--metrics-jsonl FILE]
-//                        [--span-out FILE] [--profile-steps]
-//                        [--trace-out FILE] [--trace-level info|debug]
+//                        [--records-out FILE] [--profile-steps]
+//                        [--trace-level info|debug]
 //
 // Runs a built-in demo when no script is given. --metrics-out writes the
 // end-of-run metrics snapshot (every counter, gauge and histogram the
 // stack registered, stamped with the final simulation time) as JSON.
 // --metrics-every samples a snapshot every SECONDS of simulated time while
 // the scenario settles, appending each as one line of the JSONL time
-// series --metrics-jsonl (default metrics.jsonl). --span-out streams
-// causal message spans (one JSON object per send/deliver/hold/drop,
-// keyed by trace id) for flight-recorder analysis. --profile-steps
-// records wall-clock event-handler durations into per-tag
-// sim.step_wall_seconds.* histograms. --trace-out streams structured
-// JSONL trace records; --trace-level raises the trace level (default off;
-// info also prints to stderr).
+// series --metrics-jsonl (default metrics.jsonl). --records-out streams
+// the network's record stream as JSONL: every causal message span (one
+// JSON object per send/deliver/hold/drop, keyed by trace id) and the log
+// lines --trace-level lets through. --profile-steps records wall-clock
+// event-handler durations into per-tag sim.step_wall_seconds.*
+// histograms. --trace-level raises the log level (default off); log lines
+// also print to stderr.
 //
 // Script language (one command per line, '#' comments):
 //
@@ -50,8 +50,7 @@
 #include "core/domain.hpp"
 #include "core/internet.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
-#include "obs/trace.hpp"
+#include "obs/record.hpp"
 
 namespace {
 
@@ -295,8 +294,7 @@ int main(int argc, char** argv) {
   std::string script_path;
   std::string metrics_out;
   std::string metrics_jsonl = "metrics.jsonl";
-  std::string span_out;
-  std::string trace_out;
+  std::string records_out;
   std::string trace_level;
   double metrics_every = 0.0;
   bool profile_steps = false;
@@ -319,12 +317,10 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--metrics-jsonl") {
       metrics_jsonl = next();
-    } else if (arg == "--span-out") {
-      span_out = next();
+    } else if (arg == "--records-out") {
+      records_out = next();
     } else if (arg == "--profile-steps") {
       profile_steps = true;
-    } else if (arg == "--trace-out") {
-      trace_out = next();
     } else if (arg == "--trace-level") {
       trace_level = next();
     } else {
@@ -332,24 +328,23 @@ int main(int argc, char** argv) {
     }
   }
 
+  obs::Level level = obs::Level::kOff;
   if (trace_level == "info") {
-    obs::tracer().level() = obs::TraceLevel::kInfo;
+    level = obs::Level::kInfo;
   } else if (trace_level == "debug") {
-    obs::tracer().level() = obs::TraceLevel::kDebug;
+    level = obs::Level::kDebug;
   } else if (!trace_level.empty()) {
     std::cerr << "bad --trace-level '" << trace_level << "'\n";
     return 1;
   }
-  std::ofstream trace_file;
-  if (!trace_out.empty()) {
-    trace_file.open(trace_out);
-    if (!trace_file) {
-      std::cerr << "cannot open " << trace_out << "\n";
+  // Declared before the scenario: the stream writes into it until the
+  // network dies.
+  std::ofstream records_file;
+  if (!records_out.empty()) {
+    records_file.open(records_out);
+    if (!records_file) {
+      std::cerr << "cannot open " << records_out << "\n";
       return 1;
-    }
-    obs::tracer().add_sink(std::make_shared<obs::JsonlSink>(trace_file));
-    if (trace_level.empty()) {
-      obs::tracer().level() = obs::TraceLevel::kInfo;
     }
   }
 
@@ -365,6 +360,12 @@ int main(int argc, char** argv) {
     in = &file;
   }
   Scenario scenario;
+  obs::Stream& stream = scenario.net.network().stream();
+  stream.set_level(level);
+  if (records_file.is_open()) {
+    stream.add_sink(std::make_shared<obs::JsonlSink>(records_file));
+    stream.set_span_rate(1.0);
+  }
   std::ofstream series_file;
   if (metrics_every > 0.0) {
     series_file.open(metrics_jsonl);
@@ -374,17 +375,6 @@ int main(int argc, char** argv) {
     }
     scenario.metrics_every = net::SimTime::seconds_f(metrics_every);
     scenario.metrics_series = &series_file;
-  }
-  std::ofstream span_file;
-  std::unique_ptr<obs::JsonlSpanSink> span_sink;
-  if (!span_out.empty()) {
-    span_file.open(span_out);
-    if (!span_file) {
-      std::cerr << "cannot open " << span_out << "\n";
-      return 1;
-    }
-    span_sink = std::make_unique<obs::JsonlSpanSink>(span_file);
-    scenario.net.network().set_span_sink(span_sink.get());
   }
   if (profile_steps) scenario.net.enable_step_profiling();
   std::string line;
@@ -411,8 +401,8 @@ int main(int argc, char** argv) {
     std::cout << "(metrics time series written to " << metrics_jsonl
               << ")\n";
   }
-  if (span_sink != nullptr) {
-    std::cout << "(message spans written to " << span_out << ")\n";
+  if (records_file.is_open()) {
+    std::cout << "(records written to " << records_out << ")\n";
   }
   if (!metrics_out.empty()) {
     std::ofstream out(metrics_out);

@@ -4,7 +4,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
 
 namespace bgmp {
 
@@ -117,7 +116,7 @@ void Router::reresolve_parents() {
       }
     }
     sync_migp_state(group);
-    obs::log_info(name_, [&](auto& os) {
+    obs::log_info(network_.stream(), name_, [&](auto& os) {
       os << "migrated (*,G) parent for " << group.to_string();
     });
   }
@@ -352,7 +351,7 @@ void Router::add_star_child(Group group, const TargetKey& child) {
       }
     }
     metrics_.entries_created->inc();
-    obs::log_info(name_, [&](auto& os) {
+    obs::log_info(network_.stream(), name_, [&](auto& os) {
       os << "created (*,G) for " << group.to_string();
     });
   }
@@ -377,7 +376,7 @@ void Router::remove_star_child(Group group, const TargetKey& child) {
     }
     star_entries_.erase(it);
     metrics_.entries_torn_down->inc();
-    obs::log_info(name_, [&](auto& os) {
+    obs::log_info(network_.stream(), name_, [&](auto& os) {
       os << "tore down (*,G) for " << group.to_string();
     });
   }
@@ -540,7 +539,7 @@ void Router::repair_group(Group group, int attempts_left) {
                  net::Ipv4Addr{}, group);
   }
   sync_migp_state(group);
-  obs::log_info(name_, [&](auto& os) {
+  obs::log_info(network_.stream(), name_, [&](auto& os) {
     os << "repaired (*,G) for " << group.to_string();
   });
 }
@@ -707,7 +706,7 @@ void Router::request_source_branch(net::Ipv4Addr source, Group group) {
   }
   metrics_.source_branches_built->inc();
   sync_migp_state(group);
-  obs::log_info(name_, [&](auto& os) {
+  obs::log_info(network_.stream(), name_, [&](auto& os) {
     os << "source-specific branch toward S=" << source.to_string();
   });
 }

@@ -268,7 +268,7 @@ class Rib {
 
   /// Candidates across all entries (Adj-RIB-In size). Maintained as a
   /// running total by upsert()/remove() so metrics refresh hooks can read
-  /// it every recorder tick without an O(entries) table walk — at 1k+
+  /// it every metric frame without an O(entries) table walk — at 1k+
   /// domains the unicast tables make that walk O(domains²) per snapshot.
   [[nodiscard]] std::size_t candidate_count() const { return candidates_; }
 

@@ -25,7 +25,6 @@ namespace core {
 class Internet {
  public:
   explicit Internet(std::uint64_t seed = 1);
-  ~Internet();
 
   Internet(const Internet&) = delete;
   Internet& operator=(const Internet&) = delete;

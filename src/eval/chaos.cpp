@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <optional>
 #include <ostream>
 #include <set>
@@ -285,12 +284,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
       // The replay artifacts a red CI job uploads: what every metric did
       // over time, the sampled causal chains, and where convergence spent
       // its time.
-      std::ofstream rec(config.telemetry_prefix + ".recorder.jsonl");
-      telemetry->flush_recorder(rec);
-      std::ofstream spans(config.telemetry_prefix + ".spans.jsonl");
-      telemetry->flush_spans(spans);
-      std::ofstream cp(config.telemetry_prefix + ".critical_path.json");
-      telemetry->critical_path().write_json(cp);
+      telemetry->dump(config.telemetry_prefix);
     }
   }
   result.wall_seconds =

@@ -71,11 +71,11 @@ struct ChaosConfig {
   /// overlap invariant exists to catch. Pair with check_every = 1.
   bool inject_skip_waiting_period = false;
 
-  /// Telemetry attached for the whole run (recorder + span sampling).
+  /// Telemetry attached for the whole run (metric frames + span sampling).
   TelemetrySpec telemetry;
-  /// When non-empty and the run fails, dump `<prefix>.recorder.jsonl`,
-  /// `<prefix>.spans.jsonl` and `<prefix>.critical_path.json` — the
-  /// flight-recorder artifacts CI uploads with a red chaos job.
+  /// When non-empty and the run fails, dump `<prefix>.records.jsonl` and
+  /// `<prefix>.critical_path.json` — the evidence CI uploads with a red
+  /// chaos job.
   std::string telemetry_prefix;
 };
 
@@ -99,8 +99,8 @@ struct ChaosResult {
   bool quiesced = false;
   std::uint64_t events_run = 0;
   std::uint64_t checks_run = 0;  ///< checker sweeps executed
-  std::uint64_t recorder_frames = 0;  ///< flight-recorder frames retained
-  std::uint64_t spans_recorded = 0;   ///< span events kept by the sampler
+  std::uint64_t recorder_frames = 0;  ///< metric frames emitted
+  std::uint64_t spans_recorded = 0;   ///< span records kept by the sampler
   /// Aggregate-workload outcome (zero unless config.workload.enabled).
   std::uint64_t workload_members = 0;
   std::uint64_t workload_ticks = 0;

@@ -14,7 +14,7 @@ namespace eval {
 
 namespace {
 
-/// %.9f matches the span JSONL time rendering — nanosecond sim-time
+/// %.9f matches the records JSONL time rendering — nanosecond sim-time
 /// resolution round-trips exactly, and the fixed width keeps reports
 /// byte-stable.
 std::string fmt_time(double v) {
@@ -100,26 +100,26 @@ std::string hop_phase(const CriticalHop& hop) {
   return "bgp";
 }
 
-CriticalPathReport analyze_spans(const std::vector<obs::SpanEvent>& events) {
+CriticalPathReport analyze_records(const std::vector<obs::Record>& records) {
   CriticalPathReport report;
-  report.events_seen = events.size();
-
   bool armed = false;
   double armed_at = 0.0;
   std::string label;
   std::map<std::uint64_t, TraceState> traces;
 
-  for (const obs::SpanEvent& e : events) {
+  for (const obs::Record& e : records) {
+    if (!e.is_span()) continue;
+    ++report.events_seen;
     switch (e.kind) {
-      case obs::SpanEvent::Kind::kProbeArm:
+      case obs::Record::Kind::kProbeArm:
         // A newer perturbation supersedes the pending one, exactly like
         // ConvergenceProbe::arm() restarting the measurement.
         armed = true;
         armed_at = e.sim_time.to_seconds();
-        label = e.message;
+        label = e.text;
         traces.clear();
         break;
-      case obs::SpanEvent::Kind::kProbeFire: {
+      case obs::Record::Kind::kProbeFire: {
         if (!armed) {
           ++report.unmatched_fires;
           break;
@@ -130,22 +130,22 @@ CriticalPathReport analyze_spans(const std::vector<obs::SpanEvent>& events) {
         traces.clear();
         break;
       }
-      case obs::SpanEvent::Kind::kSend:
-      case obs::SpanEvent::Kind::kHold: {
+      case obs::Record::Kind::kSend:
+      case obs::Record::Kind::kHold: {
         if (!armed || e.trace_id == 0) break;
         TraceState& state = traces[e.trace_id];
-        auto& starts = state.pending[{e.from, e.to, e.message}];
+        auto& starts = state.pending[{e.from, e.to, e.text}];
         // A held message is re-recorded as a send when the channel heals;
         // keep the hold timestamp — the parked time is on the path.
-        if (e.kind == obs::SpanEvent::Kind::kSend && !starts.empty() &&
+        if (e.kind == obs::Record::Kind::kSend && !starts.empty() &&
             starts.front().held) {
           break;
         }
         starts.push_back({e.sim_time.to_seconds(),
-                          e.kind == obs::SpanEvent::Kind::kHold});
+                          e.kind == obs::Record::Kind::kHold});
         break;
       }
-      case obs::SpanEvent::Kind::kDeliver: {
+      case obs::Record::Kind::kDeliver: {
         if (!armed || e.trace_id == 0) break;
         TraceState& state = traces[e.trace_id];
         const double at = e.sim_time.to_seconds();
@@ -153,9 +153,9 @@ CriticalPathReport analyze_spans(const std::vector<obs::SpanEvent>& events) {
         hop.trace_id = e.trace_id;
         hop.from = e.from;
         hop.to = e.to;
-        hop.message = e.message;
+        hop.message = e.text;
         hop.end = at;
-        auto it = state.pending.find({e.from, e.to, e.message});
+        auto it = state.pending.find({e.from, e.to, e.text});
         if (it != state.pending.end() && !it->second.empty()) {
           hop.start = it->second.front().at;
           hop.held = it->second.front().held;
@@ -170,7 +170,7 @@ CriticalPathReport analyze_spans(const std::vector<obs::SpanEvent>& events) {
         state.delivered = true;
         break;
       }
-      case obs::SpanEvent::Kind::kDrop:
+      default:
         // A dropped copy never completes a hop; nothing to unmatch —
         // the pending start simply stays unconsumed.
         break;
@@ -268,7 +268,7 @@ void CriticalPathReport::write_text(std::ostream& os) const {
 
 namespace {
 
-/// Minimal scraper for the fixed write_span_jsonl schema. Finds
+/// Minimal scraper for the fixed obs::write_jsonl schema. Finds
 /// "\"<key>\":" and returns the value start, or npos.
 std::size_t value_pos(const std::string& line, const char* key) {
   const std::string needle = std::string("\"") + key + "\":";
@@ -276,18 +276,20 @@ std::size_t value_pos(const std::string& line, const char* key) {
   return at == std::string::npos ? std::string::npos : at + needle.size();
 }
 
-/// Inverse of obs::detail::json_escape for the subset it emits.
-bool parse_string(const std::string& line, std::size_t pos, std::string& out) {
-  if (pos >= line.size() || line[pos] != '"') return false;
+/// Inverse of obs::detail::json_escape for the subset it emits. Returns
+/// the position past the closing quote, or npos.
+std::size_t parse_string(const std::string& line, std::size_t pos,
+                         std::string& out) {
+  if (pos >= line.size() || line[pos] != '"') return std::string::npos;
   out.clear();
   for (std::size_t i = pos + 1; i < line.size(); ++i) {
     const char c = line[i];
-    if (c == '"') return true;
+    if (c == '"') return i + 1;
     if (c != '\\') {
       out += c;
       continue;
     }
-    if (++i >= line.size()) return false;
+    if (++i >= line.size()) return std::string::npos;
     switch (line[i]) {
       case '"': out += '"'; break;
       case '\\': out += '\\'; break;
@@ -295,50 +297,68 @@ bool parse_string(const std::string& line, std::size_t pos, std::string& out) {
       case 'r': out += '\r'; break;
       case 't': out += '\t'; break;
       case 'u': {
-        if (i + 4 >= line.size()) return false;
+        if (i + 4 >= line.size()) return std::string::npos;
         unsigned code = 0;
-        if (std::sscanf(line.c_str() + i + 1, "%4x", &code) != 1) return false;
+        if (std::sscanf(line.c_str() + i + 1, "%4x", &code) != 1) {
+          return std::string::npos;
+        }
         out += static_cast<char>(code & 0x7F);
         i += 4;
         break;
       }
-      default: return false;
+      default: return std::string::npos;
     }
   }
-  return false;  // unterminated
+  return std::string::npos;  // unterminated
 }
 
 }  // namespace
 
-std::vector<obs::SpanEvent> read_spans_jsonl(std::istream& is) {
-  std::vector<obs::SpanEvent> events;
+std::vector<obs::Record> read_records_jsonl(std::istream& is) {
+  std::vector<obs::Record> records;
   std::string line;
+  std::string text;
   while (std::getline(is, line)) {
-    obs::SpanEvent event;
-    const std::size_t id_at = value_pos(line, "trace_id");
+    obs::Record record;
     const std::size_t time_at = value_pos(line, "sim_time_seconds");
-    const std::size_t kind_at = value_pos(line, "event");
-    if (id_at == std::string::npos || time_at == std::string::npos ||
-        kind_at == std::string::npos) {
+    if (time_at == std::string::npos ||
+        parse_string(line, value_pos(line, "event"), text) ==
+            std::string::npos ||
+        !obs::kind_from_string(text, record.kind)) {
       continue;
     }
-    event.trace_id = std::strtoull(line.c_str() + id_at, nullptr, 10);
-    event.sim_time =
+    record.sim_time =
         net::SimTime::seconds_f(std::strtod(line.c_str() + time_at, nullptr));
-    std::string kind_text;
-    if (!parse_string(line, kind_at, kind_text) ||
-        !obs::kind_from_string(kind_text, event.kind)) {
+    if (record.kind == obs::Record::Kind::kFrame) {
+      // "v":{"<series>":<value>,...}
+      std::size_t at = value_pos(line, "v");
+      if (at < line.size() && line[at] == '{') ++at;
+      while ((at = parse_string(line, at, text)) < line.size() &&
+             line[at] == ':') {
+        char* end = nullptr;
+        record.values.emplace_back(text,
+                                   std::strtod(line.c_str() + at + 1, &end));
+        at = static_cast<std::size_t>(end - line.c_str());
+        if (at < line.size() && line[at] == ',') ++at;
+      }
+      records.push_back(std::move(record));
       continue;
     }
-    const std::size_t from_at = value_pos(line, "from");
-    const std::size_t to_at = value_pos(line, "to");
-    const std::size_t msg_at = value_pos(line, "message");
-    if (from_at != std::string::npos) parse_string(line, from_at, event.from);
-    if (to_at != std::string::npos) parse_string(line, to_at, event.to);
-    if (msg_at != std::string::npos) parse_string(line, msg_at, event.message);
-    events.push_back(std::move(event));
+    const std::size_t id_at = value_pos(line, "trace_id");
+    if (id_at != std::string::npos) {
+      record.trace_id = std::strtoull(line.c_str() + id_at, nullptr, 10);
+    }
+    if (parse_string(line, value_pos(line, "level"), text) !=
+            std::string::npos &&
+        text == obs::to_string(obs::Level::kDebug)) {
+      record.level = obs::Level::kDebug;
+    }
+    parse_string(line, value_pos(line, "from"), record.from);
+    parse_string(line, value_pos(line, "to"), record.to);
+    parse_string(line, value_pos(line, "message"), record.text);
+    records.push_back(std::move(record));
   }
-  return events;
+  return records;
 }
 
 }  // namespace eval

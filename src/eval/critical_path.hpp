@@ -1,8 +1,8 @@
-// Convergence critical-path analysis over sampled span streams.
+// Convergence critical-path analysis over sampled record streams.
 //
 // A `core.convergence_latency` observation says *how long* the system took
 // to settle after a perturbation; it says nothing about *why*. The span
-// stream carries the missing causality: the probe brackets each
+// records carry the missing causality: the probe brackets each
 // measurement with probe-arm/probe-fire markers (trace_id 0, exempt from
 // sampling), and every sampled causal chain in between is a sequence of
 // send/hold/deliver hops. The analyzer cuts the stream into measurement
@@ -11,11 +11,11 @@
 // whose final delivery *is* the convergence instant (up to sampling) —
 // broken down by protocol phase (bgp / bgmp / masc) and idle wait.
 //
-// Determinism: the analysis is a pure function of the event sequence.
+// Determinism: the analysis is a pure function of the span sequence.
 // Ties (two chains ending at the same instant) break towards the lowest
 // trace id; all aggregation maps are ordered; every double renders via
-// %.9f. Equal span streams produce byte-identical reports — the property
-// bench/analyze_run gates on across thread counts.
+// %.9f. Equal span sequences produce byte-identical reports — the
+// property bench/analyze_run gates on across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/span.hpp"
+#include "obs/record.hpp"
 
 namespace eval {
 
@@ -69,7 +69,7 @@ struct ConvergenceWindow {
 
 struct CriticalPathReport {
   std::vector<ConvergenceWindow> windows;
-  std::size_t events_seen = 0;    ///< span events consumed
+  std::size_t events_seen = 0;    ///< span records consumed
   std::size_t unmatched_fires = 0;  ///< probe-fire with no prior arm
 
   /// Index of the longest window, or npos when there are none.
@@ -81,15 +81,16 @@ struct CriticalPathReport {
   void write_text(std::ostream& os) const;
 };
 
-/// Analyzes a span stream in recording order (the order every sink
-/// preserves). Events outside any window are counted but otherwise ignored.
-[[nodiscard]] CriticalPathReport analyze_spans(
-    const std::vector<obs::SpanEvent>& events);
+/// Analyzes a record stream in emission order. Only span records count;
+/// log and frame records are skipped, and spans outside any window are
+/// counted but otherwise ignored.
+[[nodiscard]] CriticalPathReport analyze_records(
+    const std::vector<obs::Record>& records);
 
-/// Parses a spans JSONL stream (the obs::detail::write_span_jsonl schema)
-/// back into events; lines that do not parse are skipped. Together with
-/// analyze_spans this makes a dumped `.spans.jsonl` artifact
+/// Parses a records JSONL stream (the obs::write_jsonl schema) back into
+/// records; lines that do not parse are skipped. Together with
+/// analyze_records this makes a dumped `.records.jsonl` artifact
 /// self-contained for offline analysis (bench/analyze_run).
-[[nodiscard]] std::vector<obs::SpanEvent> read_spans_jsonl(std::istream& is);
+[[nodiscard]] std::vector<obs::Record> read_records_jsonl(std::istream& is);
 
 }  // namespace eval

@@ -55,7 +55,7 @@ struct ScenarioSpec {
   int flap_pairs = 0;
 
   // ---- harness options --------------------------------------------------
-  /// Telemetry attached for the run (recorder ticks, span sampling); the
+  /// Telemetry attached for the run (metric frames, span sampling); the
   /// harness owning the Internet turns this into a TelemetrySession.
   TelemetrySpec telemetry;
   /// Record every inter-domain link in BuiltScenario::links (chaos picks

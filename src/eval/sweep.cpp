@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -105,6 +104,8 @@ SweepCellResult run_cell(const SweepCell& cell, ScenarioFn scenario,
     if (config.telemetry.enabled()) telemetry.emplace(net, config.telemetry);
     scenario(net, cell);
     out.rib_digest = rib_digest(net);
+    out.path_digest = path_digest(net);
+    out.tree_digest = tree_digest(net);
     out.metrics = net.metrics_snapshot();
     out.events_run = net.events().events_run();
     out.messages_sent = out.metrics.counter_value("net.messages_sent");
@@ -114,14 +115,9 @@ SweepCellResult run_cell(const SweepCell& cell, ScenarioFn scenario,
       out.recorder_frames = telemetry->recorder_frames();
       out.spans_recorded = telemetry->spans_recorded();
       if (!config.telemetry_dir.empty()) {
-        const std::string stem = config.telemetry_dir + "/sweep-" +
-                                 cell.scenario + "-" +
-                                 std::to_string(cell.domains) + "-" +
-                                 std::to_string(cell.seed);
-        std::ofstream rec(stem + ".recorder.jsonl");
-        telemetry->flush_recorder(rec);
-        std::ofstream spans(stem + ".spans.jsonl");
-        telemetry->flush_spans(spans);
+        telemetry->dump(config.telemetry_dir + "/sweep-" + cell.scenario +
+                        "-" + std::to_string(cell.domains) + "-" +
+                        std::to_string(cell.seed));
       }
     }
   } catch (const std::exception& e) {
@@ -284,6 +280,8 @@ void SweepResult::write_json(std::ostream& os) const {
        << ", \"seed\": " << c.cell.seed << ", \"groups\": " << c.cell.groups
        << ", \"joins\": " << c.cell.joins
        << ", \"rib_digest\": " << c.rib_digest
+       << ", \"path_digest\": " << c.path_digest
+       << ", \"tree_digest\": " << c.tree_digest
        << ", \"events_run\": " << c.events_run
        << ", \"messages_sent\": " << c.messages_sent
        << ", \"recorder_frames\": " << c.recorder_frames

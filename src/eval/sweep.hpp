@@ -5,9 +5,9 @@
 // something aggregated over many seeds and topology sizes. The sweep
 // engine fans a grid of (scenario × domain-count × seed) cells out across
 // a work-stealing thread pool, where every cell builds a fully isolated
-// `core::Internet` — its own EventQueue, RNG and metrics registry, plus
-// the thread-local tracer, message pool and AS-path table — so each cell
-// is a pure function of its parameters. Results are byte-identical
+// `core::Internet` — its own EventQueue, RNG, metrics registry and record
+// stream, plus the thread-local message pool and intern tables — so each
+// cell is a pure function of its parameters. Results are byte-identical
 // regardless of thread count or schedule; cell outputs are sorted by cell
 // key before aggregation to make the combined report schedule-independent
 // too.
@@ -49,8 +49,12 @@ struct SweepCell {
 struct SweepCellResult {
   SweepCell cell;
   /// FNV-1a over every domain's converged unicast and G-RIB best routes —
-  /// the same digest bench/macro_scenario gates on.
+  /// the same digest bench/macro_scenario gates on — plus the chosen
+  /// neighbours and hop sequences (path) and the BGMP target lists (tree),
+  /// which move when a tie between equal routes resolves differently.
   std::uint64_t rib_digest = 0;
+  std::uint64_t path_digest = 0;
+  std::uint64_t tree_digest = 0;
   std::uint64_t events_run = 0;
   std::uint64_t messages_sent = 0;
   /// Telemetry yield when SweepConfig::telemetry is enabled; a pure
@@ -72,8 +76,8 @@ struct SweepConfig {
   /// isolated Internet, so sampling stays schedule-independent).
   TelemetrySpec telemetry;
   /// When non-empty, each cell dumps
-  /// `<dir>/sweep-<scenario>-<domains>-<seed>.recorder.jsonl` and
-  /// `.spans.jsonl` (the directory must already exist).
+  /// `<dir>/sweep-<scenario>-<domains>-<seed>.records.jsonl` and
+  /// `.critical_path.json` (the directory must already exist).
   std::string telemetry_dir;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
 
 namespace masc {
 
@@ -135,7 +134,7 @@ void MascNode::handle_advertise(const PeerLink& from,
                                 const AdvertiseMessage& msg) {
   if (from.kind != PeerKind::kParent) return;  // only parents define space
   spaces_ = msg.spaces;
-  obs::log_info(name_, [&](auto& os) {
+  obs::log_info(network_.stream(), name_, [&](auto& os) {
     os << "parent advertised " << msg.spaces.size() << " range(s)";
   });
 }
@@ -210,7 +209,7 @@ void MascNode::start_claim(std::uint64_t addresses, int retries,
       params_.waiting_period, [this]() { claim_granted(); },
       "masc.waiting_period");
   pending_ = pending;
-  obs::log_info(name_, [&](auto& os) {
+  obs::log_info(network_.stream(), name_, [&](auto& os) {
     os << "claiming " << pending_->prefix.to_string() << " (waiting "
        << params_.waiting_period.to_string() << ")";
   });
@@ -274,7 +273,7 @@ void MascNode::handle_claim(const PeerLink& from, const ClaimMessage& msg) {
     if (pending_->first_collision_at == net::kTimeInfinity) {
       pending_->first_collision_at = now();
     }
-    obs::log_info(name_, [&](auto& os) {
+    obs::log_info(network_.stream(), name_, [&](auto& os) {
       os << "lost claim " << pending_->prefix.to_string() << " to AS"
          << msg.claimant;
     });
@@ -365,7 +364,7 @@ void MascNode::handle_collision(const PeerLink& from,
   if (pending_->first_collision_at == net::kTimeInfinity) {
     pending_->first_collision_at = now();
   }
-  obs::log_info(name_, [&](auto& os) {
+  obs::log_info(network_.stream(), name_, [&](auto& os) {
     os << "collision on " << pending_->prefix.to_string() << " from AS"
        << msg.winner << "; retrying";
   });
@@ -421,7 +420,7 @@ void MascNode::claim_granted() {
     held_claim_times_[merged] = t0;
     if (callbacks_.on_released) callbacks_.on_released(granted.double_target);
     if (callbacks_.on_granted) callbacks_.on_granted(merged, granted.expires);
-    obs::log_info(name_, [&](auto& os) {
+    obs::log_info(network_.stream(), name_, [&](auto& os) {
       os << "doubled into " << merged.to_string();
     });
   } else {
@@ -431,7 +430,7 @@ void MascNode::claim_granted() {
     if (callbacks_.on_granted) {
       callbacks_.on_granted(granted.prefix, granted.expires);
     }
-    obs::log_info(name_, [&](auto& os) {
+    obs::log_info(network_.stream(), name_, [&](auto& os) {
       os << "granted " << granted.prefix.to_string();
     });
   }

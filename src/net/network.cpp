@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.hpp"
-
 namespace net {
 
 Network::Network(EventQueue& events, obs::Metrics* metrics)
@@ -20,7 +18,8 @@ Network::Network(EventQueue& events, obs::Metrics* metrics)
       batched_(&metrics_->counter("net.deliveries_batched")),
       delivered_by_domain_(
           &metrics_->sharded_counter("net.messages_delivered.by_domain")),
-      delivery_latency_(&metrics_->histogram("net.delivery_latency")) {
+      delivery_latency_(&metrics_->histogram("net.delivery_latency")),
+      stream_(events) {
   // Sampled state refreshes when a snapshot is taken, keeping reads off
   // the send/deliver hot paths.
   metrics_->add_refresh_hook([this]() {
@@ -64,21 +63,16 @@ ChannelId Network::connect(Endpoint& a, Endpoint& b, SimTime one_way_latency) {
   return ChannelId{static_cast<std::uint32_t>(channels_.size() - 1)};
 }
 
-void Network::record_span(obs::SpanEvent::Kind kind, const Message& msg,
-                          const Endpoint& from, const Endpoint& to) {
-  if (span_sink_ == nullptr) return;
-  // Head-based pre-filter: an unsampled chain skips event construction
-  // entirely (describe() allocates), which is what keeps 1% sampling
-  // within the telemetry overhead budget at the 10k rung.
-  if (!span_sink_->wants(msg.trace_id)) return;
-  obs::SpanEvent event;
-  event.trace_id = msg.trace_id;
-  event.sim_time = events_.now();
-  event.kind = kind;
-  event.from = from.name();
-  event.to = to.name();
-  event.message = msg.describe();
-  span_sink_->record(event);
+void Network::emit_span(obs::Record::Kind kind, const Message& msg,
+                        ChannelId id, const Endpoint& to) {
+  obs::Record span;
+  span.kind = kind;
+  span.sim_time = events_.now();
+  span.trace_id = msg.trace_id;
+  span.from = peer_of(id, to).name();
+  span.to = to.name();
+  span.text = msg.describe();
+  stream_.emit(span);
 }
 
 void Network::notify_activity() {
@@ -104,22 +98,22 @@ std::uint64_t Network::send(ChannelId id, const Endpoint& from,
                                           : allocate_trace_id();
   }
   const std::uint64_t trace_id = msg->trace_id;
-  obs::log_debug("net", [&](auto& os) {
+  obs::log_debug(stream_, "net", [&](auto& os) {
     os << from.name() << " -> " << to->name() << ": " << msg->describe();
   });
   notify_activity();
   if (!ch.up) {
     if (ch.drop_when_down) {
       dropped_->inc();
-      record_span(obs::SpanEvent::Kind::kDrop, *msg, from, *to);
+      record_span(obs::Record::Kind::kDrop, *msg, id, *to);
     } else {
       held_total_->inc();
-      record_span(obs::SpanEvent::Kind::kHold, *msg, from, *to);
+      record_span(obs::Record::Kind::kHold, *msg, id, *to);
       ch.held.push_back(QueuedMsg{to, std::move(msg), events_.now()});
     }
     return trace_id;
   }
-  record_span(obs::SpanEvent::Kind::kSend, *msg, from, *to);
+  record_span(obs::Record::Kind::kSend, *msg, id, *to);
   schedule_delivery(id, to, std::move(msg), events_.now(), ch.latency);
   return trace_id;
 }
@@ -225,7 +219,7 @@ void Network::drain_direction(ChannelId id, bool toward_b) {
     if (item.epoch != ch.epoch) {
       dropped_->inc();
       Endpoint& to = toward_b ? *ch.b : *ch.a;
-      record_span(obs::SpanEvent::Kind::kDrop, *item.msg, peer_of(id, to), to);
+      record_span(obs::Record::Kind::kDrop, *item.msg, id, to);
       continue;
     }
     // Counted here, not at the batching decision: an epoch-dead follower
@@ -245,7 +239,7 @@ void Network::deliver(ChannelId id, Endpoint& to, std::unique_ptr<Message> msg,
   delivered_by_domain_->add(to.owner_id());
   delivery_latency_->observe((events_.now() - sent_at).to_seconds());
   notify_activity();
-  record_span(obs::SpanEvent::Kind::kDeliver, *msg, peer_of(id, to), to);
+  record_span(obs::Record::Kind::kDeliver, *msg, id, to);
   // Everything the handler sends synchronously is causally downstream of
   // this message; expose its id as the ambient trace context. The previous
   // value is restored even on throw so a failing handler cannot leak its
@@ -272,8 +266,7 @@ void Network::set_up(ChannelId id, bool up) {
     while (!ch.held.empty()) {
       QueuedMsg queued = std::move(ch.held.front());
       ch.held.pop_front();
-      record_span(obs::SpanEvent::Kind::kSend, *queued.msg,
-                  peer_of(id, *queued.to), *queued.to);
+      record_span(obs::Record::Kind::kSend, *queued.msg, id, *queued.to);
       schedule_delivery(id, queued.to, std::move(queued.msg), queued.sent_at,
                         ch.latency);
     }

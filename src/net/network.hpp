@@ -24,7 +24,7 @@
 #include "net/rng.hpp"
 #include "net/time.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/record.hpp"
 
 namespace net {
 
@@ -69,7 +69,7 @@ struct Message {
   /// Concrete-type tag for switch-based dispatch (set at construction).
   MessageKind kind = MessageKind::kOther;
 
-  /// Causal span id (see obs/span.hpp). 0 = unassigned: send() stamps the
+  /// Causal span id (see obs/record.hpp). 0 = unassigned: send() stamps the
   /// message with the ambient trace id when sent from inside a delivery
   /// (the handler is reacting to the message being delivered), or with a
   /// fresh id when originated outside one. Handlers that carry causality
@@ -193,12 +193,10 @@ class Network {
   /// automatically at snapshot time.
   [[nodiscard]] obs::Metrics& metrics() { return *metrics_; }
 
-  // ------------------------------------------------------------- spans
-  /// Installs the span sink every send/deliver/hold/drop is recorded to
-  /// (nullptr disables). The sink is caller-owned and must outlive the
-  /// network or be detached first.
-  void set_span_sink(obs::SpanSink* sink) { span_sink_ = sink; }
-  [[nodiscard]] obs::SpanSink* span_sink() const { return span_sink_; }
+  /// The record stream every component attached to this network logs
+  /// into and every send/deliver/hold/drop is recorded to as a span,
+  /// stamped with this network's event-queue time.
+  [[nodiscard]] obs::Stream& stream() { return stream_; }
 
   /// The trace id of the message currently being delivered (0 outside a
   /// delivery). send() consults this to propagate causality; handlers that
@@ -303,8 +301,15 @@ class Network {
   /// changing arrival order. Re-arms for the new head on exit.
   void drain_direction(ChannelId id, bool toward_b);
   [[nodiscard]] SimTime disturbance_delay();
-  void record_span(obs::SpanEvent::Kind kind, const Message& msg,
-                   const Endpoint& from, const Endpoint& to);
+  // Head-based pre-filter, inline: an unsampled chain skips building the
+  // record (describe() allocates, and the sender is looked up only then),
+  // and with spans off each send/deliver pays one compare.
+  void record_span(obs::Record::Kind kind, const Message& msg, ChannelId id,
+                   const Endpoint& to) {
+    if (stream_.wants_span(msg.trace_id)) emit_span(kind, msg, id, to);
+  }
+  void emit_span(obs::Record::Kind kind, const Message& msg, ChannelId id,
+                 const Endpoint& to);
   void notify_activity();
 
   EventQueue& events_;
@@ -323,7 +328,7 @@ class Network {
   obs::Histogram* delivery_latency_;  // net.delivery_latency, seconds
   Disturbance disturbance_;
   Rng* disturbance_rng_ = nullptr;  // nullptr = disturbance disabled
-  obs::SpanSink* span_sink_ = nullptr;
+  obs::Stream stream_;
   std::uint64_t next_trace_id_ = 0;
   std::uint64_t next_uid_ = 0;
   // Ambient trace id during on_message; deliver() saves and restores it,

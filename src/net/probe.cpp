@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/trace.hpp"
-
 namespace net {
 
 ConvergenceProbe::ConvergenceProbe(Network& network, obs::Histogram& histogram,
@@ -20,24 +18,23 @@ void ConvergenceProbe::arm(std::string label) {
   label_ = std::move(label);
   armed_at_ = events_.now();
   last_activity_ = armed_at_;
-  record_marker(obs::SpanEvent::Kind::kProbeArm, armed_at_);
+  record_marker(obs::Record::Kind::kProbeArm, armed_at_);
   schedule_check(armed_at_ + quiet_window_);
 }
 
-void ConvergenceProbe::record_marker(obs::SpanEvent::Kind kind, SimTime at) {
-  // Measurement-window markers for the span stream: arm stamps the
+void ConvergenceProbe::record_marker(obs::Record::Kind kind, SimTime at) {
+  // Measurement-window markers in the record stream: arm stamps the
   // perturbation, fire stamps the convergence instant, so a (sampled)
-  // spans JSONL is self-contained for critical-path analysis. trace_id 0
-  // bypasses head-based sampling (see obs::SamplingSpanSink).
-  obs::SpanSink* sink = network_.span_sink();
-  if (sink == nullptr) return;
-  obs::SpanEvent event;
-  event.trace_id = 0;
-  event.sim_time = at;
-  event.kind = kind;
-  event.from = "probe";
-  event.message = label_;
-  sink->record(event);
+  // records JSONL is self-contained for critical-path analysis. trace_id
+  // 0 passes any span sampling rate.
+  obs::Stream& stream = network_.stream();
+  if (!stream.wants_span(0)) return;
+  obs::Record marker;
+  marker.kind = kind;
+  marker.sim_time = at;
+  marker.from = "probe";
+  marker.text = label_;
+  stream.emit(marker);
 }
 
 void ConvergenceProbe::on_activity() {
@@ -64,10 +61,10 @@ void ConvergenceProbe::check() {
   const SimTime converge = last_activity_ - armed_at_;
   histogram_->observe(converge.to_seconds());
   // Stamped with the convergence instant, not the check time; nothing was
-  // recorded in between (that is what quiet means), so the span stream
-  // stays time-ordered.
-  record_marker(obs::SpanEvent::Kind::kProbeFire, last_activity_);
-  obs::log_info("net.probe", [&](auto& os) {
+  // sent or delivered in between (that is what quiet means), so the spans
+  // stay time-ordered.
+  record_marker(obs::Record::Kind::kProbeFire, last_activity_);
+  obs::log_info(network_.stream(), "net.probe", [&](auto& os) {
     os << "converged" << (label_.empty() ? "" : " after ") << label_ << " in "
        << converge.to_string();
   });

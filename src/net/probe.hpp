@@ -47,7 +47,7 @@ class ConvergenceProbe {
   void on_activity();
   void check();
   void schedule_check(SimTime at);
-  void record_marker(obs::SpanEvent::Kind kind, SimTime at);
+  void record_marker(obs::Record::Kind kind, SimTime at);
 
   Network& network_;
   EventQueue& events_;

@@ -1,9 +1,10 @@
 // Stack-level tests for the second observability tier: causal trace-id
 // propagation across lossy and partitioned links, span reconstruction of a
-// BGMP join leaf→root from the JSONL flight-recorder format, the
+// BGMP join leaf→root from the records JSONL format, the
 // convergence probe's one-sample-per-perturbation contract, the five
-// <module>.<noun>_latency instruments, and gauge stability across
-// back-to-back snapshots of a quiescent network.
+// <module>.<noun>_latency instruments, gauge stability across
+// back-to-back snapshots of a quiescent network, and the isolation of two
+// internets' record streams on one thread.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +19,7 @@
 #include "net/network.hpp"
 #include "net/probe.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/record.hpp"
 
 namespace {
 
@@ -46,8 +47,9 @@ struct TestEndpoint final : net::Endpoint {
 TEST(TraceIds, HeldMessageKeepsTraceIdAndCountsHoldTimeAsLatency) {
   net::EventQueue events;
   net::Network network(events);
-  obs::MemorySpanSink sink;
-  network.set_span_sink(&sink);
+  auto sink = std::make_shared<obs::MemorySink>();
+  network.stream().add_sink(sink);
+  network.stream().set_span_rate(1.0);
   TestEndpoint a("A");
   TestEndpoint b("B");
   const net::ChannelId ch =
@@ -57,9 +59,9 @@ TEST(TraceIds, HeldMessageKeepsTraceIdAndCountsHoldTimeAsLatency) {
   const std::uint64_t id = network.send(ch, a, std::make_unique<TestMsg>());
   ASSERT_NE(id, 0u);
   {
-    const auto held = sink.events_for(id);
+    const auto held = sink->records_for(id);
     ASSERT_EQ(held.size(), 1u);
-    EXPECT_EQ(held[0].kind, obs::SpanEvent::Kind::kHold);
+    EXPECT_EQ(held[0].kind, obs::Record::Kind::kHold);
   }
 
   // Heal the partition five seconds later: the message flushes with its
@@ -70,11 +72,11 @@ TEST(TraceIds, HeldMessageKeepsTraceIdAndCountsHoldTimeAsLatency) {
 
   ASSERT_EQ(b.received_trace_ids.size(), 1u);
   EXPECT_EQ(b.received_trace_ids[0], id);
-  const auto span = sink.events_for(id);
+  const auto span = sink->records_for(id);
   ASSERT_EQ(span.size(), 3u);
-  EXPECT_EQ(span[0].kind, obs::SpanEvent::Kind::kHold);
-  EXPECT_EQ(span[1].kind, obs::SpanEvent::Kind::kSend);
-  EXPECT_EQ(span[2].kind, obs::SpanEvent::Kind::kDeliver);
+  EXPECT_EQ(span[0].kind, obs::Record::Kind::kHold);
+  EXPECT_EQ(span[1].kind, obs::Record::Kind::kSend);
+  EXPECT_EQ(span[2].kind, obs::Record::Kind::kDeliver);
 
   const obs::HistogramStats latency =
       network.metrics().snapshot().histogram_stats("net.delivery_latency");
@@ -85,8 +87,9 @@ TEST(TraceIds, HeldMessageKeepsTraceIdAndCountsHoldTimeAsLatency) {
 TEST(TraceIds, DropWhenDownRecordsDropSpanWithTraceId) {
   net::EventQueue events;
   net::Network network(events);
-  obs::MemorySpanSink sink;
-  network.set_span_sink(&sink);
+  auto sink = std::make_shared<obs::MemorySink>();
+  network.stream().add_sink(sink);
+  network.stream().set_span_rate(1.0);
   TestEndpoint a("A");
   TestEndpoint b("B");
   const net::ChannelId ch = network.connect(a, b);
@@ -97,9 +100,9 @@ TEST(TraceIds, DropWhenDownRecordsDropSpanWithTraceId) {
   events.run();
 
   EXPECT_TRUE(b.received_trace_ids.empty());
-  const auto span = sink.events_for(id);
+  const auto span = sink->records_for(id);
   ASSERT_EQ(span.size(), 1u);
-  EXPECT_EQ(span[0].kind, obs::SpanEvent::Kind::kDrop);
+  EXPECT_EQ(span[0].kind, obs::Record::Kind::kDrop);
   EXPECT_EQ(span[0].trace_id, id);
   EXPECT_EQ(network.messages_dropped(), 1u);
 }
@@ -110,8 +113,9 @@ TEST(TraceIds, DerivedMessagesInheritTheAmbientTraceId) {
   // protocol layer (BGMP joins, BGP re-advertisements) relies on.
   net::EventQueue events;
   net::Network network(events);
-  obs::MemorySpanSink sink;
-  network.set_span_sink(&sink);
+  auto sink = std::make_shared<obs::MemorySink>();
+  network.stream().add_sink(sink);
+  network.stream().set_span_rate(1.0);
 
   struct Relay final : net::Endpoint {
     net::Network* network = nullptr;
@@ -136,7 +140,7 @@ TEST(TraceIds, DerivedMessagesInheritTheAmbientTraceId) {
   ASSERT_EQ(c.received_trace_ids.size(), 1u);
   EXPECT_EQ(c.received_trace_ids[0], id);
   // One causal chain: send a→relay, deliver, send relay→c, deliver.
-  EXPECT_EQ(sink.events_for(id).size(), 4u);
+  EXPECT_EQ(sink->records_for(id).size(), 4u);
 }
 
 // -------------------------------------------------- span JSONL round trip
@@ -161,8 +165,8 @@ TEST(Spans, BgmpJoinReconstructsLeafToRootFromJsonl) {
   net.link(mid, leaf);
 
   std::ostringstream spans;
-  obs::JsonlSpanSink sink(spans);
-  net.network().set_span_sink(&sink);
+  net.network().stream().add_sink(std::make_shared<obs::JsonlSink>(spans));
+  net.network().stream().set_span_rate(1.0);
 
   const core::Group group = net::Ipv4Addr::parse("224.0.128.1");
   root.originate_group_range(net::Prefix::parse("224.0.128.0/24"));
@@ -210,6 +214,49 @@ TEST(Spans, BgmpJoinReconstructsLeafToRootFromJsonl) {
     }
     EXPECT_TRUE(found) << "missing (in order): " << want;
   }
+}
+
+// ---------------------------------------------------------- record streams
+
+TEST(Stream, EachInternetOwnsItsStream) {
+  // Two internets alive on one thread, spans (rate 1) and info logs on
+  // the first only: neither memory sink may see the other's records.
+  const auto build = [](Internet& net, const std::string& tag) {
+    Domain& root = net.add_domain({.id = 1, .name = tag + "root"});
+    Domain& leaf = net.add_domain({.id = 2, .name = tag + "leaf"});
+    net.link(root, leaf);
+    root.masc_node().set_spaces({net::multicast_space()});
+    root.masc_node().request_space(256);
+    root.originate_group_range(net::Prefix::parse("224.0.128.0/24"));
+    return &leaf;
+  };
+  Internet first;
+  Internet second;
+  auto first_sink = std::make_shared<obs::MemorySink>();
+  auto second_sink = std::make_shared<obs::MemorySink>();
+  first.network().stream().add_sink(first_sink);
+  first.network().stream().set_span_rate(1.0);
+  first.network().stream().set_level(obs::Level::kInfo);
+  second.network().stream().add_sink(second_sink);
+  Domain* first_leaf = build(first, "one-");
+  Domain* second_leaf = build(second, "two-");
+  const core::Group group = net::Ipv4Addr::parse("224.0.128.1");
+  first_leaf->host_join(group);
+  second_leaf->host_join(group);
+  first.settle();
+  second.settle();
+
+  std::size_t spans = 0;
+  std::size_t logs = 0;
+  for (const obs::Record& record : first_sink->records()) {
+    spans += record.is_span() ? 1 : 0;
+    logs += record.kind == obs::Record::Kind::kLog ? 1 : 0;
+    EXPECT_EQ(record.from.find("two-"), std::string::npos) << record.from;
+    EXPECT_EQ(record.to.find("two-"), std::string::npos) << record.to;
+  }
+  EXPECT_GT(spans, 0u);
+  EXPECT_GT(logs, 0u);
+  EXPECT_TRUE(second_sink->records().empty());
 }
 
 // -------------------------------------------------------- convergence probe

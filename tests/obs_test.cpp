@@ -1,11 +1,12 @@
 // Tests for the observability layer: the metrics registry / snapshots,
-// latency histograms, causal span sinks, and the structured trace sinks
-// (ring buffer, JSONL, level gating, sim-time stamping from an attached
-// EventQueue clock).
+// latency histograms, and the record stream — span and log records, the
+// memory and JSONL sinks, level gating, sim-time stamping from the
+// stream's event queue, and deterministic span sampling.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,10 +17,8 @@
 #include "net/time.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
+#include "obs/record.hpp"
 #include "obs/sharded.hpp"
-#include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace obs {
 namespace {
@@ -347,185 +346,166 @@ TEST(Metrics, WriteCsvExpandsHistogramRows) {
 
 // ------------------------------------------------------------------ Spans
 
-SpanEvent make_span(std::uint64_t trace_id, SpanEvent::Kind kind) {
-  SpanEvent ev;
-  ev.trace_id = trace_id;
-  ev.sim_time = net::SimTime::milliseconds(1500);
-  ev.kind = kind;
-  ev.from = "D1/bgmp";
-  ev.to = "D2/bgmp";
-  ev.message = "JOIN (*,G)";
-  return ev;
+Record make_span(std::uint64_t trace_id, Record::Kind kind) {
+  Record span;
+  span.kind = kind;
+  span.trace_id = trace_id;
+  span.sim_time = net::SimTime::milliseconds(1500);
+  span.from = "D1/bgmp";
+  span.to = "D2/bgmp";
+  span.text = "JOIN (*,G)";
+  return span;
 }
 
 TEST(Spans, MemorySinkFiltersByTraceId) {
-  MemorySpanSink sink;
-  sink.record(make_span(1, SpanEvent::Kind::kSend));
-  sink.record(make_span(2, SpanEvent::Kind::kSend));
-  sink.record(make_span(1, SpanEvent::Kind::kDeliver));
-  EXPECT_EQ(sink.events().size(), 3u);
-  const auto one = sink.events_for(1);
+  MemorySink sink;
+  sink.write(make_span(1, Record::Kind::kSend));
+  sink.write(make_span(2, Record::Kind::kSend));
+  sink.write(make_span(1, Record::Kind::kDeliver));
+  EXPECT_EQ(sink.records().size(), 3u);
+  const auto one = sink.records_for(1);
   ASSERT_EQ(one.size(), 2u);
-  EXPECT_EQ(one[0].kind, SpanEvent::Kind::kSend);
-  EXPECT_EQ(one[1].kind, SpanEvent::Kind::kDeliver);
-  sink.clear();
-  EXPECT_TRUE(sink.events().empty());
+  EXPECT_EQ(one[0].kind, Record::Kind::kSend);
+  EXPECT_EQ(one[1].kind, Record::Kind::kDeliver);
 }
 
 TEST(Spans, JsonlSinkEmitsDocumentedSchema) {
   std::ostringstream out;
-  JsonlSpanSink sink(out);
-  sink.record(make_span(7, SpanEvent::Kind::kSend));
-  const std::string line = out.str();
-  EXPECT_NE(line.find("\"trace_id\":7"), std::string::npos);
-  EXPECT_NE(line.find("\"sim_time_seconds\":1.500000000"),
-            std::string::npos);
-  EXPECT_NE(line.find("\"event\":\"send\""), std::string::npos);
-  EXPECT_NE(line.find("\"from\":\"D1/bgmp\""), std::string::npos);
-  EXPECT_NE(line.find("\"to\":\"D2/bgmp\""), std::string::npos);
-  EXPECT_NE(line.find("\"message\":\"JOIN (*,G)\""), std::string::npos);
-  EXPECT_EQ(line.back(), '\n');
-}
-
-TEST(Spans, FlightRecorderEvictsOldestAtCapacity) {
-  FlightRecorderSink recorder(2);
-  recorder.record(make_span(1, SpanEvent::Kind::kSend));
-  recorder.record(make_span(2, SpanEvent::Kind::kSend));
-  recorder.record(make_span(3, SpanEvent::Kind::kSend));
-  EXPECT_EQ(recorder.evicted(), 1u);
-  ASSERT_EQ(recorder.events().size(), 2u);
-  EXPECT_EQ(recorder.events().front().trace_id, 2u);
-  EXPECT_EQ(recorder.events().back().trace_id, 3u);
-  std::ostringstream out;
-  recorder.dump(out);
-  EXPECT_EQ(out.str().find("\"trace_id\":1"), std::string::npos);
-  EXPECT_NE(out.str().find("\"trace_id\":3"), std::string::npos);
+  JsonlSink sink(out);
+  sink.write(make_span(7, Record::Kind::kSend));
+  EXPECT_EQ(out.str(),
+            "{\"trace_id\":7,\"sim_time_seconds\":1.500000000,"
+            "\"event\":\"send\",\"from\":\"D1/bgmp\",\"to\":\"D2/bgmp\","
+            "\"message\":\"JOIN (*,G)\"}\n");
 }
 
 // ----------------------------------------------------------------- Tracer
+//
+// Log tracing through a network's obs::Stream: level gating, sim-time
+// stamping from the stream's own event queue, sink fan-out.
 
 class TracerTest : public ::testing::Test {
  protected:
-  void SetUp() override { tracer().reset(); }
-  void TearDown() override { tracer().reset(); }
+  net::EventQueue queue;
+  Stream stream{queue};
+  std::shared_ptr<MemorySink> memory = std::make_shared<MemorySink>();
+
+  void SetUp() override {
+    stream.clear_sinks();  // drop the default stderr narrator
+    stream.add_sink(memory);
+  }
 };
 
-TEST_F(TracerTest, RingBufferRecordsCarrySimTimeAndOrder) {
-  tracer().clear_sinks();
-  auto ring = std::make_shared<RingBufferSink>();
-  tracer().add_sink(ring);
-  tracer().level() = TraceLevel::kInfo;
-
-  net::EventQueue queue;
-  tracer().set_clock(&queue);
-  queue.schedule_at(net::SimTime::seconds(1), [] {
-    log_info("test", [](std::ostream& os) { os << "first"; });
+TEST_F(TracerTest, LogRecordsCarrySimTimeAndOrder) {
+  stream.set_level(Level::kInfo);
+  queue.schedule_at(net::SimTime::seconds(1), [this] {
+    log_info(stream, "test", [](std::ostream& os) { os << "first"; });
   });
-  queue.schedule_at(net::SimTime::seconds(3), [] {
-    log_info("test", [](std::ostream& os) { os << "second"; });
+  queue.schedule_at(net::SimTime::seconds(3), [this] {
+    log_info(stream, "test", [](std::ostream& os) { os << "second"; });
   });
   queue.run();
 
-  ASSERT_EQ(ring->records().size(), 2u);
-  EXPECT_EQ(ring->records()[0].message, "first");
-  EXPECT_EQ(ring->records()[0].sim_time, net::SimTime::seconds(1));
-  EXPECT_EQ(ring->records()[0].tag, "test");
-  EXPECT_EQ(ring->records()[1].message, "second");
-  EXPECT_EQ(ring->records()[1].sim_time, net::SimTime::seconds(3));
-}
-
-TEST_F(TracerTest, RingBufferEvictsOldestAtCapacity) {
-  tracer().clear_sinks();
-  auto ring = std::make_shared<RingBufferSink>(2);
-  tracer().add_sink(ring);
-  tracer().level() = TraceLevel::kInfo;
-  for (int i = 0; i < 5; ++i) {
-    log_info("tag", [i](std::ostream& os) { os << "msg" << i; });
-  }
-  EXPECT_EQ(ring->capacity(), 2u);
-  ASSERT_EQ(ring->records().size(), 2u);
-  EXPECT_EQ(ring->evicted(), 3u);
-  EXPECT_EQ(ring->records()[0].message, "msg3");
-  EXPECT_EQ(ring->records()[1].message, "msg4");
-  ring->clear();
-  EXPECT_TRUE(ring->records().empty());
+  const std::vector<Record>& records = memory->records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].kind, Record::Kind::kLog);
+  EXPECT_EQ(records[0].text, "first");
+  EXPECT_EQ(records[0].sim_time, net::SimTime::seconds(1));
+  EXPECT_EQ(records[0].from, "test");
+  EXPECT_EQ(records[1].text, "second");
+  EXPECT_EQ(records[1].sim_time, net::SimTime::seconds(3));
 }
 
 TEST_F(TracerTest, LevelGatesDebugBelowInfo) {
-  tracer().clear_sinks();
-  auto ring = std::make_shared<RingBufferSink>();
-  tracer().add_sink(ring);
+  stream.set_level(Level::kOff);
+  log_info(stream, "t", [](std::ostream& os) { os << "silenced"; });
+  EXPECT_TRUE(memory->records().empty());
 
-  tracer().level() = TraceLevel::kOff;
-  log_info("t", [](std::ostream& os) { os << "silenced"; });
-  EXPECT_TRUE(ring->records().empty());
+  stream.set_level(Level::kInfo);
+  log_debug(stream, "t", [](std::ostream& os) { os << "too detailed"; });
+  log_info(stream, "t", [](std::ostream& os) { os << "heard"; });
+  ASSERT_EQ(memory->records().size(), 1u);
+  EXPECT_EQ(memory->records()[0].text, "heard");
+  EXPECT_EQ(memory->records()[0].level, Level::kInfo);
 
-  tracer().level() = TraceLevel::kInfo;
-  log_debug("t", [](std::ostream& os) { os << "too detailed"; });
-  log_info("t", [](std::ostream& os) { os << "heard"; });
-  ASSERT_EQ(ring->records().size(), 1u);
-  EXPECT_EQ(ring->records()[0].message, "heard");
-  EXPECT_EQ(ring->records()[0].level, TraceLevel::kInfo);
-
-  tracer().level() = TraceLevel::kDebug;
-  log_debug("t", [](std::ostream& os) { os << "now audible"; });
-  EXPECT_EQ(ring->records().size(), 2u);
+  stream.set_level(Level::kDebug);
+  log_debug(stream, "t", [](std::ostream& os) { os << "now audible"; });
+  EXPECT_EQ(memory->records().size(), 2u);
 }
 
 TEST_F(TracerTest, NoSinksMeansDisabled) {
-  tracer().clear_sinks();
-  tracer().level() = TraceLevel::kDebug;
-  EXPECT_FALSE(tracer().enabled(TraceLevel::kInfo));
-  auto ring = std::make_shared<RingBufferSink>();
-  tracer().add_sink(ring);
-  EXPECT_TRUE(tracer().enabled(TraceLevel::kInfo));
-  EXPECT_EQ(tracer().sink_count(), 1u);
-  tracer().remove_sink(ring.get());
-  EXPECT_EQ(tracer().sink_count(), 0u);
+  stream.clear_sinks();
+  stream.set_level(Level::kDebug);
+  stream.set_span_rate(1.0);
+  EXPECT_FALSE(stream.logs(Level::kInfo));
+  EXPECT_FALSE(stream.wants_span(7));
+  EXPECT_FALSE(stream.wants_span(0));
+  stream.add_sink(memory);
+  EXPECT_TRUE(stream.logs(Level::kInfo));
+  EXPECT_TRUE(stream.wants_span(7));
+  EXPECT_EQ(stream.sink_count(), 1u);
+  EXPECT_TRUE(stream.remove_sink(memory.get()));
+  EXPECT_EQ(stream.sink_count(), 0u);
+  // A fresh stream narrates logs to stderr with no further setup, but
+  // records nothing until a level or span rate is set.
+  const Stream fresh(queue);
+  EXPECT_EQ(fresh.sink_count(), 1u);
+  EXPECT_FALSE(fresh.logs(Level::kInfo));
+  EXPECT_FALSE(fresh.wants_span(0));
 }
 
 TEST_F(TracerTest, JsonlSinkWritesOneObjectPerLine) {
-  tracer().clear_sinks();
   std::ostringstream out;
-  tracer().add_sink(std::make_shared<JsonlSink>(out));
-  tracer().level() = TraceLevel::kInfo;
-
-  net::EventQueue queue;
-  tracer().set_clock(&queue);
-  queue.schedule_at(net::SimTime::milliseconds(1500), [] {
-    log_info("bgmp.join", [](std::ostream& os) { os << "he said \"hi\""; });
+  stream.add_sink(std::make_shared<JsonlSink>(out));
+  stream.set_level(Level::kInfo);
+  queue.schedule_at(net::SimTime::milliseconds(1500), [this] {
+    log_info(stream, "bgmp.join",
+             [](std::ostream& os) { os << "he said \"hi\""; });
   });
   queue.run();
 
-  const std::string line = out.str();
-  EXPECT_NE(line.find("\"sim_time_seconds\":1.5"), std::string::npos);
-  EXPECT_NE(line.find("\"level\":\"info\""), std::string::npos);
-  EXPECT_NE(line.find("\"tag\":\"bgmp.join\""), std::string::npos);
-  EXPECT_NE(line.find("\\\"hi\\\""), std::string::npos);  // quotes escaped
-  EXPECT_EQ(line.back(), '\n');
+  EXPECT_EQ(out.str(),
+            "{\"sim_time_seconds\":1.500000000,\"event\":\"log\","
+            "\"level\":\"info\",\"from\":\"bgmp.join\","
+            "\"message\":\"he said \\\"hi\\\"\"}\n");
 }
 
-TEST_F(TracerTest, ClearClockOnlyDetachesMatchingQueue) {
-  tracer().clear_sinks();
-  auto ring = std::make_shared<RingBufferSink>();
-  tracer().add_sink(ring);
-  tracer().level() = TraceLevel::kInfo;
-
-  net::EventQueue current;
-  net::EventQueue stale;
-  tracer().set_clock(&current);
-  tracer().clear_clock(&stale);  // no-op: not the installed clock
-  current.schedule_at(net::SimTime::seconds(2), [] {
-    log_info("t", [](std::ostream& os) { os << "timed"; });
+TEST_F(TracerTest, OneTimestampFormatForEveryKind) {
+  // A log, a span and a frame at 172800.0105 s — inside a 48 h MASC
+  // waiting period — through one JSONL sink: every kind keeps all nine
+  // decimals, and the lines come out in emission order.
+  std::ostringstream out;
+  stream.add_sink(std::make_shared<JsonlSink>(out));
+  stream.set_level(Level::kInfo);
+  stream.set_span_rate(1.0);
+  const net::SimTime at = net::SimTime::nanoseconds(172800010500000);
+  queue.schedule_at(at, [this, at] {
+    log_info(stream, "masc", [](std::ostream& os) { os << "granted"; });
+    Record span = make_span(3, Record::Kind::kDeliver);
+    span.sim_time = at;
+    stream.emit(span);
+    Record frame;
+    frame.kind = Record::Kind::kFrame;
+    frame.sim_time = at;
+    frame.values = {{"net.messages_sent", 40.0}};
+    stream.emit(frame);
   });
-  current.run();
-  ASSERT_EQ(ring->records().size(), 1u);
-  EXPECT_EQ(ring->records()[0].sim_time, net::SimTime::seconds(2));
+  queue.run();
 
-  tracer().clear_clock(&current);
-  log_info("t", [](std::ostream& os) { os << "untimed"; });
-  ASSERT_EQ(ring->records().size(), 2u);
-  EXPECT_EQ(ring->records()[1].sim_time, net::SimTime());
+  std::istringstream lines(out.str());
+  std::vector<std::string> got;
+  for (std::string line; std::getline(lines, line);) got.push_back(line);
+  ASSERT_EQ(got.size(), 3u);
+  const char* kinds[] = {"\"event\":\"log\"", "\"event\":\"deliver\"",
+                         "\"event\":\"frame\""};
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NE(got[i].find(kinds[i]), std::string::npos) << got[i];
+    EXPECT_NE(got[i].find("\"sim_time_seconds\":172800.010500000"),
+              std::string::npos)
+        << got[i];
+  }
+  EXPECT_NE(got[2].find("\"v\":{\"net.messages_sent\":40}"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------- registry kind checks
@@ -684,115 +664,41 @@ TEST(Snapshots, FindLocatesEveryInstrumentInLargeSnapshots) {
   EXPECT_EQ(snap.find_histogram("bench.metric.0"), nullptr);
 }
 
-// ---------------------------------------------------------- flight recorder
-
-TEST(Recorder, DeltaFramesCarryOnlyChangedSeries) {
-  Metrics m;
-  Counter& moving = m.counter("test.moving");
-  m.counter("test.frozen").inc(5);
-  Recorder rec;
-  rec.tick(m.snapshot(0.0));  // first frame captures everything
-  moving.inc();
-  rec.tick(m.snapshot(1.0));
-  moving.inc();
-  rec.tick(m.snapshot(2.0));
-  EXPECT_EQ(rec.ticks(), 3u);
-  EXPECT_EQ(rec.frames(), 3u);
-  EXPECT_EQ(rec.series(), 2u);
-
-  std::ostringstream os;
-  rec.flush_jsonl(os);
-  const std::string text = os.str();
-  // "test.frozen" appears once (the first full frame), not per-frame.
-  std::size_t frozen_mentions = 0;
-  for (std::size_t at = text.find("test.frozen"); at != std::string::npos;
-       at = text.find("test.frozen", at + 1)) {
-    ++frozen_mentions;
-  }
-  EXPECT_EQ(frozen_mentions, 1u);
-  EXPECT_NE(text.find("\"recorder\""), std::string::npos);
-}
-
-TEST(Recorder, EvictionFoldsOldFramesIntoBase) {
-  Metrics m;
-  Counter& c = m.counter("test.count");
-  Recorder rec(Recorder::Config{.capacity = 2});
-  for (int t = 0; t < 5; ++t) {
-    c.inc(10);
-    rec.tick(m.snapshot(static_cast<double>(t)));
-  }
-  EXPECT_EQ(rec.ticks(), 5u);
-  EXPECT_EQ(rec.frames(), 2u);   // ring is bounded
-  EXPECT_EQ(rec.evicted(), 3u);  // the rest folded into the base
-
-  std::ostringstream os;
-  rec.flush_jsonl(os);
-  const std::string text = os.str();
-  // Base line reconstructs the absolute value at eviction time (t=2,
-  // count=30), and the retained frames still replay to the final 50.
-  EXPECT_NE(text.find("\"base\":true"), std::string::npos);
-  EXPECT_NE(text.find("\"test.count\":30"), std::string::npos);
-  EXPECT_NE(text.find("\"test.count\":50"), std::string::npos);
-}
-
-TEST(Recorder, HistogramsExpandToCountAndSum) {
-  Metrics m;
-  m.histogram("net.delivery_latency").observe(2.0);
-  m.histogram("net.delivery_latency").observe(3.0);
-  Recorder rec;
-  rec.tick(m.snapshot(0.0));
-  std::ostringstream os;
-  rec.flush_jsonl(os);
-  EXPECT_NE(os.str().find("\"net.delivery_latency.count\":2"),
-            std::string::npos);
-  EXPECT_NE(os.str().find("\"net.delivery_latency.sum\":5"),
-            std::string::npos);
-}
-
 // ------------------------------------------------------ span head sampling
 
-SpanEvent sampled_span(std::uint64_t trace_id, SpanEvent::Kind kind) {
-  SpanEvent event;
-  event.trace_id = trace_id;
-  event.kind = kind;
-  event.from = "a";
-  event.to = "b";
-  event.message = "m";
-  return event;
-}
-
-TEST(Sampling, RateOneKeepsEverythingRateZeroKeepsOnlyMarkers) {
-  MemorySpanSink memory;
-  SamplingSpanSink all(memory, 1.0);
-  for (std::uint64_t id = 1; id <= 50; ++id) {
-    EXPECT_TRUE(all.wants(id));
-    all.record(sampled_span(id, SpanEvent::Kind::kSend));
+TEST(Sampling, RateOneKeepsEverythingMarkersAlwaysPass) {
+  net::EventQueue queue;
+  Stream stream(queue);
+  for (std::uint64_t id = 0; id <= 50; ++id) {
+    EXPECT_FALSE(stream.wants_span(id));
   }
-  EXPECT_EQ(all.recorded(), 50u);
-  EXPECT_EQ(memory.events().size(), 50u);
-
-  memory.clear();
-  SamplingSpanSink none(memory, 0.0);
-  for (std::uint64_t id = 1; id <= 50; ++id) EXPECT_FALSE(none.wants(id));
-  // Probe markers (trace_id 0) bypass sampling at any rate: the analyzer
-  // needs the measurement windows even in a 0%-sampled stream.
-  EXPECT_TRUE(none.wants(0));
-  none.record(sampled_span(0, SpanEvent::Kind::kProbeArm));
-  EXPECT_EQ(none.recorded(), 1u);
+  stream.set_span_rate(1.0);
+  for (std::uint64_t id = 1; id <= 50; ++id) EXPECT_TRUE(stream.wants_span(id));
+  // Probe markers (trace_id 0) pass any non-zero rate, even one too small
+  // to keep a single chain: the analyzer needs the measurement windows.
+  stream.set_span_rate(1e-12);
+  for (std::uint64_t id = 1; id <= 50; ++id) {
+    EXPECT_FALSE(stream.wants_span(id));
+  }
+  EXPECT_TRUE(stream.wants_span(0));
+  // Rate 0 turns spans off, markers included.
+  stream.set_span_rate(0.0);
+  EXPECT_FALSE(stream.wants_span(0));
 }
 
 TEST(Sampling, KeptSetIsAPureFunctionOfTheTraceId) {
-  MemorySpanSink sink_a;
-  MemorySpanSink sink_b;
-  SamplingSpanSink first(sink_a, 0.25);
-  SamplingSpanSink second(sink_b, 0.25);
+  net::EventQueue queue;
+  Stream first(queue);
+  Stream second(queue);
+  first.set_span_rate(0.25);
+  second.set_span_rate(0.25);
   std::size_t kept = 0;
   for (std::uint64_t id = 1; id <= 2000; ++id) {
-    const bool want = first.wants(id);
-    // Two independent sinks at the same rate agree on every id, and
+    const bool want = first.wants_span(id);
+    // Two independent streams at the same rate agree on every id, and
     // asking twice never changes the answer — no order/time dependence.
-    EXPECT_EQ(second.wants(id), want);
-    EXPECT_EQ(first.wants(id), want);
+    EXPECT_EQ(second.wants_span(id), want);
+    EXPECT_EQ(first.wants_span(id), want);
     if (want) ++kept;
   }
   // A hash-based 25% sample of 2000 ids lands near 500.
@@ -802,36 +708,40 @@ TEST(Sampling, KeptSetIsAPureFunctionOfTheTraceId) {
 
 TEST(Sampling, KeepsWholeCausalChainsIntact) {
   // Every hop of a chain carries the same trace id, so a kept chain is
-  // kept in full: record() must never split a chain across the decision.
-  MemorySpanSink memory;
-  SamplingSpanSink sampler(memory, 0.5);
+  // kept in full: the decision never splits a chain.
+  net::EventQueue queue;
+  Stream stream(queue);
+  auto memory = std::make_shared<MemorySink>();
+  stream.add_sink(memory);
+  stream.set_span_rate(0.5);
   constexpr std::uint64_t kIds = 200;
   for (std::uint64_t id = 1; id <= kIds; ++id) {
-    for (const SpanEvent::Kind kind :
-         {SpanEvent::Kind::kSend, SpanEvent::Kind::kDeliver,
-          SpanEvent::Kind::kSend, SpanEvent::Kind::kDeliver}) {
-      if (sampler.wants(id)) sampler.record(sampled_span(id, kind));
+    for (const Record::Kind kind :
+         {Record::Kind::kSend, Record::Kind::kDeliver, Record::Kind::kSend,
+          Record::Kind::kDeliver}) {
+      if (stream.wants_span(id)) stream.emit(make_span(id, kind));
     }
   }
   std::set<std::uint64_t> seen;
-  for (const SpanEvent& event : memory.events()) seen.insert(event.trace_id);
+  for (const Record& record : memory->records()) seen.insert(record.trace_id);
   for (const std::uint64_t id : seen) {
-    EXPECT_EQ(memory.events_for(id).size(), 4u) << "chain " << id << " torn";
+    EXPECT_EQ(memory->records_for(id).size(), 4u) << "chain " << id << " torn";
   }
   EXPECT_GT(seen.size(), 0u);
   EXPECT_LT(seen.size(), kIds);
 }
 
 TEST(Sampling, WantsMatchesTheExposedHash) {
-  // The sink's decision is exactly `span_hash(id) < rate * 2^53 << 11` —
-  // the contract tests and offline tooling can rely on to predict samples.
+  // The decision is exactly `span_hash(id) < rate * 2^53 << 11` — the
+  // contract tests and offline tooling can rely on to predict samples.
   const double rate = 0.01;
-  MemorySpanSink memory;
-  SamplingSpanSink sampler(memory, rate);
+  net::EventQueue queue;
+  Stream stream(queue);
+  stream.set_span_rate(rate);
   const std::uint64_t threshold =
       static_cast<std::uint64_t>(rate * 9007199254740992.0) << 11;
   for (std::uint64_t id = 1; id <= 5000; ++id) {
-    EXPECT_EQ(sampler.wants(id), span_hash(id) < threshold) << id;
+    EXPECT_EQ(stream.wants_span(id), span_hash(id) < threshold) << id;
   }
 }
 

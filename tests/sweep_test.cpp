@@ -88,6 +88,10 @@ TEST(Sweep, ByteIdenticalAcrossThreadCounts) {
       ASSERT_EQ(a.cell.seed, b.cell.seed);
       EXPECT_EQ(a.rib_digest, b.rib_digest)
           << a.cell.scenario << "/" << a.cell.domains << "/" << a.cell.seed;
+      EXPECT_EQ(a.path_digest, b.path_digest)
+          << a.cell.scenario << "/" << a.cell.domains << "/" << a.cell.seed;
+      EXPECT_EQ(a.tree_digest, b.tree_digest)
+          << a.cell.scenario << "/" << a.cell.domains << "/" << a.cell.seed;
       EXPECT_EQ(a.events_run, b.events_run);
       EXPECT_EQ(a.messages_sent, b.messages_sent);
       EXPECT_DOUBLE_EQ(a.sim_seconds, b.sim_seconds);

@@ -1,14 +1,17 @@
 // Integration tests for the scale-grade telemetry layer: the
-// TelemetrySession wiring (flight recorder + head-sampled spans on a live
-// internet), its zero-perturbation guarantee, critical-path analysis of
-// real convergence windows, the spans JSONL round-trip behind
-// bench/analyze_run, and the METRICS.md audit — every instrument a real
-// run exports must be documented, and every documented instrument must be
-// exported by a real run.
+// TelemetrySession wiring (delta-encoded metric frames + head-sampled
+// spans on a live internet's record stream), its zero-perturbation
+// guarantee, critical-path analysis of real convergence windows, the
+// records JSONL round-trip behind bench/analyze_run, and the METRICS.md
+// audit — every instrument a real run exports must be documented, and
+// every documented instrument must be exported by a real run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,7 +24,7 @@
 #include "eval/telemetry.hpp"
 #include "net/rng.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/record.hpp"
 #include "workload/session.hpp"
 #include "workload/spec.hpp"
 
@@ -40,6 +43,8 @@ eval::ScenarioSpec small_spec() {
 
 struct RunOutcome {
   std::uint64_t rib_digest = 0;
+  std::uint64_t path_digest = 0;
+  std::uint64_t tree_digest = 0;
   std::uint64_t events_run = 0;
 };
 
@@ -58,14 +63,16 @@ RunOutcome run_workload(core::Internet& net, const eval::ScenarioSpec& spec) {
   }
   eval::phase_flap(net, spec, topo);
   net.settle();
-  return {eval::rib_digest(net), net.events().events_run()};
+  return {eval::rib_digest(net), eval::path_digest(net),
+          eval::tree_digest(net), net.events().events_run()};
 }
 
 // ------------------------------------------------------- zero perturbation
 
 TEST(Telemetry, SessionDoesNotPerturbTheSimulation) {
-  // The whole telemetry layer is passive: attaching a recorder and a span
-  // sampler must leave the converged state and the event count untouched.
+  // The whole telemetry layer is passive: metric frames and span sampling
+  // must leave the converged state — which routes won every tie included —
+  // and the event count untouched.
   const eval::ScenarioSpec spec = small_spec();
   RunOutcome bare;
   {
@@ -87,6 +94,8 @@ TEST(Telemetry, SessionDoesNotPerturbTheSimulation) {
     spans = session.spans_recorded();
   }
   EXPECT_EQ(instrumented.rib_digest, bare.rib_digest);
+  EXPECT_EQ(instrumented.path_digest, bare.path_digest);
+  EXPECT_EQ(instrumented.tree_digest, bare.tree_digest);
   EXPECT_EQ(instrumented.events_run, bare.events_run);
   // ... while actually recording something.
   EXPECT_GT(frames, 0u);
@@ -105,21 +114,30 @@ TEST(Telemetry, RecorderAndSpansCaptureARealRun) {
   run_workload(net, spec);
   session.final_tick();
 
-  // The recorder saw the run as a time series...
-  EXPECT_GT(session.recorder_frames(), 1u);
-  std::ostringstream rec;
-  session.flush_recorder(rec);
-  EXPECT_NE(rec.str().find("\"recorder\""), std::string::npos);
-  EXPECT_NE(rec.str().find("net.messages_sent"), std::string::npos);
-
-  // ...and the span stream contains the probe markers (trace_id 0 passes
-  // any sampling rate) plus whole sampled chains.
+  // The frames saw the run as a time series...
+  std::size_t frames = 0;
   std::size_t arms = 0;
   std::size_t fires = 0;
-  for (const obs::SpanEvent& event : session.spans()) {
-    if (event.kind == obs::SpanEvent::Kind::kProbeArm) ++arms;
-    if (event.kind == obs::SpanEvent::Kind::kProbeFire) ++fires;
+  for (const obs::Record& record : session.records()) {
+    if (record.kind == obs::Record::Kind::kFrame) ++frames;
+    if (record.kind == obs::Record::Kind::kProbeArm) ++arms;
+    if (record.kind == obs::Record::Kind::kProbeFire) ++fires;
   }
+  EXPECT_GT(session.recorder_frames(), 1u);
+  EXPECT_EQ(frames, session.recorder_frames());
+  // The first frame carries every series.
+  const auto first_frame = std::find_if(
+      session.records().begin(), session.records().end(),
+      [](const obs::Record& r) { return r.kind == obs::Record::Kind::kFrame; });
+  ASSERT_NE(first_frame, session.records().end());
+  bool has_sent = false;
+  for (const auto& [series, value] : first_frame->values) {
+    has_sent |= series == "net.messages_sent";
+  }
+  EXPECT_TRUE(has_sent);
+
+  // ...and the spans include the probe markers (trace_id 0 passes any
+  // sampling rate) plus whole sampled chains.
   EXPECT_GT(arms, 0u);
   EXPECT_GT(fires, 0u);
 
@@ -153,30 +171,56 @@ TEST(Telemetry, CriticalPathReportIsByteIdenticalAcrossRuns) {
 }
 
 TEST(Telemetry, SpansRoundTripThroughJsonl) {
-  // flush_spans → read_spans_jsonl must reproduce the event stream
-  // field-for-field: the dumped artifact is what bench/analyze_run sees,
-  // so the offline report can only match the in-process one if nothing is
-  // lost or reordered in the serialization.
+  // write_jsonl → read_records_jsonl must reproduce the record stream
+  // field-for-field — spans, probe markers, frames and a log line: the
+  // dumped artifact is what bench/analyze_run sees, so the offline report
+  // can only match the in-process one if nothing is lost or reordered in
+  // the serialization.
   const eval::ScenarioSpec spec = small_spec();
   core::Internet net(spec.seed);
   eval::TelemetrySpec telemetry;
+  telemetry.recorder_interval_seconds = 1.0;
   telemetry.span_sample_rate = 0.05;
   eval::TelemetrySession session(net, telemetry);
   run_workload(net, spec);
+  obs::Stream& stream = net.network().stream();
+  stream.set_level(obs::Level::kDebug);
+  obs::log_debug(stream, "D1/masc", [](std::ostream& os) { os << "a \"q\""; });
+  session.final_tick();
 
   std::stringstream jsonl;
-  session.flush_spans(jsonl);
-  const std::vector<obs::SpanEvent> decoded = eval::read_spans_jsonl(jsonl);
-  const std::vector<obs::SpanEvent>& original = session.spans();
+  for (const obs::Record& record : session.records()) {
+    obs::write_jsonl(record, jsonl);
+  }
+  const std::vector<obs::Record> decoded = eval::read_records_jsonl(jsonl);
+  const std::vector<obs::Record>& original = session.records();
   ASSERT_EQ(decoded.size(), original.size());
   ASSERT_GT(decoded.size(), 0u);
+  std::set<obs::Record::Kind> kinds;
   for (std::size_t i = 0; i < decoded.size(); ++i) {
-    EXPECT_EQ(decoded[i].trace_id, original[i].trace_id) << i;
+    kinds.insert(original[i].kind);
     EXPECT_EQ(decoded[i].kind, original[i].kind) << i;
+    EXPECT_EQ(decoded[i].sim_time, original[i].sim_time) << i;
+    EXPECT_EQ(decoded[i].trace_id, original[i].trace_id) << i;
+    EXPECT_EQ(decoded[i].level, original[i].level) << i;
     EXPECT_EQ(decoded[i].from, original[i].from) << i;
     EXPECT_EQ(decoded[i].to, original[i].to) << i;
-    EXPECT_EQ(decoded[i].message, original[i].message) << i;
-    EXPECT_EQ(decoded[i].sim_time, original[i].sim_time) << i;
+    EXPECT_EQ(decoded[i].text, original[i].text) << i;
+    // Frame values print at %.12g, like the snapshot writers.
+    ASSERT_EQ(decoded[i].values.size(), original[i].values.size()) << i;
+    for (std::size_t v = 0; v < decoded[i].values.size(); ++v) {
+      const auto& [name, value] = original[i].values[v];
+      EXPECT_EQ(decoded[i].values[v].first, name) << i;
+      EXPECT_NEAR(decoded[i].values[v].second, value,
+                  1e-11 * std::max(1.0, std::abs(value)))
+          << i << " " << name;
+    }
+  }
+  for (const obs::Record::Kind kind :
+       {obs::Record::Kind::kLog, obs::Record::Kind::kSend,
+        obs::Record::Kind::kDeliver, obs::Record::Kind::kProbeArm,
+        obs::Record::Kind::kProbeFire, obs::Record::Kind::kFrame}) {
+    EXPECT_EQ(kinds.count(kind), 1u) << obs::to_string(kind);
   }
 
   // And the offline analysis of the decoded stream matches the in-process
@@ -184,28 +228,82 @@ TEST(Telemetry, SpansRoundTripThroughJsonl) {
   std::ostringstream in_process;
   session.critical_path().write_json(in_process);
   std::ostringstream offline;
-  eval::analyze_spans(decoded).write_json(offline);
+  eval::analyze_records(decoded).write_json(offline);
   EXPECT_EQ(offline.str(), in_process.str());
+}
+
+// --------------------------------------------------------- metric frames
+
+TEST(Recorder, DeltaFramesCarryOnlyChangedSeries) {
+  core::Internet net;
+  obs::Counter& moving = net.metrics().counter("test.moving");
+  net.metrics().counter("test.frozen").inc(5);
+  eval::TelemetrySpec telemetry;
+  telemetry.recorder_interval_seconds = 1.0;
+  eval::TelemetrySession session(net, telemetry);
+  session.final_tick();  // the first frame carries every series
+  moving.inc();
+  session.final_tick();
+  moving.inc();
+  session.final_tick();
+  ASSERT_EQ(session.recorder_frames(), 3u);
+  ASSERT_EQ(session.records().size(), 3u);
+
+  std::vector<std::size_t> frozen;
+  std::vector<double> moved;
+  for (const obs::Record& frame : session.records()) {
+    std::size_t mentions = 0;
+    for (const auto& [series, value] : frame.values) {
+      if (series == "test.frozen") ++mentions;
+      if (series == "test.moving") moved.push_back(value);
+    }
+    frozen.push_back(mentions);
+  }
+  // "test.frozen" appears once (the first full frame), not per frame.
+  EXPECT_EQ(frozen, (std::vector<std::size_t>{1, 0, 0}));
+  EXPECT_EQ(moved, (std::vector<double>{0, 1, 2}));
+  EXPECT_EQ(session.records()[1].values.size(), 1u);
+}
+
+TEST(Recorder, HistogramsExpandToCountAndSum) {
+  core::Internet net;
+  net.metrics().histogram("test.latency").observe(2.0);
+  net.metrics().histogram("test.latency").observe(3.0);
+  net.metrics().sharded_counter("test.by_domain").add(7);
+  eval::TelemetrySpec telemetry;
+  telemetry.recorder_interval_seconds = 1.0;
+  eval::TelemetrySession session(net, telemetry);
+  session.final_tick();
+  ASSERT_EQ(session.records().size(), 1u);
+  std::map<std::string, double> values;
+  for (const auto& [series, value] : session.records()[0].values) {
+    values[series] = value;
+  }
+  EXPECT_EQ(values.at("test.latency.count"), 2.0);
+  EXPECT_EQ(values.at("test.latency.sum"), 5.0);
+  // Sharded instruments are left out of frames.
+  for (const auto& [series, value] : values) {
+    EXPECT_EQ(series.find("by_domain"), std::string::npos) << series;
+  }
 }
 
 // ------------------------------------------------- analyzer unit behaviour
 
-obs::SpanEvent span(std::uint64_t trace_id, double at,
-                    obs::SpanEvent::Kind kind, std::string from,
-                    std::string to, std::string message) {
-  obs::SpanEvent event;
-  event.trace_id = trace_id;
-  event.sim_time = net::SimTime::seconds_f(at);
-  event.kind = kind;
-  event.from = std::move(from);
-  event.to = std::move(to);
-  event.message = std::move(message);
-  return event;
+obs::Record span(std::uint64_t trace_id, double at, obs::Record::Kind kind,
+                 std::string from, std::string to, std::string message) {
+  obs::Record record;
+  record.kind = kind;
+  record.trace_id = trace_id;
+  record.sim_time = net::SimTime::seconds_f(at);
+  record.from = std::move(from);
+  record.to = std::move(to);
+  record.text = std::move(message);
+  return record;
 }
 
 TEST(CriticalPath, ReconstructsTheLongestChainAndPhases) {
-  using Kind = obs::SpanEvent::Kind;
-  std::vector<obs::SpanEvent> events;
+  using Kind = obs::Record::Kind;
+  std::vector<obs::Record> events;
   events.push_back(span(0, 0.0, Kind::kProbeArm, "probe", "", "link-down"));
   // Trace 7: a two-hop BGP chain finishing at t=2.
   events.push_back(span(7, 0.0, Kind::kSend, "A", "B", "UPDATE"));
@@ -216,8 +314,12 @@ TEST(CriticalPath, ReconstructsTheLongestChainAndPhases) {
   events.push_back(span(9, 3.0, Kind::kSend, "B/bgmp", "C/bgmp", "JOIN"));
   events.push_back(span(9, 5.0, Kind::kDeliver, "B/bgmp", "C/bgmp", "JOIN"));
   events.push_back(span(0, 6.0, Kind::kProbeFire, "probe", "", "link-down"));
+  // Log and frame records share the stream; the analyzer skips them.
+  events.insert(events.begin() + 3, span(0, 1.0, Kind::kLog, "B", "", "x"));
+  events.insert(events.begin() + 6, span(0, 3.0, Kind::kFrame, "", "", ""));
 
-  const eval::CriticalPathReport report = eval::analyze_spans(events);
+  const eval::CriticalPathReport report = eval::analyze_records(events);
+  EXPECT_EQ(report.events_seen, 8u);
   ASSERT_EQ(report.windows.size(), 1u);
   const eval::ConvergenceWindow& w = report.windows[0];
   EXPECT_EQ(w.label, "link-down");
@@ -235,8 +337,8 @@ TEST(CriticalPath, ReconstructsTheLongestChainAndPhases) {
 }
 
 TEST(CriticalPath, ReArmSupersedesAndUnmatchedFiresAreCounted) {
-  using Kind = obs::SpanEvent::Kind;
-  std::vector<obs::SpanEvent> events;
+  using Kind = obs::Record::Kind;
+  std::vector<obs::Record> events;
   // Fire with no arm at all: counted, no window.
   events.push_back(span(0, 1.0, Kind::kProbeFire, "probe", "", "stray"));
   // Two arms before one fire: the later arm defines the window.
@@ -246,7 +348,7 @@ TEST(CriticalPath, ReArmSupersedesAndUnmatchedFiresAreCounted) {
   events.push_back(span(0, 3.0, Kind::kProbeArm, "probe", "", "second"));
   events.push_back(span(0, 4.0, Kind::kProbeFire, "probe", "", "second"));
 
-  const eval::CriticalPathReport report = eval::analyze_spans(events);
+  const eval::CriticalPathReport report = eval::analyze_records(events);
   EXPECT_EQ(report.unmatched_fires, 1u);
   ASSERT_EQ(report.windows.size(), 1u);
   EXPECT_EQ(report.windows[0].label, "second");
