@@ -89,16 +89,15 @@ void BM_EventQueueChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-// 1M pending is the regime the ladder queue exists for: the old binary
-// heap degraded 3.6x from 1k to 100k pending; amortized-O(1) pops must
-// hold the per-item rate roughly flat all the way up.
+// A simulation run never stores more than about 15k keys (the 10k-domain
+// rung's high-water mark), so 1k pending is the regime runs live in; 100k
+// and 1M show how the heap's O(log n) pops scale far past it.
 BENCHMARK(BM_EventQueueChurn)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 // The horizon mix of a real run: a dense near-future band (message
 // deliveries at ~10ms) under a sparse far-future tail (MASC waiting
-// periods, up to 48 simulated hours) — the schedule pattern that forces
-// the ladder to keep rungs and the overflow tier live while the bottom
-// churns, instead of the single-band pattern above.
+// periods, up to 48 simulated hours). The far tail stays stored, and
+// deepens the heap, while the near band drains and refills.
 void BM_EventQueueSkewedHorizon(benchmark::State& state) {
   for (auto _ : state) {
     net::EventQueue queue;

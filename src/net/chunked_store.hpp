@@ -12,7 +12,6 @@
 //   * bgp::RouteTable / bgp::PathTable — RouteRef::get() and
 //     PathRef::data() return references into the entry pools, held while
 //     callers intern further routes and paths.
-// The event queue's cancellation slots use it too.
 #pragma once
 
 #include <cstddef>

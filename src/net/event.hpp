@@ -2,16 +2,12 @@
 // simulation. Events at equal timestamps fire in scheduling order, so a run
 // is a pure function of its inputs and seeds.
 //
-// Internally a ladder queue (a hierarchical calendar): a near-future window
-// ("bottom", a min-heap over one materialized bucket), lazily spawned
-// power-of-two time-bucketed rungs, and an unsorted far-future overflow tier
-// ("top"). Schedule and pop are amortized O(1) in the pending-event count —
-// unlike the previous global binary heap, whose O(log n) pointer-chasing
-// over fat entries dominated 10k-domain runs (the bottom heap's log is over
-// one bucket's burst, not every pending event). The hot sort key (time, seq)
-// is split from the cold payload (action, tag): bucket distribution and
-// heapification touch only 24-byte Key records, while the callable lives in
-// the recycled cancellation slot until the event fires.
+// Internally one binary min-heap of 24-byte (time, seq, slot) keys. The hot
+// sort key is split from the cold payload (action, tag): sifts move only
+// keys, while the callable lives in the recycled cancellation slot until
+// the event fires. Messages ride the Network's per-link FIFOs with one
+// pending drain event per link direction, so the heap stays small: the
+// 10k-domain ladder rung never stores more than about 15k keys.
 #pragma once
 
 #include <cassert>
@@ -24,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/chunked_store.hpp"
 #include "net/small_function.hpp"
 #include "net/time.hpp"
 
@@ -96,15 +91,11 @@ class EventQueue {
   [[nodiscard]] std::size_t pending() const { return live_; }
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::uint64_t events_run() const { return events_run_; }
-  /// Largest number of stored keys (live plus lazily-cancelled, across
-  /// bottom, rungs and overflow) ever reached — the memory high-water
-  /// mark of a run. Name kept from the binary-heap implementation.
+  /// Largest number of keys the heap ever stored at once, live plus
+  /// lazily-cancelled — the memory high-water mark of a run.
   [[nodiscard]] std::size_t heap_high_water() const {
     return high_water_;
   }
-  /// Rungs currently live — structure depth for the net.event_queue_rungs
-  /// gauge (0 when everything pending fits the bottom window or overflow).
-  [[nodiscard]] std::size_t rung_count() const { return rungs_.size(); }
 
   /// The (time, seq) key of the earliest live pending event, or nullopt
   /// when drained. Discards lazily-cancelled entries it encounters (their
@@ -137,21 +128,21 @@ class EventQueue {
   void run(std::uint64_t max_events = UINT64_MAX);
 
  private:
-  /// The hot sort key. 24 bytes, trivially copyable: rung distribution and
-  /// bottom sorts move only these, never the callables.
+  /// The hot sort key. 24 bytes, trivially copyable: heap sifts move only
+  /// these, never the callables.
   struct Key {
     std::int64_t at = 0;     // absolute time, ns
     std::uint64_t seq = 0;   // tie-break: FIFO among equal timestamps
     std::uint32_t slot = 0;  // cancellation slot + payload (see slots_)
   };
-  static_assert(sizeof(Key) == 24, "Key must stay lean: rungs copy these");
+  static_assert(sizeof(Key) == 24, "Key must stay lean: sifts copy these");
 
   static constexpr bool key_less(const Key& a, const Key& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   }
   /// Heap comparator: std::push_heap/pop_heap build max-heaps, so the
-  /// bottom min-heap uses the inverted order. (at, seq) pairs are unique,
-  /// so heap pops follow the exact total order regardless of layout.
+  /// min-heap uses the inverted order. (at, seq) pairs are unique, so heap
+  /// pops follow the exact total order regardless of layout.
   static constexpr bool key_greater(const Key& a, const Key& b) {
     return key_less(b, a);
   }
@@ -167,28 +158,6 @@ class EventQueue {
     Action action;
   };
 
-  /// One rung: a span of equal power-of-two-width time buckets. Keys in a
-  /// bucket are unsorted; a bucket is sorted exactly once, when it is
-  /// materialized into the bottom (or split into a finer rung). rungs_
-  /// orders coarse-to-fine: back() covers the earliest unconsumed span.
-  struct Rung {
-    std::int64_t start = 0;  // time of bucket 0
-    std::int64_t end = 0;    // exclusive coverage end (saturated)
-    int width_log2 = 0;      // bucket width = 1 << width_log2 ns
-    std::size_t cur = 0;     // first unconsumed bucket
-    std::vector<std::vector<Key>> buckets;
-  };
-
-  /// Buckets holding no more than this are heapified straight into the
-  /// bottom; larger ones spawn a finer rung instead (unless their width
-  /// is already 1 ns, i.e. one timestamp — nothing left to split).
-  static constexpr std::size_t kBottomThreshold = 48;
-  /// A spawned rung divides its parent bucket into 2^kSpawnLog2 buckets.
-  static constexpr int kSpawnLog2 = 6;
-  /// Retired bucket vectors kept for reuse, bounding allocator churn
-  /// without pinning unbounded memory after a burst.
-  static constexpr std::size_t kBucketPoolMax = 256;
-
   static constexpr std::uint32_t slot_of(EventId id) {
     return static_cast<std::uint32_t>(static_cast<std::uint64_t>(id));
   }
@@ -202,19 +171,10 @@ class EventQueue {
 
   EventId schedule_key(SimTime at, std::uint64_t seq, Action action,
                        const char* tag);
-  void insert_key(const Key& key);
-  void insert_into_rung(Rung& rung, const Key& key);
-  // Refill machinery: materializes buckets until the bottom holds the
-  // earliest pending keys. Returns false when the whole queue is drained.
-  bool ensure_bottom();
-  void spawn_rung(std::vector<Key>&& keys, std::int64_t start,
-                  std::int64_t end, int parent_width_log2);
-  void build_rung_from_top();
-  std::vector<Key> take_pooled_bucket();
-  void recycle_bucket(std::vector<Key>&& bucket);
-
-  // Pops the earliest non-cancelled key; false when drained.
-  bool pop_next(Key& out);
+  // Pops the front key, live or cancelled.
+  Key pop_front();
+  // Discards lazily-cancelled keys at the front; false when drained.
+  bool skip_cancelled();
   // Advances now(), runs the action, and feeds the profiler if installed.
   void run_entry(const Key& key);
 
@@ -222,31 +182,15 @@ class EventQueue {
   Profiler profiler_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_run_ = 0;
-  std::size_t live_ = 0;    // scheduled minus run minus cancelled
-  std::size_t stored_ = 0;  // keys held, including lazily-cancelled ones
+  std::size_t live_ = 0;  // scheduled minus run minus cancelled
   std::size_t high_water_ = 0;
 
-  // Bottom: binary min-heap on (time, seq) — the near-future window every
-  // pop comes from. Covers (-inf, bottom_end_): any schedule below
-  // bottom_end_ lands here in O(log size) with no memmove, which matters
-  // because reserved-seq arms (delivery FIFO heads) insert mid-order into
-  // the active same-timestamp burst. Materializing a bucket is an O(n)
-  // heapify.
-  std::vector<Key> bottom_;
-  std::int64_t bottom_end_ = 0;
-
-  std::vector<Rung> rungs_;  // [0] coarsest/latest … back() finest/earliest
-
-  // Top: unsorted far future, covering [top_start_, +inf). Min/max are
-  // tracked on insert so one pass can size the rung built from it.
-  std::vector<Key> top_;
-  std::int64_t top_start_ = 0;
-  std::int64_t top_min_ = INT64_MAX;
-  std::int64_t top_max_ = INT64_MIN;
-
-  std::vector<std::vector<Key>> bucket_pool_;  // recycled bucket storage
-
-  ChunkedStore<Slot> slots_;
+  // Binary min-heap on (time, seq), lazily-cancelled keys included: they
+  // leave only when they reach the front.
+  std::vector<Key> heap_;
+  // Indexed by Key::slot. No reference into it is held across a schedule,
+  // so growth may move the slots.
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 
   // Tag interning: owned copies (stable addresses) plus a pointer-keyed

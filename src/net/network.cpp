@@ -48,8 +48,6 @@ Network::Network(EventQueue& events, obs::Metrics* metrics)
         .set(static_cast<double>(events_.pending()));
     metrics_->gauge("net.event_queue_high_water")
         .set(static_cast<double>(events_.heap_high_water()));
-    metrics_->gauge("net.event_queue_rungs")
-        .set(static_cast<double>(events_.rung_count()));
   });
 }
 

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
@@ -32,17 +33,20 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-namespace {
-
-/// Shortest round-trippable rendering for gauge values; avoids iostream
-/// locale/precision state.
 std::string format_double(double v) {
+  // std::to_chars ignores the locale; 17 significant digits always round
+  // trip, so the loop ends there for NaN too.
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
+  for (int precision = 12;; ++precision) {
+    char* end = std::to_chars(buf, buf + sizeof buf, v,
+                              std::chars_format::general, precision)
+                    .ptr;
+    double parsed = 0.0;
+    std::from_chars(buf, end, parsed);
+    if (parsed == v || precision == 17) return std::string(buf, end);
+  }
 }
 
-}  // namespace
 }  // namespace detail
 
 const Sample* Snapshot::find(std::string_view name) const {

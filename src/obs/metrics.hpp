@@ -189,6 +189,10 @@ class Metrics {
 namespace detail {
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 [[nodiscard]] std::string json_escape(std::string_view text);
+/// Renders `v` as printf's %g at the lowest precision, from 12 up, that
+/// parses back to exactly `v`: a value with 12 or fewer significant digits
+/// prints as %.12g prints it, and no value loses digits.
+[[nodiscard]] std::string format_double(double v);
 }  // namespace detail
 
 }  // namespace obs

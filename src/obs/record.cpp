@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "obs/metrics.hpp"  // detail::json_escape
+#include "obs/metrics.hpp"  // detail::json_escape, detail::format_double
 
 namespace obs {
 
@@ -59,12 +59,12 @@ void write_jsonl(const Record& record, std::ostream& os) {
       break;
     case Record::Kind::kFrame: {
       // Values keep the snapshot writers' rendering: integral counters
-      // print without a decimal point, gauges round-trip at %.12g.
+      // print without a decimal point, gauges round-trip exactly.
       os << ",\"v\":{";
       const char* sep = "";
       for (const auto& [name, value] : record.values) {
-        std::snprintf(buf, sizeof buf, "%.12g", value);
-        os << sep << '"' << json_escape(name) << "\":" << buf;
+        os << sep << '"' << json_escape(name)
+           << "\":" << detail::format_double(value);
         sep = ",";
       }
       os << '}';

@@ -1,12 +1,11 @@
-// Differential oracle for the ladder-queue EventQueue: every workload is
-// mirrored into a std::multimap<(time, seq)> reference, and the firing
-// order observed from the real queue must match the reference's exact
-// (time, seq) total order. The workloads deliberately hit the structural
-// seams of the ladder — same-timestamp bursts (one bucket, ordered only by
-// seq), wide horizon mixes (bottom + rungs + overflow all live), rung
-// exhaustion and the coverage gaps it leaves behind, cancellations of
-// already-fired ids, reserved-seq scheduling, and scheduling from inside a
-// running event (reentrancy).
+// Differential oracle for the EventQueue heap: every workload is mirrored
+// into a std::multimap<(time, seq)> reference, and the firing order
+// observed from the real queue must match the reference's exact
+// (time, seq) total order. The workloads cover same-timestamp bursts
+// (ordered only by seq), wide horizon mixes from milliseconds to days,
+// backfilling a drained span, lazily-cancelled keys at the front,
+// cancellations of already-fired ids over recycled slots, reserved-seq
+// scheduling, and scheduling from inside a running event (reentrancy).
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -116,8 +115,8 @@ TEST(EventOracle, RandomChurnMatchesMultimapOrder) {
   Oracle oracle(queue);
   std::vector<net::EventId> cancellable;
   std::uint64_t payload = 0;
-  // Interleave schedule / cancel / pop over a wide horizon so all three
-  // tiers (bottom, rungs, overflow) stay live simultaneously.
+  // Interleave schedule / cancel / pop over a horizon from milliseconds
+  // to days, so near and far keys share the heap throughout.
   for (int round = 0; round < 200; ++round) {
     const int schedules = static_cast<int>(rng.uniform_int(1, 40));
     for (int i = 0; i < schedules; ++i) {
@@ -151,8 +150,8 @@ TEST(EventOracle, RandomChurnMatchesMultimapOrder) {
 TEST(EventOracle, SameTimestampBurstFiresInScheduleOrder) {
   EventQueue queue;
   Oracle oracle(queue);
-  // A single-quantum burst far in the future: lands in the overflow tier,
-  // gets bucketed, and must come out ordered purely by seq.
+  // A single-timestamp burst far in the future must come out ordered
+  // purely by seq.
   const SimTime burst_at = SimTime::hours(2);
   for (std::uint64_t i = 0; i < 5000; ++i) oracle.schedule(burst_at, i);
   // Plus a few earlier events so the burst is not the immediate bottom.
@@ -254,22 +253,21 @@ TEST(EventOracle, ReservedSeqInterleavesExactly) {
 }
 
 TEST(EventOracle, RungExhaustionCoverageGap) {
-  // Regression shape for the exhausted-rung path: drain a rung down to
-  // its last bucket, then schedule into the time span that rung used to
-  // cover. The key must route to a still-live tier (never a popped one)
-  // and fire in exact order.
+  // Drain a wide spread almost to its end, then schedule into the span
+  // just consumed and far past it, interleaved: every key must fire in
+  // exact order. (The shape once caught a scheduler that routed such keys
+  // into a structure it had already retired.)
   EventQueue queue;
   Oracle oracle(queue);
-  // A wide spread forces a rung with coarse buckets.
+  // Keys seven seconds apart.
   for (std::uint64_t i = 0; i < 512; ++i) {
     oracle.schedule(SimTime::seconds(static_cast<std::int64_t>(i * 7) + 1),
                     i);
   }
-  // Drain most of it, so the rung is nearly exhausted.
+  // Drain most of it.
   for (int i = 0; i < 500 && oracle.step_and_check(); ++i) {
   }
-  // Schedule into the nearly-consumed span (just after now) and far past
-  // the rung's coverage, interleaved.
+  // Schedule just after now and an hour out, interleaved.
   for (std::uint64_t i = 0; i < 64; ++i) {
     oracle.schedule(queue.now() + SimTime::milliseconds(1 + i), 1000 + i);
     oracle.schedule(SimTime::hours(1) + SimTime::seconds(i), 2000 + i);

@@ -381,6 +381,28 @@ TEST(EventQueue, CancelAfterRunIsNoop) {
   EXPECT_FALSE(q.cancel(id));
 }
 
+TEST(EventQueue, HighWaterCountsLazilyCancelledKeys) {
+  // A cancelled key stays stored until it reaches the front, so the
+  // memory high-water mark counts it while pending() does not.
+  EventQueue q;
+  q.schedule_at(SimTime::seconds(1), [] {});
+  const EventId id = q.schedule_at(SimTime::seconds(2), [] {});
+  q.schedule_at(SimTime::seconds(3), [] {});
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(q.heap_high_water(), 3u);
+  q.run();
+  q.schedule_in(SimTime::seconds(1), [] {});
+  EXPECT_EQ(q.heap_high_water(), 3u);
+  // Past the mark only with the cancelled key counted: four stored, three
+  // live.
+  EXPECT_TRUE(q.cancel(q.schedule_in(SimTime::seconds(2), [] {})));
+  q.schedule_in(SimTime::seconds(3), [] {});
+  q.schedule_in(SimTime::seconds(4), [] {});
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_EQ(q.heap_high_water(), 4u);
+}
+
 TEST(EventQueue, RunUntilStopsAtDeadlineAndAdvancesClock) {
   EventQueue q;
   std::vector<int> order;

@@ -92,6 +92,23 @@ TEST(Metrics, WriteCsvListsEveryInstrument) {
   EXPECT_NE(csv.find("d.e"), std::string::npos);
 }
 
+TEST(Metrics, FormatDoubleKeepsShortValuesAndRoundTripsLongOnes) {
+  // 12 or fewer significant digits print exactly as %.12g prints them.
+  EXPECT_EQ(detail::format_double(0.0), "0");
+  EXPECT_EQ(detail::format_double(0.5), "0.5");
+  EXPECT_EQ(detail::format_double(1e-5), "1e-05");
+  EXPECT_EQ(detail::format_double(1e6), "1000000");
+  EXPECT_EQ(detail::format_double(123456789012.0), "123456789012");
+  EXPECT_EQ(detail::format_double(1e12), "1e+12");
+  // Longer values keep the digits that parse back to the same double.
+  EXPECT_EQ(detail::format_double(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(detail::format_double(1.0 / 3.0), "0.3333333333333333");
+  EXPECT_EQ(detail::format_double(30457.7001953125), "30457.7001953125");
+  for (const double v : {5757.900000048156, 2.0 / 3e7, 1e300 / 7.0}) {
+    EXPECT_EQ(std::stod(detail::format_double(v)), v) << v;
+  }
+}
+
 // -------------------------------------------------------------- Histogram
 
 TEST(Histogram, EmptyHistogramReportsZeroEverywhere) {

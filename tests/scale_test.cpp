@@ -8,7 +8,10 @@
 //    are all pure storage / observation changes — drift in RNG draws or
 //    message economy flips rib_digest, and a tie broken toward a
 //    different neighbour, which rib_digest cannot see, flips the other
-//    two.
+//    two. The scheduler's work is pinned exactly too: events run,
+//    messages sent and deliveries batched inline. A delivery-batching
+//    guard off by one seq keeps every digest and moves events_run by
+//    0.6%, inside the 25% that macro_scenario --check allows.
 //  * Memory: a 1k-domain smoke run (capped ladder shape) must keep
 //    core.state_bytes_per_domain under a committed budget, so state that
 //    silently grows superlinearly fails here before the 10k CI rung.
@@ -31,6 +34,10 @@ constexpr std::uint64_t kDigest256 = 8763681109611083281ULL;
 /// eval::path_digest and eval::tree_digest of the same run.
 constexpr std::uint64_t kPathDigest256 = 18125266476311187696ULL;
 constexpr std::uint64_t kTreeDigest256 = 14413308267024295644ULL;
+/// events_run, messages_sent and deliveries_batched of the same run.
+constexpr std::uint64_t kEventsRun256 = 38079;
+constexpr std::uint64_t kMessagesSent256 = 116574;
+constexpr std::uint64_t kDeliveriesBatched256 = 79963;
 
 /// Per-domain routing-state budget for the capped 1k rung. Measured at
 /// 37,376 B/domain with the unicast view and the G-RIB on flat prefix
@@ -56,6 +63,9 @@ struct RunResult {
   std::uint64_t digest = 0;
   std::uint64_t path_digest = 0;
   std::uint64_t tree_digest = 0;
+  std::uint64_t events_run = 0;
+  std::uint64_t messages_sent = 0;
+  std::uint64_t deliveries_batched = 0;
   double state_bytes_per_domain = 0.0;
 };
 
@@ -66,9 +76,12 @@ RunResult run_ladder_rung(const ScenarioSpec& spec) {
   net::Rng rng = make_workload_rng(spec.seed);
   (void)phase_groups(net, spec, topo, rng);
   phase_flap(net, spec, topo);
+  const obs::Snapshot snap = net.metrics_snapshot();
   RunResult r;
-  r.state_bytes_per_domain =
-      net.metrics_snapshot().gauge_value("core.state_bytes_per_domain");
+  r.state_bytes_per_domain = snap.gauge_value("core.state_bytes_per_domain");
+  r.events_run = net.events().events_run();
+  r.messages_sent = snap.counter_value("net.messages_sent");
+  r.deliveries_batched = snap.counter_value("net.deliveries_batched");
   r.digest = rib_digest(net);
   r.path_digest = path_digest(net);
   r.tree_digest = tree_digest(net);
@@ -80,6 +93,9 @@ TEST(ScaleLadder, Digest256MatchesCommittedBaseline) {
   EXPECT_EQ(r.digest, kDigest256);
   EXPECT_EQ(r.path_digest, kPathDigest256);
   EXPECT_EQ(r.tree_digest, kTreeDigest256);
+  EXPECT_EQ(r.events_run, kEventsRun256);
+  EXPECT_EQ(r.messages_sent, kMessagesSent256);
+  EXPECT_EQ(r.deliveries_batched, kDeliveriesBatched256);
   EXPECT_GT(r.state_bytes_per_domain, 0.0);
 }
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -206,14 +205,12 @@ TEST(Telemetry, SpansRoundTripThroughJsonl) {
     EXPECT_EQ(decoded[i].from, original[i].from) << i;
     EXPECT_EQ(decoded[i].to, original[i].to) << i;
     EXPECT_EQ(decoded[i].text, original[i].text) << i;
-    // Frame values print at %.12g, like the snapshot writers.
+    // Frame values print exactly (obs::detail::format_double).
     ASSERT_EQ(decoded[i].values.size(), original[i].values.size()) << i;
     for (std::size_t v = 0; v < decoded[i].values.size(); ++v) {
       const auto& [name, value] = original[i].values[v];
       EXPECT_EQ(decoded[i].values[v].first, name) << i;
-      EXPECT_NEAR(decoded[i].values[v].second, value,
-                  1e-11 * std::max(1.0, std::abs(value)))
-          << i << " " << name;
+      EXPECT_EQ(decoded[i].values[v].second, value) << i << " " << name;
     }
   }
   for (const obs::Record::Kind kind :
