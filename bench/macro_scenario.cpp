@@ -58,6 +58,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -66,6 +67,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "bgp/speaker.hpp"
@@ -404,14 +407,34 @@ void write_json(const std::vector<Results>& runs, bool ladder,
 }
 
 // Minimal field scraper for our own flat JSON schema — keeps the
-// regression check self-contained (no JSON library, no python).
-bool scrape(const std::string& text, const std::string& key, double& out) {
+// regression check self-contained (no JSON library, no python). Returns
+// the text that follows the key's colon.
+std::optional<std::string_view> field(const std::string& text,
+                                      const std::string& key) {
   const auto at = text.find('"' + key + '"');
-  if (at == std::string::npos) return false;
+  if (at == std::string::npos) return std::nullopt;
   const auto colon = text.find(':', at);
-  if (colon == std::string::npos) return false;
-  out = std::strtod(text.c_str() + colon + 1, nullptr);
+  if (colon == std::string::npos) return std::nullopt;
+  const auto value = text.find_first_not_of(" \t\r\n", colon + 1);
+  if (value == std::string::npos) return std::nullopt;
+  return std::string_view(text).substr(value);
+}
+
+bool scrape(const std::string& text, const std::string& key, double& out) {
+  const auto value = field(text, key);
+  if (!value) return false;
+  out = std::strtod(value->data(), nullptr);
   return true;
+}
+
+// Integer fields parse exactly: read through a double, a 64-bit digest
+// near 8e18 rounds to a multiple of 1,024.
+bool scrape(const std::string& text, const std::string& key,
+            std::uint64_t& out) {
+  const auto value = field(text, key);
+  return value && std::from_chars(value->data(),
+                                  value->data() + value->size(), out)
+                          .ec == std::errc{};
 }
 
 // Splits a ladder baseline into its rung objects (brace-matched); a flat
@@ -435,14 +458,13 @@ std::vector<std::string> baseline_rungs(const std::string& text) {
 }
 
 bool params_match(const Results& now, const std::string& base) {
-  double p = 0.0;
+  std::uint64_t p = 0;
   const auto required = [&](const char* key, std::uint64_t want) {
-    return scrape(base, key, p) && static_cast<std::uint64_t>(p) == want;
+    return scrape(base, key, p) && p == want;
   };
   // The caps are absent from pre-ladder baselines; absent means 0.
   const auto cap = [&](const char* key, std::uint64_t want) {
-    return scrape(base, key, p) ? static_cast<std::uint64_t>(p) == want
-                                : want == 0;
+    return scrape(base, key, p) ? p == want : want == 0;
   };
   const workload::Spec& w = now.spec.workload;
   return required("domains", static_cast<std::uint64_t>(now.spec.domains)) &&
@@ -470,33 +492,34 @@ int check_one(const Results& now, const std::string& base, double tolerance,
               double telemetry_budget, double eps_floor) {
   int failures = 0;
   const auto exact = [&](const char* key, std::uint64_t current) {
-    double expected = 0.0;
+    std::uint64_t expected = 0;
     if (!scrape(base, key, expected)) {
-      std::cerr << "macro_scenario: baseline lacks \"" << key << "\"\n";
+      std::cerr << "macro_scenario: baseline lacks integer \"" << key
+                << "\"\n";
       ++failures;
       return;
     }
-    if (static_cast<double>(current) != expected) {
+    if (current != expected) {
       std::cerr << "macro_scenario: " << key << " diverged: baseline "
-                << static_cast<std::uint64_t>(expected) << ", now "
-                << current << "\n";
+                << expected << ", now " << current << "\n";
       ++failures;
     }
   };
   // Deterministic (hardware-independent) quantities: the message economy
   // may grow at most `tolerance` before the check fails.
   const auto bounded = [&](const char* key, std::uint64_t current) {
-    double expected = 0.0;
+    std::uint64_t expected = 0;
     if (!scrape(base, key, expected)) {
-      std::cerr << "macro_scenario: baseline lacks \"" << key << "\"\n";
+      std::cerr << "macro_scenario: baseline lacks integer \"" << key
+                << "\"\n";
       ++failures;
       return;
     }
-    if (static_cast<double>(current) > expected * (1.0 + tolerance)) {
+    if (static_cast<double>(current) >
+        static_cast<double>(expected) * (1.0 + tolerance)) {
       std::cerr << "macro_scenario: " << key << " regressed > "
-                << tolerance * 100 << "%: baseline "
-                << static_cast<std::uint64_t>(expected) << ", now " << current
-                << "\n";
+                << tolerance * 100 << "%: baseline " << expected << ", now "
+                << current << "\n";
       ++failures;
     }
   };
@@ -508,7 +531,7 @@ int check_one(const Results& now, const std::string& base, double tolerance,
   // …including the realized member population: exact whenever the
   // baseline carries the column (post-workload baselines always do), and
   // the full engine state digest on workload rungs.
-  double members_base = 0.0;
+  std::uint64_t members_base = 0;
   if (now.spec.workload.enabled ||
       scrape(base, "members_total", members_base)) {
     exact("members_total", now.members_total);

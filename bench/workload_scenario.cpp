@@ -89,16 +89,15 @@ void write_report(const eval::ScenarioSpec& spec,
      << ", \"p50\": " << lat.p50 << ", \"p95\": " << lat.p95
      << ", \"p99\": " << lat.p99 << ", \"max\": " << lat.max << "},\n";
 
-  // The heaviest tree edges: the sharded counter's bounded top view,
+  // The heaviest tree edges: the exact per-domain counter's top list,
   // keyed by member-domain id (packet-hops accumulated over the run).
   os << "  \"edge_load_top\": [";
   if (const obs::ShardedSample* edges =
           snap.find_sharded("bgmp.tree_edge_load.by_domain")) {
-    for (std::size_t i = 0; i < edges->items.size(); ++i) {
-      const obs::ShardedItem& item = edges->items[i];
-      os << (i == 0 ? "" : ", ") << "{\"domain\": " << item.key
-         << ", \"packet_hops\": " << static_cast<std::uint64_t>(item.value)
-         << "}";
+    const std::vector<obs::ShardedItem> top = edges->top();
+    for (std::size_t i = 0; i < top.size(); ++i) {
+      os << (i == 0 ? "" : ", ") << "{\"domain\": " << top[i].key
+         << ", \"packet_hops\": " << top[i].value << "}";
     }
   }
   os << "],\n";

@@ -37,7 +37,7 @@ Speaker::Speaker(net::Network& network, DomainId as, std::string name)
       // required for parallel sweep cells to be schedule-independent.
       uid_(network.allocate_uid()),
       metrics_{&network.metrics().counter("bgp.updates_sent"),
-               &network.metrics().sharded_counter("bgp.updates_sent.by_domain"),
+               &network.metrics().sharded("bgp.updates_sent.by_domain"),
                &network.metrics().counter("bgp.updates_received"),
                &network.metrics().counter("bgp.routes_announced"),
                &network.metrics().counter("bgp.routes_withdrawn"),

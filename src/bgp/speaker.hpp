@@ -321,9 +321,8 @@ class Speaker final : public net::Endpoint {
   /// the network, so they aggregate per simulation.
   struct SpeakerMetrics {
     obs::Counter* updates_sent;
-    /// Per-domain attribution of updates_sent: a space-saving sketch, so
-    /// the hottest ASes surface without dense per-domain storage.
-    obs::ShardedCounter* updates_sent_by_domain;
+    /// Exact per-AS count of updates_sent.
+    obs::Sharded* updates_sent_by_domain;
     obs::Counter* updates_received;
     obs::Counter* routes_announced;
     obs::Counter* routes_withdrawn;

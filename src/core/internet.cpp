@@ -26,8 +26,8 @@ Internet::Internet(std::uint64_t seed)
     std::size_t grib = 0;
     std::size_t urib = 0;
     std::size_t state_bytes = 0;
-    obs::TopKGauge& bytes_by_domain = m.topk_gauge("core.state_bytes.by_domain");
-    bytes_by_domain.begin_epoch();
+    obs::Sharded& bytes_by_domain = m.sharded("core.state_bytes.by_domain");
+    bytes_by_domain.clear();
     for (const auto& domain : domains_) {
       claimed += domain->masc_node().pool().claimed_addresses();
       allocated += domain->masc_node().pool().allocated_addresses();
@@ -42,7 +42,7 @@ Internet::Internet(std::uint64_t seed)
         domain_bytes += s.state_bytes();
       }
       state_bytes += domain_bytes;
-      bytes_by_domain.set(domain->id(), static_cast<double>(domain_bytes));
+      bytes_by_domain.set(domain->id(), domain_bytes);
     }
     m.gauge("masc.pool_claimed_addresses").set(static_cast<double>(claimed));
     m.gauge("masc.pool_allocated_addresses")

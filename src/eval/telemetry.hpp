@@ -11,8 +11,8 @@
 // A frame carries only the series that changed since the previous frame
 // (the first carries every series): counters and gauges as they are,
 // histograms as `<name>.count` and `<name>.sum`. Sharded instruments are
-// left out — their top lists churn by design and the final snapshot
-// carries them.
+// left out — one series per domain would swamp the frames, and the final
+// snapshot carries them.
 //
 // Frames ride on activity, never on a self-rescheduling timer: the event
 // queue runs to exhaustion in settle(), and a timer that always re-arms

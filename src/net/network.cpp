@@ -17,7 +17,7 @@ Network::Network(EventQueue& events, obs::Metrics* metrics)
       retransmitted_(&metrics_->counter("net.messages_retransmitted")),
       batched_(&metrics_->counter("net.deliveries_batched")),
       delivered_by_domain_(
-          &metrics_->sharded_counter("net.messages_delivered.by_domain")),
+          &metrics_->sharded("net.messages_delivered.by_domain")),
       delivery_latency_(&metrics_->histogram("net.delivery_latency")),
       stream_(events) {
   // Sampled state refreshes when a snapshot is taken, keeping reads off

@@ -97,7 +97,7 @@ class Endpoint {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// The domain (AS) this endpoint belongs to, for per-domain metric
-  /// attribution (obs::ShardedCounter keys). 0 = unattributed — hosts,
+  /// attribution (obs::Sharded keys). 0 = unattributed — hosts,
   /// test endpoints and anything else outside a domain.
   [[nodiscard]] virtual std::uint64_t owner_id() const { return 0; }
 };
@@ -322,9 +322,9 @@ class Network {
   obs::Counter* held_total_;  // messages that entered a partition queue
   obs::Counter* retransmitted_;  // disturbance-model extra transmissions
   obs::Counter* batched_;  // deliveries carried inline by another's event
-  // Per-domain heavy-hitter view of deliveries, keyed by the receiving
+  // Exact per-domain count of deliveries, keyed by the receiving
   // endpoint's owner_id() — which domain is hot, not just how much total.
-  obs::ShardedCounter* delivered_by_domain_;
+  obs::Sharded* delivered_by_domain_;
   obs::Histogram* delivery_latency_;  // net.delivery_latency, seconds
   Disturbance disturbance_;
   Rng* disturbance_rng_ = nullptr;  // nullptr = disturbance disabled

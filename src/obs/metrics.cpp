@@ -90,9 +90,9 @@ const ShardedSample* Snapshot::find_sharded(std::string_view name) const {
   return at != sharded.end() && at->name == name ? &*at : nullptr;
 }
 
-double Snapshot::sharded_total(std::string_view name) const {
+std::uint64_t Snapshot::sharded_total(std::string_view name) const {
   const ShardedSample* s = find_sharded(name);
-  return s != nullptr ? s->total : 0.0;
+  return s != nullptr ? s->total() : 0;
 }
 
 HistogramStats Snapshot::histogram_stats(std::string_view name) const {
@@ -156,7 +156,7 @@ void Snapshot::merge_from(const Snapshot& other) {
       shards.push_back(*sb++);
     } else {
       ShardedSample s = std::move(*sa++);
-      merge_sharded_items(s, *sb);
+      s.merge(*sb);
       shards.push_back(std::move(s));
       ++sb;
     }
@@ -208,15 +208,12 @@ void write_json_impl(const Snapshot& snap, std::ostream& os, bool pretty) {
   first = true;
   for (const ShardedSample& s : snap.sharded) {
     os << (first ? "" : ",") << nl2 << "\"" << detail::json_escape(s.name)
-       << "\":" << sp << "{\"kind\":" << sp << "\""
-       << (s.kind == ShardedSample::Kind::kCounter ? "counter" : "gauge")
-       << "\"," << sp << "\"total\":" << sp << detail::format_double(s.total)
-       << "," << sp << "\"top\":" << sp << "[";
+       << "\":" << sp << "{\"total\":" << sp << s.total() << "," << sp
+       << "\"top\":" << sp << "[";
     bool first_item = true;
-    for (const ShardedItem& item : s.items) {
+    for (const ShardedItem& item : s.top()) {
       os << (first_item ? "" : ",") << "{\"key\":" << sp << item.key << ","
-         << sp << "\"value\":" << sp << detail::format_double(item.value)
-         << "," << sp << "\"error\":" << sp << item.error << "}";
+         << sp << "\"value\":" << sp << item.value << "}";
       first_item = false;
     }
     os << "]}";
@@ -255,11 +252,9 @@ void Snapshot::write_csv(std::ostream& os) const {
     os << h.name << ".p99,histogram," << detail::format_double(st.p99) << "\n";
   }
   for (const ShardedSample& s : sharded) {
-    os << s.name << ".total,sharded," << detail::format_double(s.total)
-       << "\n";
-    for (const ShardedItem& item : s.items) {
-      os << s.name << "." << item.key << ",sharded,"
-         << detail::format_double(item.value) << "\n";
+    os << s.name << ".total,sharded," << s.total() << "\n";
+    for (const ShardedItem& item : s.top()) {
+      os << s.name << "." << item.key << ",sharded," << item.value << "\n";
     }
   }
 }
@@ -271,8 +266,7 @@ const char* kind_name(int kind) {
     case 0: return "counter";
     case 1: return "gauge";
     case 2: return "histogram";
-    case 3: return "sharded_counter";
-    case 4: return "topk_gauge";
+    case 3: return "sharded";
   }
   return "?";
 }
@@ -318,24 +312,11 @@ Histogram& Metrics::histogram(std::string_view name) {
               .first->second;
 }
 
-ShardedCounter& Metrics::sharded_counter(std::string_view name,
-                                         std::size_t capacity,
-                                         std::size_t export_top) {
-  const auto it = sharded_counters_.find(name);
-  if (it != sharded_counters_.end()) return *it->second;
-  check_kind(name, Kind::kShardedCounter);
-  return *sharded_counters_
-              .emplace(std::string(name),
-                       std::make_unique<ShardedCounter>(capacity, export_top))
-              .first->second;
-}
-
-TopKGauge& Metrics::topk_gauge(std::string_view name, std::size_t k) {
-  const auto it = topk_gauges_.find(name);
-  if (it != topk_gauges_.end()) return *it->second;
-  check_kind(name, Kind::kTopKGauge);
-  return *topk_gauges_
-              .emplace(std::string(name), std::make_unique<TopKGauge>(k))
+Sharded& Metrics::sharded(std::string_view name) {
+  const auto it = sharded_.find(name);
+  if (it != sharded_.end()) return *it->second;
+  check_kind(name, Kind::kSharded);
+  return *sharded_.emplace(std::string(name), std::make_unique<Sharded>())
               .first->second;
 }
 
@@ -374,29 +355,9 @@ Snapshot Metrics::snapshot(double sim_time_seconds) {
   for (const auto& [name, hist] : histograms_) {
     snap.histograms.push_back(HistogramSample{name, hist->stats(), *hist});
   }
-  // Merge the two name-sorted sharded maps the same way as counters/gauges.
-  snap.sharded.reserve(sharded_counters_.size() + topk_gauges_.size());
-  auto sc = sharded_counters_.begin();
-  auto tg = topk_gauges_.begin();
-  while (sc != sharded_counters_.end() || tg != topk_gauges_.end()) {
-    const bool take_counter =
-        tg == topk_gauges_.end() ||
-        (sc != sharded_counters_.end() && sc->first <= tg->first);
-    ShardedSample s;
-    if (take_counter) {
-      s.name = sc->first;
-      s.kind = ShardedSample::Kind::kCounter;
-      s.total = static_cast<double>(sc->second->total());
-      s.items = sc->second->top(sc->second->export_top());
-      ++sc;
-    } else {
-      s.name = tg->first;
-      s.kind = ShardedSample::Kind::kGauge;
-      s.total = tg->second->total();
-      s.items = tg->second->top();
-      ++tg;
-    }
-    snap.sharded.push_back(std::move(s));
+  snap.sharded.reserve(sharded_.size());
+  for (const auto& [name, inst] : sharded_) {
+    snap.sharded.push_back(ShardedSample{name, inst->values()});
   }
   return snap;
 }

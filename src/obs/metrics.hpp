@@ -95,19 +95,19 @@ struct Snapshot {
   [[nodiscard]] HistogramStats histogram_stats(std::string_view name) const;
 
   [[nodiscard]] const ShardedSample* find_sharded(std::string_view name) const;
-  /// Total of a sharded instrument (0.0 if absent).
-  [[nodiscard]] double sharded_total(std::string_view name) const;
+  /// Total of a sharded instrument (0 if absent).
+  [[nodiscard]] std::uint64_t sharded_total(std::string_view name) const;
 
   /// {"sim_time_seconds": T, "counters": {...}, "gauges": {...},
   ///  "histograms": {...}, "sharded": {...}} — the schema bench/ and
   /// external tooling consume (see DESIGN.md). Each histogram exports
   /// count, sum, min, max, p50, p95, p99; each sharded instrument exports
-  /// its total plus a bounded top list of {key, value, error} items.
+  /// its total plus its top list of {key, value} items.
   void write_json(std::ostream& os) const;
   /// name,kind,value rows with a header; histograms expand into
   /// `<name>.count/.sum/.min/.max/.p50/.p95/.p99` rows of kind histogram,
-  /// sharded instruments into `<name>.total` plus `<name>.<key>` rows of
-  /// kind sharded.
+  /// sharded instruments into `<name>.total` plus one `<name>.<key>` row
+  /// of kind sharded per top-list item.
   void write_csv(std::ostream& os) const;
   /// The write_json schema compacted onto a single line (plus '\n'), for
   /// JSONL time series (`scenario_runner --metrics-every`).
@@ -117,8 +117,7 @@ struct Snapshot {
   /// by name (instruments absent on either side are kept/adopted),
   /// histograms merge at bucket level, so the combined quantiles reflect
   /// every underlying sample rather than an average of averages, and
-  /// sharded instruments union per key (totals and per-key values add,
-  /// bounded by the larger item budget).
+  /// sharded instruments add per key.
   /// sim_time_seconds becomes the max of the two (the longest run). The
   /// aggregation semantics of the sweep engine: counters are event totals
   /// across cells, gauges become cross-cell sums.
@@ -141,13 +140,9 @@ class Metrics {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
-  /// Dimensioned instruments (see obs/sharded.hpp): per-key heavy-hitter
-  /// counts and exact top-K sampled values. The capacity/k of the first
-  /// registration wins.
-  ShardedCounter& sharded_counter(std::string_view name,
-                                  std::size_t capacity = 64,
-                                  std::size_t export_top = 16);
-  TopKGauge& topk_gauge(std::string_view name, std::size_t k = 16);
+  /// Dimensioned instrument (see obs/sharded.hpp): exact per-domain
+  /// counts or sampled values.
+  Sharded& sharded(std::string_view name);
 
   /// Registers a hook run at the start of every snapshot(). Harness-level
   /// owners use it to refresh sampled gauges (RIB sizes, pool utilisation,
@@ -160,7 +155,7 @@ class Metrics {
 
   [[nodiscard]] std::size_t instrument_count() const {
     return counters_.size() + gauges_.size() + histograms_.size() +
-           sharded_counters_.size() + topk_gauges_.size();
+           sharded_.size();
   }
 
  private:
@@ -168,8 +163,7 @@ class Metrics {
     kCounter,
     kGauge,
     kHistogram,
-    kShardedCounter,
-    kTopKGauge,
+    kSharded,
   };
   /// Records `name` as `kind`, throwing std::logic_error if it is already
   /// registered as anything else.
@@ -179,9 +173,7 @@ class Metrics {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, std::unique_ptr<ShardedCounter>, std::less<>>
-      sharded_counters_;
-  std::map<std::string, std::unique_ptr<TopKGauge>, std::less<>> topk_gauges_;
+  std::map<std::string, std::unique_ptr<Sharded>, std::less<>> sharded_;
   std::map<std::string, Kind, std::less<>> kinds_;
   std::vector<std::function<void()>> hooks_;
 };

@@ -1,138 +1,81 @@
-// Dimensioned ("sharded") instruments: per-key attribution for metrics
+// Dimensioned ("sharded") instruments: per-domain attribution for metrics
 // that would otherwise aggregate an entire simulated internet into one
 // number.
 //
 // At the 10k-domain rung a scalar `bgp.updates_sent` cannot say *which*
-// backbone domain is hot, and a dense per-domain table would cost
-// 10k × instruments of storage most of which is zero. The middle ground
-// here is bounded attribution:
+// backbone domain is hot. `Sharded` answers exactly: one dense array per
+// instrument, indexed by domain id (key 0 = unattributed) and grown to the
+// largest key seen. Every domain in these scenarios sends and receives, so
+// the array is mostly non-zero, and at 8 B per domain it costs 80 KiB at
+// the 10,240-domain rung.
 //
-//  - `ShardedCounter` tracks event counts per uint64 key (a domain / AS
-//    id) with the space-saving heavy-hitter sketch: a fixed number of
-//    slots, evicting the current minimum when a new key arrives with the
-//    evicted count carried over as that key's `error` (a per-item
-//    overestimate bound). Keys with counts above total/capacity are
-//    guaranteed to be tracked, which is exactly the "who is hot" question.
-//  - `TopKGauge` keeps the exact top K of a value that is re-sampled in
-//    full every snapshot (state bytes per domain, refreshed by the
-//    Internet's snapshot hook): begin_epoch() clears, set() streams every
-//    domain through, and only the K largest survive — exact because every
-//    value is seen each epoch, bounded because only K are stored.
+//  - Counters add() per event (BGP UPDATEs sent, deliveries, tree-edge
+//    load).
+//  - Gauges clear() and then set() every domain on each snapshot refresh
+//    (state bytes, members per domain).
 //
-// Exports are deterministic: items sort by value descending then key
-// ascending, so equal runs produce byte-identical snapshots.
+// Snapshots copy the whole array, so merging two snapshots adds every key
+// exactly and a merged top list is the true top list. Exports list the
+// kShardedTop largest keys, value descending then key ascending, so equal
+// runs produce byte-identical snapshots.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace obs {
 
+/// Length of the exported top list (JSON, CSV).
+inline constexpr std::size_t kShardedTop = 16;
+
+/// Exact per-key instrument over a dense array indexed by key.
+class Sharded {
+ public:
+  /// Keys at or above this throw std::length_error instead of allocating.
+  static constexpr std::uint64_t kKeyLimit = std::uint64_t{1} << 20;
+
+  void add(std::uint64_t key, std::uint64_t n = 1) { slot(key) += n; }
+  void clear() { values_.clear(); }
+  void set(std::uint64_t key, std::uint64_t value) { slot(key) = value; }
+
+  /// Per-key values indexed by key; keys past the end are 0.
+  [[nodiscard]] const std::vector<std::uint64_t>& values() const {
+    return values_;
+  }
+
+ private:
+  std::uint64_t& slot(std::uint64_t key) {
+    if (key >= values_.size()) grow(key);
+    return values_[key];
+  }
+  void grow(std::uint64_t key);
+
+  std::vector<std::uint64_t> values_;
+};
+
 /// One exported per-key item of a sharded instrument.
 struct ShardedItem {
-  std::uint64_t key = 0;    ///< dimension value (domain / AS id; 0 = unattributed)
-  double value = 0.0;       ///< count (counters) or sampled value (gauges)
-  std::uint64_t error = 0;  ///< max overestimate (space-saving); 0 = exact
-};
-
-/// Space-saving heavy-hitter sketch over uint64 keys. add() is hot-path
-/// cheap (one hash lookup on hit); capacity bounds both memory and the
-/// eviction scan.
-class ShardedCounter {
- public:
-  explicit ShardedCounter(std::size_t capacity = 64,
-                          std::size_t export_top = 16)
-      : capacity_(capacity == 0 ? 1 : capacity),
-        export_top_(export_top == 0 ? 1 : export_top) {
-    slots_.reserve(capacity_);
-  }
-
-  void add(std::uint64_t key, std::uint64_t n = 1);
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::size_t tracked() const { return slots_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t export_top() const { return export_top_; }
-
-  /// The count recorded for `key` (an upper bound on its true count;
-  /// 0 if the key is not tracked).
-  [[nodiscard]] std::uint64_t count_of(std::uint64_t key) const;
-
-  /// The k largest tracked keys, value descending then key ascending.
-  [[nodiscard]] std::vector<ShardedItem> top(std::size_t k) const;
-
- private:
-  struct Slot {
-    std::uint64_t key;
-    std::uint64_t count;
-    std::uint64_t error;
-  };
-
-  /// The eviction victim: the minimum-count slot, ties broken toward the
-  /// largest key. Pops from the lazily-maintained min-level stack; rebuilt
-  /// by scanning only when the current level is exhausted.
-  [[nodiscard]] std::uint32_t take_victim();
-
-  std::size_t capacity_;
-  std::size_t export_top_;
-  std::uint64_t total_ = 0;
-  std::vector<Slot> slots_;  // insertion order; index_ maps key -> slot
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;
-  /// Last slot add() touched (UINT32_MAX: none): repeated adds for the
-  /// same key — the common bursty pattern — skip the hash lookup.
-  std::uint32_t last_slot_ = UINT32_MAX;
-  /// Eviction support: counts never decrease, so the minimum count is
-  /// monotone. `min_level_` is the count of the most recent full scan and
-  /// `min_stack_` the slots that held it, key-ascending (back = largest
-  /// key = next victim). A slot bumped past the level is detected (and
-  /// skipped) at pop time, so each miss costs an amortized O(1) pop and a
-  /// full O(capacity) rescan happens only when a level empties — not on
-  /// every eviction, which at 10k domains made add() scan-bound.
-  std::uint64_t min_level_ = 0;
-  std::vector<std::uint32_t> min_stack_;
-};
-
-/// Exact bounded top-K over values streamed in full once per epoch.
-class TopKGauge {
- public:
-  explicit TopKGauge(std::size_t k = 16) : k_(k == 0 ? 1 : k) {
-    items_.reserve(k_);
-  }
-
-  /// Starts a fresh sampling epoch (the snapshot refresh hook calls this
-  /// before streaming every domain through set()).
-  void begin_epoch();
-  void set(std::uint64_t key, double value);
-
-  [[nodiscard]] double total() const { return total_; }
-  [[nodiscard]] std::uint64_t seen() const { return seen_; }
-  [[nodiscard]] std::size_t k() const { return k_; }
-  /// The K largest values of the current epoch, value descending then key
-  /// ascending. Exact (error == 0 on every item).
-  [[nodiscard]] const std::vector<ShardedItem>& top() const { return items_; }
-
- private:
-  std::size_t k_;
-  double total_ = 0.0;
-  std::uint64_t seen_ = 0;
-  std::vector<ShardedItem> items_;  // kept sorted: value desc, key asc
+  std::uint64_t key = 0;    ///< domain / AS id; 0 = unattributed
+  std::uint64_t value = 0;  ///< count (counters) or sampled value (gauges)
 };
 
 /// One exported sharded instrument (mirrors Sample for scalar ones).
 struct ShardedSample {
-  enum class Kind { kCounter, kGauge };
   std::string name;
-  Kind kind = Kind::kCounter;
-  double total = 0.0;             ///< sum over every key, tracked or not
-  std::vector<ShardedItem> items; ///< value desc, key asc; bounded top view
-};
+  std::vector<std::uint64_t> values;  ///< indexed by key, as the instrument
 
-/// Folds `from` into `into` (the sweep engine's cross-cell aggregation):
-/// totals add, per-key values add where keys meet, and per-key errors add
-/// (each side's value is an upper bound, so the sum stays one). The result
-/// keeps the larger of the two item budgets.
-void merge_sharded_items(ShardedSample& into, const ShardedSample& from);
+  [[nodiscard]] std::uint64_t value(std::uint64_t key) const {
+    return key < values.size() ? values[key] : 0;
+  }
+  /// Sum over every key.
+  [[nodiscard]] std::uint64_t total() const;
+  /// The kShardedTop largest non-zero keys, value descending then key
+  /// ascending.
+  [[nodiscard]] std::vector<ShardedItem> top() const;
+  /// Adds `other`'s per-key values (the sweep engine's cross-cell merge).
+  void merge(const ShardedSample& other);
+};
 
 }  // namespace obs

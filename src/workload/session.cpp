@@ -58,11 +58,11 @@ Session::Session(core::Internet& net, const Spec& spec,
   active_groups_ = &metrics.gauge("workload.groups_active");
   active_cells_ = &metrics.gauge("workload.active_cells");
   fragmentation_ = &metrics.gauge("workload.address_fragmentation");
-  edge_load_ = &metrics.sharded_counter("bgmp.tree_edge_load.by_domain");
-  members_by_domain_ = &metrics.topk_gauge("workload.members.by_domain");
+  edge_load_ = &metrics.sharded("bgmp.tree_edge_load.by_domain");
+  members_by_domain_ = &metrics.sharded("workload.members.by_domain");
 
-  // Snapshot-time sampling only (never on the tick path): the exact top-K
-  // member domains and the mean MAAS block fragmentation across the
+  // Snapshot-time sampling only (never on the tick path): the members of
+  // every domain and the mean MAAS block fragmentation across the
   // domains hosting group roots. The weak_ptr keeps a stale hook inert if
   // a snapshot outlives the session.
   std::weak_ptr<Engine> weak = engine_;
@@ -72,13 +72,10 @@ Session::Session(core::Internet& net, const Spec& spec,
 }
 
 void Session::refresh_sampled() {
-  members_by_domain_->begin_epoch();
+  members_by_domain_->clear();
   const std::vector<std::uint64_t>& members = engine_->members_by_domain();
   for (std::uint32_t d = 0; d < members.size(); ++d) {
-    if (members[d] != 0) {
-      members_by_domain_->set(net_.domain(d).id(),
-                              static_cast<double>(members[d]));
-    }
+    members_by_domain_->set(net_.domain(d).id(), members[d]);
   }
   double fragmentation_sum = 0.0;
   std::size_t sampled = 0;

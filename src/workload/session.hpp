@@ -28,8 +28,7 @@ class Internet;
 namespace obs {
 class Counter;
 class Gauge;
-class ShardedCounter;
-class TopKGauge;
+class Sharded;
 }  // namespace obs
 
 namespace workload {
@@ -93,7 +92,7 @@ class Session {
 
  private:
   void apply_tick();
-  /// Snapshot-time sampling (top-K member domains, mean MAAS
+  /// Snapshot-time sampling (members per domain, mean MAAS
   /// fragmentation); called by the metrics refresh hook and by finish().
   void refresh_sampled();
 
@@ -119,8 +118,8 @@ class Session {
   obs::Gauge* active_groups_ = nullptr;
   obs::Gauge* active_cells_ = nullptr;
   obs::Gauge* fragmentation_ = nullptr;
-  obs::ShardedCounter* edge_load_ = nullptr;
-  obs::TopKGauge* members_by_domain_ = nullptr;
+  obs::Sharded* edge_load_ = nullptr;
+  obs::Sharded* members_by_domain_ = nullptr;
 };
 
 }  // namespace workload

@@ -4,13 +4,16 @@
 // stream's event queue, and deterministic span sampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/event.hpp"
@@ -532,115 +535,190 @@ TEST(Metrics, DuplicateRegistrationWithDifferentKindThrows) {
   m.counter("net.messages_sent");
   EXPECT_THROW(m.gauge("net.messages_sent"), std::logic_error);
   EXPECT_THROW(m.histogram("net.messages_sent"), std::logic_error);
-  EXPECT_THROW(m.sharded_counter("net.messages_sent"), std::logic_error);
-  EXPECT_THROW(m.topk_gauge("net.messages_sent"), std::logic_error);
+  EXPECT_THROW(m.sharded("net.messages_sent"), std::logic_error);
   // Same kind re-registers fine (and returns the same instrument).
   EXPECT_EQ(&m.counter("net.messages_sent"), &m.counter("net.messages_sent"));
 
-  m.sharded_counter("bgp.updates_sent.by_domain");
+  m.sharded("bgp.updates_sent.by_domain");
   EXPECT_THROW(m.counter("bgp.updates_sent.by_domain"), std::logic_error);
-  EXPECT_THROW(m.topk_gauge("bgp.updates_sent.by_domain"), std::logic_error);
-
-  m.topk_gauge("core.state_bytes.by_domain");
-  EXPECT_THROW(m.sharded_counter("core.state_bytes.by_domain"),
-               std::logic_error);
+  EXPECT_THROW(m.gauge("bgp.updates_sent.by_domain"), std::logic_error);
+  EXPECT_THROW(m.histogram("bgp.updates_sent.by_domain"), std::logic_error);
+  EXPECT_EQ(&m.sharded("bgp.updates_sent.by_domain"),
+            &m.sharded("bgp.updates_sent.by_domain"));
 }
 
 // --------------------------------------------------- sharded instruments
 
-TEST(Sharded, CounterIsExactUnderCapacity) {
-  ShardedCounter c(/*capacity=*/8, /*export_top=*/8);
-  for (std::uint64_t key = 1; key <= 4; ++key) c.add(key, key * 10);
-  EXPECT_EQ(c.total(), 100u);
-  EXPECT_EQ(c.tracked(), 4u);
-  for (std::uint64_t key = 1; key <= 4; ++key) {
-    EXPECT_EQ(c.count_of(key), key * 10);
-  }
-  const std::vector<ShardedItem> top = c.top(8);
-  ASSERT_EQ(top.size(), 4u);
-  // Value descending; every item exact (error 0) — nothing was evicted.
-  EXPECT_EQ(top[0].key, 4u);
-  EXPECT_EQ(top[3].key, 1u);
-  for (const ShardedItem& item : top) EXPECT_EQ(item.error, 0u);
+/// The registry's snapshot of one sharded instrument.
+ShardedSample sample_of(const Sharded& s) {
+  return ShardedSample{"test.by_domain", s.values()};
 }
 
-TEST(Sharded, CounterKeepsHeavyHittersAcrossEviction) {
-  // Two heavy keys plus a stream of one-shot keys that overflow the
-  // capacity: space-saving must keep the heavy keys tracked, report
-  // per-key counts as upper bounds, and keep the grand total exact.
-  ShardedCounter c(/*capacity=*/4, /*export_top=*/4);
-  for (int i = 0; i < 500; ++i) {
-    c.add(1);
-    c.add(2);
-    c.add(1000 + static_cast<std::uint64_t>(i));  // singleton churn
+TEST(Sharded, CounterIsExactUnderCapacity) {
+  // The capacity is the key limit: every key below it counts exactly.
+  Sharded c;
+  for (std::uint64_t key = 1; key <= 4; ++key) c.add(key, key * 10);
+  c.add(Sharded::kKeyLimit - 1, 3);
+  const ShardedSample sample = sample_of(c);
+  EXPECT_EQ(sample.total(), 103u);
+  for (std::uint64_t key = 1; key <= 4; ++key) {
+    EXPECT_EQ(sample.value(key), key * 10);
   }
-  EXPECT_EQ(c.total(), 1500u);
-  EXPECT_EQ(c.tracked(), 4u);  // bounded memory
-  EXPECT_GE(c.count_of(1), 500u);  // upper bound on the true count
-  EXPECT_GE(c.count_of(2), 500u);
-  const std::vector<ShardedItem> top = c.top(2);
-  ASSERT_EQ(top.size(), 2u);
-  const std::set<std::uint64_t> heavy = {top[0].key, top[1].key};
-  EXPECT_TRUE(heavy.count(1)) << "heavy hitter 1 evicted";
-  EXPECT_TRUE(heavy.count(2)) << "heavy hitter 2 evicted";
+  EXPECT_EQ(sample.value(0), 0u);
+  EXPECT_EQ(sample.value(Sharded::kKeyLimit - 1), 3u);
+  EXPECT_EQ(sample.value(Sharded::kKeyLimit), 0u);  // past the array
+  const std::vector<ShardedItem> top = sample.top();
+  ASSERT_EQ(top.size(), 5u);  // zero-valued keys are not listed
+  EXPECT_EQ(top[0].key, 4u);
+  EXPECT_EQ(top[3].key, 1u);
+  EXPECT_EQ(top[4].key, Sharded::kKeyLimit - 1);
+}
+
+TEST(Sharded, KeyAtLimitThrows) {
+  Sharded s;
+  EXPECT_THROW(s.add(Sharded::kKeyLimit), std::length_error);
+  EXPECT_THROW(s.set(Sharded::kKeyLimit, 1), std::length_error);
+  EXPECT_THROW(s.add(UINT64_MAX), std::length_error);
+  EXPECT_TRUE(s.values().empty());  // nothing was allocated
+}
+
+TEST(Sharded, ExactOverTenThousandKeys) {
+  // 10,000 keys with distinct known counts, streamed in four interleaved
+  // rounds: every per-key value and the exported top list must equal a
+  // brute-force count. A 64-slot sketch overestimates most of them.
+  constexpr std::uint64_t kKeys = 10000;
+  const auto count_of = [](std::uint64_t key) {
+    return (key * 7919) % 10007 + 1;  // a bijection onto distinct counts
+  };
+  std::vector<std::uint64_t> order(kKeys);
+  for (std::uint64_t i = 0; i < kKeys; ++i) order[i] = (i * 6007) % kKeys;
+  Sharded c;
+  std::map<std::uint64_t, std::uint64_t> brute;
+  for (int round = 0; round < 4; ++round) {
+    for (const std::uint64_t key : order) {
+      const std::uint64_t share =
+          count_of(key) / 4 + (round == 0 ? count_of(key) % 4 : 0);
+      c.add(key, share);
+      brute[key] += share;
+    }
+  }
+  const ShardedSample sample = sample_of(c);
+  ASSERT_EQ(brute.size(), kKeys);
+  std::uint64_t total = 0;
+  for (const auto& [key, count] : brute) {
+    ASSERT_EQ(count, count_of(key));
+    EXPECT_EQ(sample.value(key), count) << "key " << key;
+    total += count;
+  }
+  EXPECT_EQ(sample.total(), total);
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranked;
+  for (const auto& [key, count] : brute) ranked.emplace_back(count, key);
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  const std::vector<ShardedItem> top = sample.top();
+  ASSERT_EQ(top.size(), kShardedTop);
+  for (std::size_t i = 0; i < kShardedTop; ++i) {
+    EXPECT_EQ(top[i].key, ranked[i].second) << "rank " << i;
+    EXPECT_EQ(top[i].value, ranked[i].first) << "rank " << i;
+  }
+}
+
+TEST(Sharded, MergedTopNeedsKeysBelowEachSidesTop) {
+  // Keys 17..32 rank below 16 in both snapshots, yet their merged counts
+  // beat every key that tops either side: only a merge that carries every
+  // key finds them.
+  Metrics left;
+  Metrics right;
+  Sharded& a = left.sharded("test.by_domain");
+  Sharded& b = right.sharded("test.by_domain");
+  for (std::uint64_t key = 1; key <= 16; ++key) a.add(key, 100);
+  for (std::uint64_t key = 33; key <= 48; ++key) b.add(key, 100);
+  for (std::uint64_t key = 17; key <= 32; ++key) {
+    a.add(key, 60);
+    b.add(key, 60);
+  }
+  for (const ShardedItem& item :
+       left.snapshot().find_sharded("test.by_domain")->top()) {
+    EXPECT_LE(item.key, 16u);
+  }
+  Snapshot merged = left.snapshot();
+  merged.merge_from(right.snapshot());
+  const ShardedSample* sample = merged.find_sharded("test.by_domain");
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->total(), 16u * 100 + 16u * 100 + 32u * 60);
+  const std::vector<ShardedItem> top = sample->top();
+  ASSERT_EQ(top.size(), kShardedTop);
+  for (std::size_t i = 0; i < kShardedTop; ++i) {
+    EXPECT_EQ(top[i].key, 17 + i);
+    EXPECT_EQ(top[i].value, 120u);
+  }
+  EXPECT_EQ(sample->value(1), 100u);
+  EXPECT_EQ(sample->value(48), 100u);
 }
 
 TEST(Sharded, TopOrdersValueDescendingThenKeyAscending) {
-  ShardedCounter c(/*capacity=*/8, /*export_top=*/8);
+  Sharded c;
   c.add(5, 10);
   c.add(3, 10);
   c.add(9, 20);
-  const std::vector<ShardedItem> top = c.top(8);
+  const std::vector<ShardedItem> top = sample_of(c).top();
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].key, 9u);
   EXPECT_EQ(top[1].key, 3u);  // ties break key-ascending — deterministic
   EXPECT_EQ(top[2].key, 5u);
 }
 
-TEST(Sharded, TopKGaugeKeepsExactTopKPerEpoch) {
-  TopKGauge g(/*k=*/3);
-  g.begin_epoch();
-  for (std::uint64_t key = 1; key <= 10; ++key) {
-    g.set(key, static_cast<double>(key * 100));
-  }
-  EXPECT_EQ(g.seen(), 10u);
-  EXPECT_DOUBLE_EQ(g.total(), 5500.0);
-  ASSERT_EQ(g.top().size(), 3u);
-  EXPECT_EQ(g.top()[0].key, 10u);
-  EXPECT_EQ(g.top()[1].key, 9u);
-  EXPECT_EQ(g.top()[2].key, 8u);
-  for (const ShardedItem& item : g.top()) EXPECT_EQ(item.error, 0u);
+TEST(Sharded, GaugeClearStartsFreshEpoch) {
+  Sharded g;
+  for (std::uint64_t key = 1; key <= 20; ++key) g.set(key, key * 100);
+  ShardedSample sample = sample_of(g);
+  EXPECT_EQ(sample.total(), 21000u);
+  ASSERT_EQ(sample.top().size(), kShardedTop);
+  EXPECT_EQ(sample.top()[0].key, 20u);
+  EXPECT_EQ(sample.top()[15].key, 5u);
 
   // A new epoch starts from scratch — stale keys do not linger.
-  g.begin_epoch();
-  g.set(42, 7.0);
-  EXPECT_EQ(g.seen(), 1u);
-  EXPECT_DOUBLE_EQ(g.total(), 7.0);
-  ASSERT_EQ(g.top().size(), 1u);
-  EXPECT_EQ(g.top()[0].key, 42u);
+  g.clear();
+  g.set(42, 7);
+  sample = sample_of(g);
+  EXPECT_EQ(sample.total(), 7u);
+  EXPECT_EQ(sample.value(20), 0u);
+  ASSERT_EQ(sample.top().size(), 1u);
+  EXPECT_EQ(sample.top()[0].key, 42u);
 }
 
 TEST(Sharded, SnapshotExportsBoundedTopAndExactTotal) {
   Metrics m;
-  ShardedCounter& c = m.sharded_counter("bgp.updates_sent.by_domain",
-                                        /*capacity=*/64, /*export_top=*/2);
-  for (std::uint64_t key = 1; key <= 5; ++key) c.add(key, key);
+  Sharded& c = m.sharded("bgp.updates_sent.by_domain");
+  for (std::uint64_t key = 1; key <= 20; ++key) c.add(key, key);
   const Snapshot snap = m.snapshot();
   const ShardedSample* sample = snap.find_sharded("bgp.updates_sent.by_domain");
   ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->kind, ShardedSample::Kind::kCounter);
-  EXPECT_DOUBLE_EQ(sample->total, 15.0);       // exact despite bounded items
-  ASSERT_EQ(sample->items.size(), 2u);         // export_top caps the view
-  EXPECT_EQ(sample->items[0].key, 5u);
-  EXPECT_EQ(sample->items[1].key, 4u);
-  EXPECT_DOUBLE_EQ(snap.sharded_total("bgp.updates_sent.by_domain"), 15.0);
+  EXPECT_EQ(sample->total(), 210u);
+  EXPECT_EQ(sample->value(3), 3u);              // every key is carried
+  EXPECT_EQ(sample->top().size(), kShardedTop);  // the export is bounded
+  EXPECT_EQ(sample->top()[0].key, 20u);
+  EXPECT_EQ(snap.sharded_total("bgp.updates_sent.by_domain"), 210u);
   EXPECT_EQ(snap.find_sharded("no.such"), nullptr);
+  EXPECT_EQ(snap.sharded_total("no.such"), 0u);
 
   std::ostringstream os;
-  snap.write_json(os);
-  EXPECT_NE(os.str().find("\"sharded\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"bgp.updates_sent.by_domain\""),
-            std::string::npos);
+  snap.write_jsonl(os);
+  const std::string line = os.str();
+  EXPECT_NE(line.find("\"sharded\":{\"bgp.updates_sent.by_domain\":"
+                      "{\"total\":210,\"top\":[{\"key\":20,\"value\":20},"
+                      "{\"key\":19,\"value\":19},"),
+            std::string::npos)
+      << line;
+  std::size_t items = 0;
+  for (std::size_t at = line.find("\"key\""); at != std::string::npos;
+       at = line.find("\"key\"", at + 1)) {
+    ++items;
+  }
+  EXPECT_EQ(items, kShardedTop);
+  EXPECT_EQ(line.find("\"error\""), std::string::npos);
 }
 
 // ------------------------------------------------ snapshot binary search

@@ -1,6 +1,6 @@
 // Scale-ladder regression tests (ctest label: scale).
 //
-// Two gates keep the Internet-scale work honest:
+// Three gates keep the Internet-scale work honest:
 //
 //  * Behavior: the 256-domain converged-RIB, path and tree digests are
 //    pinned to the values committed in BENCH_macro.json. The arena RIB,
@@ -12,12 +12,15 @@
 //    messages sent and deliveries batched inline. A delivery-batching
 //    guard off by one seq keeps every digest and moves events_run by
 //    0.6%, inside the 25% that macro_scenario --check allows.
+//  * Attribution: at 256 domains the exact per-domain counters add up to
+//    the scalar counters they break down.
 //  * Memory: a 1k-domain smoke run (capped ladder shape) must keep
 //    core.state_bytes_per_domain under a committed budget, so state that
 //    silently grows superlinearly fails here before the 10k CI rung.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string_view>
 
 #include "core/internet.hpp"
 #include "eval/scenario.hpp"
@@ -66,8 +69,23 @@ struct RunResult {
   std::uint64_t events_run = 0;
   std::uint64_t messages_sent = 0;
   std::uint64_t deliveries_batched = 0;
+  std::uint64_t updates_sent = 0;
+  std::uint64_t updates_sent_by_domain = 0;  // sum of the per-AS values
+  std::uint64_t delivered = 0;
+  std::uint64_t delivered_by_domain = 0;     // sum of the per-domain values
   double state_bytes_per_domain = 0.0;
 };
+
+/// Sums the per-key values of a sharded instrument one key at a time.
+std::uint64_t sum_of_keys(const obs::Snapshot& snap, std::string_view name) {
+  const obs::ShardedSample* sample = snap.find_sharded(name);
+  if (sample == nullptr) return 0;
+  std::uint64_t sum = 0;
+  for (std::uint64_t key = 0; key < sample->values.size(); ++key) {
+    sum += sample->value(key);
+  }
+  return sum;
+}
 
 RunResult run_ladder_rung(const ScenarioSpec& spec) {
   core::Internet net(spec.seed);
@@ -82,6 +100,10 @@ RunResult run_ladder_rung(const ScenarioSpec& spec) {
   r.events_run = net.events().events_run();
   r.messages_sent = snap.counter_value("net.messages_sent");
   r.deliveries_batched = snap.counter_value("net.deliveries_batched");
+  r.updates_sent = snap.counter_value("bgp.updates_sent");
+  r.updates_sent_by_domain = sum_of_keys(snap, "bgp.updates_sent.by_domain");
+  r.delivered = snap.counter_value("net.messages_delivered");
+  r.delivered_by_domain = sum_of_keys(snap, "net.messages_delivered.by_domain");
   r.digest = rib_digest(net);
   r.path_digest = path_digest(net);
   r.tree_digest = tree_digest(net);
@@ -97,6 +119,17 @@ TEST(ScaleLadder, Digest256MatchesCommittedBaseline) {
   EXPECT_EQ(r.messages_sent, kMessagesSent256);
   EXPECT_EQ(r.deliveries_batched, kDeliveriesBatched256);
   EXPECT_GT(r.state_bytes_per_domain, 0.0);
+}
+
+TEST(ScaleLadder, PerDomainCountsAddUpAt256) {
+  // Per-domain attribution is exact: at 256 domains every domain sends and
+  // receives, and the per-key values still add up to the scalar counters
+  // they break down.
+  const RunResult r = run_ladder_rung(ladder_spec(256));
+  EXPECT_GT(r.updates_sent, 0u);
+  EXPECT_EQ(r.updates_sent_by_domain, r.updates_sent);
+  EXPECT_GT(r.delivered, 0u);
+  EXPECT_EQ(r.delivered_by_domain, r.delivered);
 }
 
 TEST(ScaleLadder, Smoke1kStaysUnderStateBudget) {

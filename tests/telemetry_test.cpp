@@ -266,7 +266,7 @@ TEST(Recorder, HistogramsExpandToCountAndSum) {
   core::Internet net;
   net.metrics().histogram("test.latency").observe(2.0);
   net.metrics().histogram("test.latency").observe(3.0);
-  net.metrics().sharded_counter("test.by_domain").add(7);
+  net.metrics().sharded("test.by_domain").add(7);
   eval::TelemetrySpec telemetry;
   telemetry.recorder_interval_seconds = 1.0;
   eval::TelemetrySession session(net, telemetry);
