@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -350,6 +351,26 @@ void BM_BgpPropagation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BgpPropagation)->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------------------ generators
+
+// One 64-bit draw, refills included (one per 312 draws). A simulated week
+// of the workload engine at the 1k rung draws about 25M of them.
+template <typename Generator>
+void draw_loop(benchmark::State& state) {
+  Generator generator(42);
+  for (auto _ : state) benchmark::DoNotOptimize(generator());
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_Mt64Draw(benchmark::State& state) { draw_loop<net::Mt64>(state); }
+BENCHMARK(BM_Mt64Draw);
+
+// The same stream from the standard library, for comparison.
+void BM_StdMt19937_64Draw(benchmark::State& state) {
+  draw_loop<std::mt19937_64>(state);
+}
+BENCHMARK(BM_StdMt19937_64Draw);
 
 // ------------------------------------------------------- workload engine
 

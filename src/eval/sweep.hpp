@@ -83,8 +83,9 @@ struct SweepConfig {
 
 struct SweepResult {
   std::vector<SweepCellResult> cells;  ///< sorted by cell key
-  /// Cross-cell aggregate: counters/gauges summed, histograms merged at
-  /// bucket level (see Snapshot::merge_from). Failed cells excluded.
+  /// Cross-cell aggregate: counters summed, gauges averaged over the cells
+  /// that carried them, histograms merged at bucket level (see
+  /// Snapshot::merge_from). Failed cells excluded.
   obs::Snapshot merged;
   double wall_seconds = 0.0;
   int threads = 0;

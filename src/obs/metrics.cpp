@@ -103,7 +103,7 @@ HistogramStats Snapshot::histogram_stats(std::string_view name) const {
 void Snapshot::merge_from(const Snapshot& other) {
   sim_time_seconds = std::max(sim_time_seconds, other.sim_time_seconds);
   // Samples are name-sorted in every snapshot; a linear merge keeps them
-  // that way. Counters add; gauges add (cross-cell sums).
+  // that way. Counters add; gauges average over the cells carrying them.
   std::vector<Sample> merged;
   merged.reserve(samples.size() + other.samples.size());
   auto a = samples.begin();
@@ -116,9 +116,17 @@ void Snapshot::merge_from(const Snapshot& other) {
       merged.push_back(*b++);
     } else {
       Sample s = std::move(*a++);
-      s.count += b->count;
-      s.value += b->value;
-      merged.push_back(s);
+      if (s.kind == Sample::Kind::kCounter) {
+        s.count += b->count;
+        s.value += b->value;
+      } else {
+        const auto cells = static_cast<double>(s.cells + b->cells);
+        s.value = (s.value * static_cast<double>(s.cells) +
+                   b->value * static_cast<double>(b->cells)) /
+                  cells;
+        s.cells += b->cells;
+      }
+      merged.push_back(std::move(s));
       ++b;
     }
   }

@@ -62,6 +62,9 @@ struct Sample {
   Kind kind = Kind::kCounter;
   std::uint64_t count = 0;  ///< exact value for counters
   double value = 0.0;       ///< value for gauges (== count for counters)
+  /// For gauges: how many snapshots `value` is the mean of (1 until
+  /// merge_from folds in another).
+  std::uint64_t cells = 1;
 };
 
 /// One exported histogram distribution. Snapshots carry the full bucket
@@ -113,14 +116,16 @@ struct Snapshot {
   /// JSONL time series (`scenario_runner --metrics-every`).
   void write_jsonl(std::ostream& os) const;
 
-  /// Folds another run's snapshot into this one: counters and gauges add
-  /// by name (instruments absent on either side are kept/adopted),
-  /// histograms merge at bucket level, so the combined quantiles reflect
-  /// every underlying sample rather than an average of averages, and
-  /// sharded instruments add per key.
+  /// Folds another run's snapshot into this one: counters add by name,
+  /// gauges become the mean over the snapshots that carried them
+  /// (instruments absent on either side are kept/adopted), histograms
+  /// merge at bucket level, so the combined quantiles reflect every
+  /// underlying sample rather than an average of averages, and sharded
+  /// instruments add per key.
   /// sim_time_seconds becomes the max of the two (the longest run). The
   /// aggregation semantics of the sweep engine: counters are event totals
-  /// across cells, gauges become cross-cell sums.
+  /// across cells, gauges are per-cell means (a ratio or a per-domain
+  /// size summed over cells would mean nothing).
   void merge_from(const Snapshot& other);
 };
 

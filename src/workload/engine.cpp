@@ -22,7 +22,7 @@ Engine::Engine(const Spec& spec, std::uint32_t domain_count,
     : spec_(spec),
       domain_count_(domain_count),
       roots_(std::move(roots)),
-      churn_rng_(churn_stream(seed)) {
+      churn_rng_(churn_seed(seed)) {
   if (domain_count_ < 2) {
     throw std::invalid_argument("workload: need at least 2 domains");
   }
@@ -60,7 +60,7 @@ Engine::Engine(const Spec& spec, std::uint32_t domain_count,
   // Flash crowds from a dedicated stream: biasing the group draw by u²
   // points bursts at popular ranks (the flash regime BIER-Star's LEO
   // scenarios motivate) while still occasionally hitting the tail.
-  std::mt19937_64 flash_rng(seed * 0xA24BAED4963EE407ull + 5);
+  net::Mt64 flash_rng(seed * 0xA24BAED4963EE407ull + 5);
   const std::int64_t horizon = spec_.ticks();
   const auto duration_ticks = std::max<std::int64_t>(
       1, std::llround(spec_.flash_duration_seconds / spec_.tick_seconds));
@@ -83,12 +83,15 @@ Engine::Engine(const Spec& spec, std::uint32_t domain_count,
             });
 
   cell_base_.resize(groups + 1, 0);
+  block_base_.resize(groups + 1, 0);
   for (std::uint32_t g = 0; g < groups; ++g) {
     cell_base_[g + 1] = cell_base_[g] + spans_[g];
+    block_base_[g + 1] =
+        block_base_[g] + (spans_[g] + kBlockSlots - 1) / kBlockSlots;
   }
   counts_.assign(cell_base_[groups], 0);
+  block_counts_.assign(block_base_[groups], 0);
   hops_.assign(cell_base_[groups], 0);
-  fenwick_.assign(cell_base_[groups] + groups, 0);  // +1 slot per tree
   group_total_.assign(groups, 0);
   domain_members_.assign(domain_count_, 0);
   load_rate_.assign(domain_count_, 0);
@@ -119,59 +122,17 @@ std::uint32_t Engine::slot_domain(std::uint32_t g, std::uint32_t slot) const {
   return e < roots_[g] ? e : e + 1;  // skip the group's root domain
 }
 
-std::uint64_t Engine::poisson(std::mt19937_64& rng, double lambda) {
-  if (lambda <= 0.0) return 0;
-  std::uint64_t k = 0;
-  double acc = -std::log(1.0 - u01(rng));
-  while (acc <= lambda) {
-    ++k;
-    acc += -std::log(1.0 - u01(rng));
-  }
-  return k;
-}
-
-std::uint64_t Engine::draw_index(std::mt19937_64& rng, std::uint64_t n) {
-  if (n == 0) throw std::invalid_argument("workload: draw_index(0)");
-  if (n == 1) return 0;  // no draw: zero-entropy picks must not advance rng
-  std::uint64_t mask = n - 1;
-  mask |= mask >> 1;
-  mask |= mask >> 2;
-  mask |= mask >> 4;
-  mask |= mask >> 8;
-  mask |= mask >> 16;
-  mask |= mask >> 32;
-  for (;;) {
-    const std::uint64_t r = rng() & mask;
-    if (r < n) return r;
-  }
-}
-
-void Engine::fenwick_add(std::uint32_t g, std::uint32_t slot,
-                         std::int32_t delta) {
-  // Tree g lives at fenwick_[cell_base_[g] + g], 1-based over spans_[g].
-  std::uint32_t* tree = fenwick_.data() + cell_base_[g] + g;
-  const std::uint32_t n = spans_[g];
-  for (std::uint32_t i = slot + 1; i <= n; i += i & (~i + 1)) {
-    tree[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(tree[i]) +
-                                         delta);
-  }
-}
-
 std::uint32_t Engine::find_member_slot(std::uint32_t g,
                                        std::uint64_t k) const {
-  const std::uint32_t* tree = fenwick_.data() + cell_base_[g] + g;
-  const std::uint32_t n = spans_[g];
-  std::uint32_t bit = 1;
-  while ((bit << 1) <= n) bit <<= 1;
-  std::uint32_t pos = 0;
-  for (; bit != 0; bit >>= 1) {
-    const std::uint32_t next = pos + bit;
-    if (next <= n && tree[next] <= k) {
-      pos = next;
-      k -= tree[next];
-    }
+  const std::uint32_t* blocks = block_counts_.data() + block_base_[g];
+  std::uint32_t slot = 0;
+  for (; k >= *blocks; ++blocks) {
+    k -= *blocks;
+    slot += kBlockSlots;
   }
-  return pos;  // 0-based slot whose prefix sum first exceeds the target
+  const std::uint32_t* cells = counts_.data() + cell_base_[g];
+  for (; k >= cells[slot]; ++slot) k -= cells[slot];
+  return slot;
 }
 
 void Engine::flush_domain(std::uint32_t d) {
@@ -184,7 +145,7 @@ void Engine::flush_domain(std::uint32_t d) {
 
 void Engine::apply_join(std::uint32_t g, std::uint32_t slot) {
   std::uint32_t& count = counts_[cell_base_[g] + slot];
-  fenwick_add(g, slot, 1);
+  ++block_counts_[block_base_[g] + slot / kBlockSlots];
   ++count;
   if (++group_total_[g] == 1) ++active_groups_;
   ++members_total_;
@@ -207,7 +168,7 @@ void Engine::apply_join(std::uint32_t g, std::uint32_t slot) {
 
 void Engine::apply_leave(std::uint32_t g, std::uint32_t slot) {
   std::uint32_t& count = counts_[cell_base_[g] + slot];
-  fenwick_add(g, slot, -1);
+  --block_counts_[block_base_[g] + slot / kBlockSlots];
   --count;
   if (--group_total_[g] == 0) --active_groups_;
   --members_total_;

@@ -5,12 +5,13 @@
 // joins (rate = arrivals × zipf weight × diurnal × flash) and a Poisson
 // number of leaves (rate = current members / mean lifetime), placing
 // joins uniformly over the group's domain-affinity span and removing
-// leaves uniformly over current members (a Fenwick tree gives O(log span)
-// member sampling). Every 0↔nonzero cell transition is reported to the
-// observer in draw order — that is where the session layer fires the real
-// BGMP join/prune — and updates the cell's domain's aggregate tree-edge
-// load rate (packets/tick × hops to the group root, integers throughout
-// so the differential oracle can demand exact equality).
+// leaves uniformly over current members (one member count per 16-slot
+// block, beside the per-cell counts, finds the member's slot with a scan
+// of blocks and then cells). Every 0↔nonzero cell transition is reported
+// to the observer in draw order — that is where the session layer fires
+// the real BGMP join/prune — and updates the cell's domain's aggregate
+// tree-edge load rate (packets/tick × hops to the group root, integers
+// throughout so the differential oracle can demand exact equality).
 //
 // The engine is deliberately free of any core::Internet dependency: it is
 // a pure function of {seed, Spec, domain_count, roots} plus the injected
@@ -19,17 +20,20 @@
 // at 10k domains × 2.5k groups without building a network.
 //
 // Determinism: all randomness flows through the engine's own primitives
-// (u01 / poisson / draw_index below) over std::mt19937_64 — no
+// (u01 / poisson / draw_index below) over net::Mt64, which yields the
+// standard library's mt19937_64 stream for every seed — no
 // std::*_distribution, whose draw counts vary across standard libraries.
 // The only platform dependence left is libm rounding in log/sin; ticks
 // run between event-queue runs, so same-seed reruns are byte-identical.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
-#include <random>
+#include <stdexcept>
 #include <vector>
 
+#include "net/rng.hpp"
 #include "workload/spec.hpp"
 
 namespace workload {
@@ -121,7 +125,7 @@ class Engine {
 
   // ---- the shared process definition ------------------------------------
   // The oracle reference model reuses these so the *inputs* of both state
-  // machines agree by construction; the state evolution (Fenwick sampling
+  // machines agree by construction; the state evolution (block-sum sampling
   // and lazy load accounting vs brute-force scans) is what differs.
   [[nodiscard]] double group_weight(std::uint32_t g) const {
     return weights_[g];
@@ -137,40 +141,67 @@ class Engine {
     return packets_per_tick_[g];
   }
 
+  // The primitives are templates on the generator so that the oracle
+  // replays the engine's draws from the standard library's mt19937_64, an
+  // independent implementation of the same stream.
+
   /// Uniform double in [0, 1) — 53 bits straight off the engine.
-  [[nodiscard]] static double u01(std::mt19937_64& rng) {
+  template <typename Gen>
+  [[nodiscard]] static double u01(Gen& rng) {
     return static_cast<double>(rng() >> 11) * 0x1.0p-53;
   }
   /// Poisson(lambda) by exponential inter-arrival summation: O(lambda)
   /// draws, no std::poisson_distribution (draw counts there are
   /// implementation-defined, which would break the oracle's shared
   /// stream).
-  [[nodiscard]] static std::uint64_t poisson(std::mt19937_64& rng,
-                                             double lambda);
+  template <typename Gen>
+  [[nodiscard]] static std::uint64_t poisson(Gen& rng, double lambda) {
+    if (lambda <= 0.0) return 0;
+    std::uint64_t k = 0;
+    double acc = -std::log(1.0 - u01(rng));
+    while (acc <= lambda) {
+      ++k;
+      acc += -std::log(1.0 - u01(rng));
+    }
+    return k;
+  }
   /// Uniform index in [0, n) by masked rejection (portable; n >= 1).
-  [[nodiscard]] static std::uint64_t draw_index(std::mt19937_64& rng,
-                                                std::uint64_t n);
-  /// The churn stream a given seed produces — the engine draws from
-  /// exactly this generator, so a reference model seeded the same way
+  template <typename Gen>
+  [[nodiscard]] static std::uint64_t draw_index(Gen& rng, std::uint64_t n) {
+    if (n == 0) throw std::invalid_argument("workload: draw_index(0)");
+    if (n == 1) return 0;  // no draw: zero-entropy picks must not advance rng
+    std::uint64_t mask = n - 1;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    for (;;) {
+      const std::uint64_t r = rng() & mask;
+      if (r < n) return r;
+    }
+  }
+  /// The seed of the churn stream the engine draws from, for a given
+  /// engine seed: a reference model that seeds its own generator with it
   /// replays the identical draw sequence.
-  [[nodiscard]] static std::mt19937_64 churn_stream(std::uint64_t seed) {
-    return std::mt19937_64(seed * 0x9E3779B97F4A7C15ull +
-                           0xD1B54A32D192ED03ull);
+  [[nodiscard]] static constexpr std::uint64_t churn_seed(std::uint64_t seed) {
+    return seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull;
   }
 
  private:
   void flush_domain(std::uint32_t d);
   void apply_join(std::uint32_t g, std::uint32_t slot);
   void apply_leave(std::uint32_t g, std::uint32_t slot);
-  /// Fenwick prefix-descent: the slot holding the (k+1)-th member of g.
+  /// The slot holding the (k+1)-th member of g in slot order: the first
+  /// slot whose prefix sum exceeds k. Requires k < group_total_[g].
   [[nodiscard]] std::uint32_t find_member_slot(std::uint32_t g,
                                                std::uint64_t k) const;
-  void fenwick_add(std::uint32_t g, std::uint32_t slot, std::int32_t delta);
 
   Spec spec_;
   std::uint32_t domain_count_;
   std::vector<std::uint32_t> roots_;
-  std::mt19937_64 churn_rng_;
+  net::Mt64 churn_rng_;
 
   // Per-group derived process parameters.
   std::vector<double> weights_;              // normalized zipf
@@ -179,10 +210,13 @@ class Engine {
   std::vector<std::uint64_t> packets_per_tick_;
   std::vector<FlashCrowd> flashes_;          // sorted by start_tick
 
-  // Cell state, flattened per group at cell_base_[g].
+  // Cell state, flattened per group at cell_base_[g]; block b of group g
+  // sums the counts of its slots [b * kBlockSlots, (b + 1) * kBlockSlots).
+  static constexpr std::uint32_t kBlockSlots = 16;
   std::vector<std::size_t> cell_base_;       // groups + 1 entries
   std::vector<std::uint32_t> counts_;        // members per cell
-  std::vector<std::uint32_t> fenwick_;       // one tree per group, 1-based
+  std::vector<std::size_t> block_base_;      // groups + 1 entries
+  std::vector<std::uint32_t> block_counts_;  // members per block
   std::vector<std::uint32_t> hops_;          // cached hops while nonzero
   std::vector<std::uint64_t> group_total_;
 

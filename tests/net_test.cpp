@@ -1,9 +1,13 @@
 // Unit and property tests for the net substrate: addresses, prefixes, the
-// radix trie, simulated time, the event queue and the message network.
+// radix trie, simulated time, the event queue, the message network and the
+// random number generators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -17,6 +21,7 @@
 #include "net/prefix_trie.hpp"
 #include "net/rng.hpp"
 #include "net/time.hpp"
+#include "workload/engine.hpp"
 
 namespace net {
 namespace {
@@ -723,6 +728,101 @@ TEST(Rng, SplitProducesIndependentStream) {
     }
   }
   EXPECT_TRUE(differs);
+}
+
+// -------------------------------------------------------------------- Mt64
+
+static_assert(std::uniform_random_bit_generator<Mt64>);
+
+TEST(Mt64, MatchesStdMt19937_64AcrossRefills) {
+  // Seeds at the edges of the seed space, the workload engine's churn
+  // stream for seeds 1 and 7, and its flash stream for the same seeds.
+  const std::uint64_t seeds[] = {
+      0,
+      1,
+      ~std::uint64_t{0},
+      workload::Engine::churn_seed(1),
+      workload::Engine::churn_seed(7),
+      1 * 0xA24BAED4963EE407ull + 5,
+      7 * 0xA24BAED4963EE407ull + 5,
+  };
+  constexpr int kDraws = 12 * 312;  // one refill per 312 draws
+  for (const std::uint64_t seed : seeds) {
+    Mt64 fast(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(fast(), reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt64, EqualityTracksPosition) {
+  Mt64 a(42);
+  Mt64 b(42);
+  EXPECT_EQ(a, b);
+  (void)a();
+  EXPECT_NE(a, b);
+  (void)b();
+  EXPECT_EQ(a, b);
+}
+
+/// Rng's draws re-derived over the standard library's engine: every
+/// method must return what the same distribution returns there.
+class StdRngTwin {
+ public:
+  explicit StdRngTwin(std::uint64_t seed) : engine_(seed) {}
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>{lo, hi}(engine_);
+  }
+  double uniform_real(double lo, double hi) {
+    return std::uniform_real_distribution<double>{lo, hi}(engine_);
+  }
+  bool chance(double p) { return std::bernoulli_distribution{p}(engine_); }
+  SimTime uniform_time(SimTime lo, SimTime hi) {
+    return SimTime::nanoseconds(uniform_int(lo.ns(), hi.ns()));
+  }
+  StdRngTwin split() { return StdRngTwin{engine_()}; }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+TEST(Rng, DrawsMatchStdMt19937_64Twin) {
+  constexpr int kCalls = 10'000;
+  Rng rng(20261019);
+  StdRngTwin twin(20261019);
+  // Ranges vary per call, from one value to the whole int64 range, so the
+  // distributions take their narrow, wide and full-range paths.
+  const std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (int i = 0; i < kCalls; ++i) {
+    const std::int64_t lo = -(std::int64_t{1} << (i % 40));
+    const std::int64_t hi = i % 7 == 0 ? lo : std::int64_t{1} << (i % 63);
+    ASSERT_EQ(rng.uniform_int(lo, hi), twin.uniform_int(lo, hi)) << i;
+    if (i % 100 == 0) {
+      ASSERT_EQ(rng.uniform_int(kMin, kMax), twin.uniform_int(kMin, kMax));
+    }
+  }
+  for (int i = 0; i < kCalls; ++i) {
+    const double lo = -0.5 * (i % 13);
+    const double hi = lo + 1.0 + 1000.0 * (i % 5);
+    ASSERT_EQ(rng.uniform_real(lo, hi), twin.uniform_real(lo, hi)) << i;
+  }
+  for (int i = 0; i < kCalls; ++i) {
+    const double p = (i % 11) / 10.0;  // 0, 0.1, ..., 1
+    ASSERT_EQ(rng.chance(p), twin.chance(p)) << i;
+  }
+  for (int i = 0; i < kCalls; ++i) {
+    const SimTime lo = SimTime::seconds(i % 60);
+    const SimTime hi = lo + SimTime::hours(1 + i % 95);
+    ASSERT_EQ(rng.uniform_time(lo, hi), twin.uniform_time(lo, hi)) << i;
+  }
+  for (int i = 0; i < kCalls; ++i) {
+    Rng child = rng.split();
+    StdRngTwin child_twin = twin.split();
+    ASSERT_EQ(child.uniform_int(0, kMax), child_twin.uniform_int(0, kMax))
+        << i;
+  }
 }
 
 // ------------------------------------------------------------ MessagePool

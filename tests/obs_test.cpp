@@ -291,7 +291,7 @@ TEST(Metrics, SnapshotMergeFromCombinesRegistries) {
   EXPECT_EQ(merged.counter_value("net.messages_sent"), 42u);
   EXPECT_EQ(merged.counter_value("only.in_run1"), 1u);
   EXPECT_EQ(merged.counter_value("only.in_run2"), 2u);
-  EXPECT_DOUBLE_EQ(merged.gauge_value("bgp.grib_routes"), 12.0);
+  EXPECT_DOUBLE_EQ(merged.gauge_value("bgp.grib_routes"), 6.0);  // mean
   EXPECT_DOUBLE_EQ(merged.sim_time_seconds, 250.0);  // max, not sum
 
   const HistogramStats stats =
@@ -307,6 +307,34 @@ TEST(Metrics, SnapshotMergeFromCombinesRegistries) {
   reference.observe(0.04);
   EXPECT_DOUBLE_EQ(stats.p50, reference.quantile(0.50));
   EXPECT_DOUBLE_EQ(stats.p99, reference.quantile(0.99));
+}
+
+TEST(Metrics, MergedGaugeIsMeanOverCellsCarryingIt) {
+  // Three cells fold in one at a time, as a sweep merges them; the third
+  // lacks one gauge, which then averages over the two cells that had it.
+  Metrics cell1;
+  cell1.gauge("core.state_bytes_per_domain").set(100.0);
+  cell1.gauge("masc.pool_utilization").set(0.25);
+  Metrics cell2;
+  cell2.gauge("core.state_bytes_per_domain").set(200.0);
+  cell2.gauge("masc.pool_utilization").set(0.75);
+  Metrics cell3;
+  cell3.gauge("core.state_bytes_per_domain").set(600.0);
+  cell3.counter("net.messages_sent").inc(3);
+
+  Snapshot merged = cell1.snapshot();
+  merged.merge_from(cell2.snapshot());
+  merged.merge_from(cell3.snapshot());
+  EXPECT_DOUBLE_EQ(merged.gauge_value("core.state_bytes_per_domain"), 300.0);
+  EXPECT_DOUBLE_EQ(merged.gauge_value("masc.pool_utilization"), 0.5);
+  EXPECT_EQ(merged.counter_value("net.messages_sent"), 3u);
+
+  // Merging merged snapshots weighs each side by the cells behind it.
+  Snapshot pair = cell1.snapshot();
+  pair.merge_from(cell2.snapshot());
+  Snapshot single = cell3.snapshot();
+  single.merge_from(pair);
+  EXPECT_DOUBLE_EQ(single.gauge_value("core.state_bytes_per_domain"), 300.0);
 }
 
 TEST(Metrics, HistogramRegistersLikeOtherInstruments) {

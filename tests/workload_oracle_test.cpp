@@ -1,15 +1,18 @@
 // Differential oracle for the workload engine (src/workload/engine.hpp).
 //
-// The engine evolves member counts with a Fenwick tree for leave
+// The engine evolves member counts with per-block sums for leave
 // sampling and lazy per-domain load accumulators; the reference model
 // here replays the SAME {seed, spec} with the dumbest possible state —
 // plain per-cell vectors, linear scans, per-tick load summation. Both
-// consume one canonical draw sequence (Engine::churn_stream, the
-// engine's own poisson/draw_index primitives, groups in rank order,
-// joins before leaves), so after any number of ticks every observable
-// must agree EXACTLY: per-domain member counts, per-group totals, the
-// full 0↔nonzero transition sequence in draw order, and the per-domain
-// tree-edge load totals (integers — no tolerance).
+// consume one canonical draw sequence (the churn stream seeded with
+// Engine::churn_seed, the engine's own poisson/draw_index primitives,
+// groups in rank order, joins before leaves), so after any number of
+// ticks every observable must agree EXACTLY: per-domain member counts,
+// per-group totals, the full 0↔nonzero transition sequence in draw
+// order, and the per-domain tree-edge load totals (integers — no
+// tolerance). The engine draws from net::Mt64 and the reference from
+// std::mt19937_64, so the grid also checks that the two generators
+// agree.
 //
 // The statistical half checks the processes themselves: the Zipf
 // rank-frequency slope of realized joins matches -zipf_alpha, and total
@@ -22,6 +25,7 @@
 #include <random>
 #include <vector>
 
+#include "net/rng.hpp"
 #include "workload/engine.hpp"
 #include "workload/spec.hpp"
 
@@ -52,9 +56,10 @@ class RefModel {
  public:
   RefModel(const Spec& spec, const Engine& params, std::uint32_t domains,
            std::uint64_t seed)
-      : spec_(spec),
+      : leaves_by_slot(params.groups()),
+        spec_(spec),
         params_(params),
-        rng_(Engine::churn_stream(seed)),
+        rng_(Engine::churn_seed(seed)),
         counts_(params.groups()),
         hops_(params.groups()),
         domain_members_(domains, 0),
@@ -62,6 +67,7 @@ class RefModel {
     for (std::uint32_t g = 0; g < params.groups(); ++g) {
       counts_[g].assign(params.span_of(g), 0);
       hops_[g].assign(params.span_of(g), 0);
+      leaves_by_slot[g].assign(params.span_of(g), 0);
     }
   }
 
@@ -116,6 +122,7 @@ class RefModel {
   std::uint64_t joins = 0;
   std::uint64_t leaves = 0;
   std::vector<RefTransition> transitions;
+  std::vector<std::vector<std::uint64_t>> leaves_by_slot;  // [group][slot]
 
   [[nodiscard]] const std::vector<std::uint64_t>& domain_members() const {
     return domain_members_;
@@ -150,6 +157,7 @@ class RefModel {
     --domain_members_[d];
     --members;
     ++leaves;
+    ++leaves_by_slot[g][slot];
   }
 
   Spec spec_;
@@ -183,18 +191,14 @@ Spec oracle_spec() {
 
 // ------------------------------------------------- the differential grid
 
-class WorkloadOracle : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(WorkloadOracle, EngineMatchesBruteForceReplayExactly) {
-  const std::uint64_t seed = GetParam();
-  const Spec spec = oracle_spec();
-  // Seed-varied topology size, roots spread over the domains.
-  const std::uint32_t domains = 24 + static_cast<std::uint32_t>(seed % 3) * 16;
-  std::vector<std::uint32_t> roots;
-  for (int g = 0; g < spec.groups; ++g) {
-    roots.push_back(static_cast<std::uint32_t>((g * 7 + seed) % domains));
-  }
-
+/// Ticks an engine and the reference model side by side over the whole
+/// horizon and checks that every observable agrees. Hands back the
+/// reference's leaves per (group, slot) through `leaves_by_slot`, so
+/// callers can check where the leaves landed.
+void expect_replay_matches(
+    const Spec& spec, std::uint32_t domains,
+    const std::vector<std::uint32_t>& roots, std::uint64_t seed,
+    std::vector<std::vector<std::uint64_t>>* leaves_by_slot = nullptr) {
   Engine engine(spec, domains, roots, seed);
   engine.set_hops_fn(synthetic_hops);
   std::vector<RefTransition> engine_transitions;
@@ -255,10 +259,58 @@ TEST_P(WorkloadOracle, EngineMatchesBruteForceReplayExactly) {
   twin.set_hops_fn(synthetic_hops);
   for (std::int64_t i = 0; i < spec.ticks(); ++i) twin.tick();
   EXPECT_EQ(twin.digest(), engine.digest());
+  if (leaves_by_slot != nullptr) *leaves_by_slot = ref.leaves_by_slot;
+}
+
+class WorkloadOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WorkloadOracle, EngineMatchesBruteForceReplayExactly) {
+  const std::uint64_t seed = GetParam();
+  const Spec spec = oracle_spec();
+  // Seed-varied topology size, roots spread over the domains.
+  const std::uint32_t domains = 24 + static_cast<std::uint32_t>(seed % 3) * 16;
+  std::vector<std::uint32_t> roots;
+  for (int g = 0; g < spec.groups; ++g) {
+    roots.push_back(static_cast<std::uint32_t>((g * 7 + seed) % domains));
+  }
+  expect_replay_matches(spec, domains, roots, seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkloadOracle,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+// Every group spans GetParam() slots. The engine finds a leaving member
+// by scanning 16-slot blocks and then cells, so spans that stop short of,
+// at and just past a block edge, and one of 1023 slots (64 blocks, the
+// last holding 15), must replay exactly too, with leaves drawn from the
+// last block.
+class WorkloadBlocks : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(WorkloadBlocks, SpanEdgesMatchBruteForceReplay) {
+  const std::uint32_t span = GetParam();
+  Spec spec = oracle_spec();
+  spec.groups = 4;
+  spec.span_base = static_cast<int>(span);
+  spec.span_alpha = 0.0;  // every group spans span_base slots
+  const std::uint32_t domains = 1024;  // 1023 eligible slots per group
+  const std::vector<std::uint32_t> roots = {0, 5, 511, 1023};
+
+  std::vector<std::vector<std::uint64_t>> leaves;
+  expect_replay_matches(spec, domains, roots, /*seed=*/3, &leaves);
+  ASSERT_FALSE(HasFatalFailure());
+  ASSERT_EQ(leaves.size(), 4u);
+  std::uint64_t last_block_leaves = 0;
+  for (const std::vector<std::uint64_t>& by_slot : leaves) {
+    ASSERT_EQ(by_slot.size(), span);
+    for (std::uint32_t slot = (span - 1) / 16 * 16; slot < span; ++slot) {
+      last_block_leaves += by_slot[slot];
+    }
+  }
+  EXPECT_GT(last_block_leaves, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Spans, WorkloadBlocks,
+                         ::testing::Values(1u, 15u, 16u, 17u, 1023u));
 
 // ------------------------------------------------------ process statistics
 
@@ -349,8 +401,8 @@ TEST(WorkloadProcesses, PoissonPrimitiveMeanAndVariance) {
 TEST(WorkloadProcesses, SingletonDrawConsumesNoEntropy) {
   // draw_index(1) must not advance the stream: a rank whose span is 1
   // would otherwise shift every later draw when spans are re-derived.
-  std::mt19937_64 a(99);
-  std::mt19937_64 b(99);
+  net::Mt64 a(99);
+  net::Mt64 b(99);
   EXPECT_EQ(Engine::draw_index(a, 1), 0u);
   EXPECT_EQ(a, b) << "draw_index(1) advanced the generator";
   EXPECT_EQ(a(), b());
