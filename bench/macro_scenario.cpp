@@ -110,7 +110,8 @@ struct Results {
   double items_per_second = 0.0;  // protocol ops (claims+joins+deliveries)
   std::uint64_t peak_rss_kib = 0;
   double state_bytes_per_domain = 0.0;
-  // Incremental shortest-path engine work (vs one full build per source).
+  // Hop-distance cache work: BFS trees built (one per queried source
+  // between link changes) and the nodes those builds settled.
   std::uint64_t path_full_builds = 0;
   std::uint64_t path_nodes_touched = 0;
   // Mean inter-domain hops actually travelled per delivery vs the
@@ -154,9 +155,9 @@ Results run_scenario(const eval::ScenarioSpec& spec,
 
   // Delivery stretch: compare each delivery's travelled hop count with
   // the current shortest path between source and member domain. The
-  // queries watch one BFS tree per source domain; the flap phase then
-  // exercises the incremental repairs. Pure observation — no events or
-  // RNG draws — so the digest gate is unaffected.
+  // queries build one BFS tree per source domain, cached until the next
+  // link change. Pure observation — no events or RNG draws — so the
+  // digest gate is unaffected.
   std::uint64_t hops_travelled = 0;
   std::uint64_t hops_shortest = 0;
   std::uint64_t stretch_samples = 0;

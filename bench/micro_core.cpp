@@ -15,7 +15,6 @@
 #include "masc/claim_algorithm.hpp"
 #include "masc/registry.hpp"
 #include "net/event.hpp"
-#include "net/message_pool.hpp"
 #include "net/network.hpp"
 #include "net/prefix_trie.hpp"
 #include "net/rng.hpp"
@@ -198,36 +197,6 @@ void BM_TreeModel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TreeModel)->Arg(100)->Arg(1000);
-
-// ------------------------------------------------------ message allocation
-
-// The strict allocate→deliver→free cycle every protocol message lives
-// through, with and without free-list recycling. The payload mirrors a
-// typical BGP update message size.
-void BM_MessageAllocation(benchmark::State& state) {
-  struct FakeUpdate : net::Message {
-    std::uint64_t payload[12] = {};
-    [[nodiscard]] std::string describe() const override { return "bench"; }
-  };
-  const bool use_pool = state.range(0) != 0;
-  const bool was_enabled = net::MessagePool::set_enabled(use_pool);
-  net::MessagePool::trim();
-  net::MessagePool::reset_stats();
-  for (auto _ : state) {
-    auto msg = std::make_unique<FakeUpdate>();
-    benchmark::DoNotOptimize(msg.get());
-    msg.reset();
-  }
-  const auto stats = net::MessagePool::stats();
-  state.counters["hit_rate"] = stats.hit_rate();
-  state.SetItemsProcessed(state.iterations());
-  net::MessagePool::trim();
-  (void)net::MessagePool::set_enabled(was_enabled);
-}
-BENCHMARK(BM_MessageAllocation)
-    ->Arg(0)  // malloc/free every message
-    ->Arg(1)  // thread-local free-list recycling
-    ->ArgNames({"pool"});
 
 // ---------------------------------------------------------- path interning
 

@@ -1,6 +1,6 @@
 // M3: parallel parameter sweep over the full simulation pipeline. Fans a
-// (scenario × domain-count × seed) grid across a work-stealing thread
-// pool (src/eval/sweep.hpp); every cell is an isolated core::Internet, so
+// (scenario × domain-count × seed) grid across a pool of worker threads
+// (src/eval/sweep.hpp); every cell is an isolated core::Internet, so
 // per-cell results are byte-identical at any --threads value. Emits one
 // JSON report: per-cell rib digests and work counters plus a merged
 // metrics snapshot with cross-run histogram quantiles.

@@ -11,11 +11,12 @@
 //   * path equality is an id compare (hash-consing makes ids canonical),
 //   * loop checks and rendering read the shared hop array in place.
 //
-// The table is thread-local, like the message pool: every simulation is
-// confined to one sweep worker thread, so interning needs no locks and
-// each worker's id space is independent. Ids are an implementation detail —
-// they are never ordered, persisted, or compared across threads; all
-// observable behaviour flows through the hop sequences they name.
+// The table is thread-local, like the route table and the candidate arena:
+// every simulation is confined to one sweep worker thread, so interning
+// needs no locks and each worker's id space is independent. Ids are an
+// implementation detail — they are never ordered, persisted, or compared
+// across threads; all observable behaviour flows through the hop sequences
+// they name.
 // Entries live in a ChunkedStore, so a hop array read through a held ref
 // stays put while further paths are interned.
 #pragma once

@@ -146,8 +146,6 @@ std::optional<std::pair<net::Prefix, const Candidate*>> Rib::longest_match(
 
 bool Rib::upsert(const net::Prefix& prefix, Candidate candidate,
                  const RibEntry** entry_out) {
-  // An upsert always stores a candidate, so it always counts as a change.
-  ++version_;
   RibEntry& e = map_.get_or_insert(prefix);
   const std::size_t before = e.candidate_count();
   const bool changed = e.upsert(std::move(candidate));
@@ -159,14 +157,13 @@ bool Rib::upsert(const net::Prefix& prefix, Candidate candidate,
 bool Rib::remove(const net::Prefix& prefix, PeerIndex via,
                  const RibEntry** entry_out) {
   // A miss (no entry, or no candidate via `via`) is a pure lookup: nothing
-  // is inserted and version() stays put, so lookup caches survive it.
+  // is inserted.
   RibEntry* e = map_.find(prefix);
   if (entry_out != nullptr) *entry_out = e;
   if (e == nullptr) return false;
   const std::size_t before = e->candidate_count();
   const bool changed = e->remove(via);
   if (e->candidate_count() == before) return false;
-  ++version_;
   --candidates_;
   if (e->empty()) {
     map_.erase(prefix);

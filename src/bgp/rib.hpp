@@ -239,11 +239,6 @@ class Rib {
   bool remove(const net::Prefix& prefix, PeerIndex via,
               const RibEntry** entry_out = nullptr);
 
-  /// Monotonic mutation counter: bumped by every upsert and by every
-  /// remove that drops a candidate. Lookup caches compare it to decide
-  /// whether their cached results are still valid.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-
   /// Read-only traversal of (prefix, best candidate) in address order —
   /// the copy-free path for snapshots, exports and metrics refreshes.
   template <typename Fn>
@@ -290,7 +285,6 @@ class Rib {
 
  private:
   net::PrefixMap<RibEntry> map_;
-  std::uint64_t version_ = 0;
   std::size_t candidates_ = 0;
 };
 

@@ -147,34 +147,20 @@ void Speaker::set_aggregation(bool enabled) {
 
 std::optional<LookupResult> Speaker::lookup(RouteType type,
                                             net::Ipv4Addr addr) const {
-  const Rib& table = rib(type);
-  // Direct-mapped cache probe, keyed by address, guarded by the table's
-  // mutation counter (any rib change makes every cached slot stale).
-  LookupCacheSlot& slot =
-      lookup_cache_[static_cast<std::size_t>(type)]
-                   [(addr.value() * 0x9E3779B9u) >> 28];
-  if (slot.version == table.version() && slot.addr == addr) {
-    return slot.result;
+  const auto hit = rib(type).longest_match(addr);
+  if (!hit) return std::nullopt;
+  const Candidate& best = *hit->second;
+  LookupResult result;
+  result.prefix = hit->first;
+  result.route = best.route;
+  if (best.via == kLocalPeer) {
+    result.next_hop = nullptr;
+    result.internal = false;
+  } else {
+    result.next_hop = peers_[best.via].speaker;
+    result.internal = best.internal;
   }
-  std::optional<LookupResult> out;
-  if (const auto hit = table.longest_match(addr)) {
-    const Candidate& best = *hit->second;
-    LookupResult result;
-    result.prefix = hit->first;
-    result.route = best.route;
-    if (best.via == kLocalPeer) {
-      result.next_hop = nullptr;
-      result.internal = false;
-    } else {
-      result.next_hop = peers_[best.via].speaker;
-      result.internal = best.internal;
-    }
-    out = std::move(result);
-  }
-  slot.addr = addr;
-  slot.version = table.version();
-  slot.result = out;
-  return out;
+  return result;
 }
 
 std::vector<Speaker*> Speaker::peers() const {

@@ -362,21 +362,6 @@ class Speaker final : public net::Endpoint {
   /// across batches and isolates the walk from re-entrant dirtying.
   std::vector<PeerIndex> flush_order_;
   std::vector<RouteChangeListener> listeners_;
-
-  /// Direct-mapped longest-match cache per view, invalidated by the RIB
-  /// version counter. BGMP resolves "the next hop toward the root domain"
-  /// through lookup() on every join/prune/data packet, usually for the
-  /// same handful of group addresses between routing changes — a 16-slot
-  /// cache absorbs that without any invalidation hooks.
-  struct LookupCacheSlot {
-    net::Ipv4Addr addr{};
-    std::uint64_t version = UINT64_MAX;  // matches no real rib version
-    std::optional<LookupResult> result;
-  };
-  static constexpr std::size_t kLookupCacheSlots = 16;
-  mutable std::array<std::array<LookupCacheSlot, kLookupCacheSlots>,
-                     kRouteTypeCount>
-      lookup_cache_;
 };
 
 }  // namespace bgp

@@ -121,15 +121,13 @@ class Internet {
   void register_unicast_prefix(const net::Prefix& prefix, Domain& domain);
 
   /// Hop distance between two domains on the currently-up link graph
-  /// (topology::kUnreachable if partitioned). Backed by incrementally
-  /// maintained BFS trees — link events repair only the affected region
-  /// instead of recomputing shortest paths from scratch — so per-flap cost
-  /// is proportional to the disturbed neighbourhood, not the internet.
-  /// Pair-level: a multi-border pair counts as one edge, up whenever
-  /// set_link_state last raised it.
+  /// (topology::kUnreachable if partitioned). Backed by one cached BFS
+  /// tree per queried domain; a link event drops the cache and the next
+  /// query rebuilds. Pair-level: a multi-border pair counts as one edge,
+  /// up whenever set_link_state last raised it.
   [[nodiscard]] std::uint32_t domain_hops(const Domain& a, const Domain& b);
 
-  /// The incremental shortest-path engine (stats and direct queries).
+  /// The domain-level hop-distance cache (stats and direct queries).
   [[nodiscard]] topology::DynamicPaths& domain_paths() {
     return domain_paths_;
   }
@@ -162,8 +160,8 @@ class Internet {
   std::vector<Link> links_;
   std::vector<MascPeering> masc_peerings_;
   std::vector<std::unique_ptr<Domain>> domains_;
-  /// Domain-level link graph with incrementally maintained BFS trees,
-  /// mirroring add_domain()/link()/set_link_state().
+  /// Domain-level link graph with cached BFS distances, mirroring
+  /// add_domain()/link()/set_link_state().
   topology::DynamicPaths domain_paths_;
   std::map<const Domain*, topology::NodeId> domain_nodes_;
   net::PrefixMap<Domain*> unicast_map_;

@@ -1,9 +1,8 @@
 #include "eval/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <deque>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -128,52 +127,6 @@ SweepCellResult run_cell(const SweepCell& cell, ScenarioFn scenario,
   return out;
 }
 
-// ------------------------------------------------------ work distribution
-
-/// Per-worker task deques with stealing. Tasks are the cell indices,
-/// dealt round-robin up front; a worker drains its own deque from the
-/// back and steals from other workers' fronts when empty. No tasks are
-/// ever produced after start, so "every deque empty" is the exit
-/// condition — no condition variables needed.
-class CellQueues {
- public:
-  CellQueues(std::size_t workers, std::size_t tasks) : queues_(workers) {
-    for (std::size_t i = 0; i < tasks; ++i) {
-      queues_[i % workers].items.push_back(i);
-    }
-  }
-
-  bool next(std::size_t worker, std::size_t& out) {
-    if (pop(queues_[worker], /*from_back=*/true, out)) return true;
-    for (std::size_t i = 1; i < queues_.size(); ++i) {
-      Queue& victim = queues_[(worker + i) % queues_.size()];
-      if (pop(victim, /*from_back=*/false, out)) return true;
-    }
-    return false;
-  }
-
- private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::size_t> items;
-  };
-
-  static bool pop(Queue& q, bool from_back, std::size_t& out) {
-    const std::lock_guard<std::mutex> lock(q.mutex);
-    if (q.items.empty()) return false;
-    if (from_back) {
-      out = q.items.back();
-      q.items.pop_back();
-    } else {
-      out = q.items.front();
-      q.items.pop_front();
-    }
-    return true;
-  }
-
-  std::vector<Queue> queues_;
-};
-
 }  // namespace
 
 bool cell_key_less(const SweepCell& a, const SweepCell& b) {
@@ -227,22 +180,20 @@ SweepResult run_sweep(const SweepConfig& config) {
   result.threads = std::max(1, config.threads);
   result.cells.resize(config.cells.size());
 
-  const auto workers = static_cast<std::size_t>(result.threads);
-  CellQueues queues(workers, config.cells.size());
-  // results[i] slots are disjoint, so workers write them without locks;
-  // the joins below publish everything to this thread.
-  const auto worker_main = [&](std::size_t worker) {
-    std::size_t index = 0;
-    while (queues.next(worker, index)) {
+  // Every cell is known before any worker starts, so one shared cursor
+  // hands them out. results[i] slots are disjoint, so workers write them
+  // without locks; the joins below publish everything to this thread.
+  std::atomic<std::size_t> next{0};
+  const auto worker_main = [&] {
+    for (std::size_t index = next++; index < config.cells.size();
+         index = next++) {
       result.cells[index] =
           run_cell(config.cells[index], scenarios[index], config);
     }
   };
   std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back(worker_main, w);
-  }
+  threads.reserve(static_cast<std::size_t>(result.threads));
+  for (int w = 0; w < result.threads; ++w) threads.emplace_back(worker_main);
   for (std::thread& t : threads) t.join();
 
   // Schedule-independent output: sort by cell key, then aggregate in that

@@ -4,13 +4,13 @@
 // Fig. 4's tree quality and the claim–collide latency bounds only mean
 // something aggregated over many seeds and topology sizes. The sweep
 // engine fans a grid of (scenario × domain-count × seed) cells out across
-// a work-stealing thread pool, where every cell builds a fully isolated
-// `core::Internet` — its own EventQueue, RNG, metrics registry and record
-// stream, plus the thread-local message pool and intern tables — so each
-// cell is a pure function of its parameters. Results are byte-identical
-// regardless of thread count or schedule; cell outputs are sorted by cell
-// key before aggregation to make the combined report schedule-independent
-// too.
+// a pool of worker threads that take the next cell from one shared
+// cursor. Every cell builds a fully isolated `core::Internet` — its own
+// EventQueue, RNG, metrics registry and record stream, plus the
+// thread-local candidate arena and intern tables — so each cell is a pure
+// function of its parameters. Results are byte-identical regardless of
+// thread count or schedule; cell outputs are sorted by cell key before
+// aggregation to make the combined report schedule-independent too.
 //
 // Aggregation rides on obs::Histogram::merge / obs::Snapshot::merge_from:
 // the sweep emits per-cell rows plus one merged snapshot whose histogram
@@ -109,7 +109,7 @@ struct SweepResult {
 /// topology).
 [[nodiscard]] const std::vector<std::string>& scenario_names();
 
-/// Runs every cell (work-stealing across `config.threads` workers),
+/// Runs every cell (spread over `config.threads` workers),
 /// sorts by cell key, and aggregates. Throws std::invalid_argument for
 /// an unknown scenario name in the grid.
 [[nodiscard]] SweepResult run_sweep(const SweepConfig& config);

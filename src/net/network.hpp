@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "net/event.hpp"
-#include "net/message_pool.hpp"
 #include "net/rng.hpp"
 #include "net/time.hpp"
 #include "obs/metrics.hpp"
@@ -49,20 +48,6 @@ struct Message {
       : kind(kind_in) {}
   virtual ~Message() = default;
 
-  /// Messages live a strict allocate→deliver→free cycle with a handful of
-  /// repeating sizes, so allocation goes through the thread-local
-  /// MessagePool free lists instead of the general-purpose heap. Derived
-  /// classes inherit these, keeping `std::make_unique<...>` and the
-  /// default `unique_ptr` deleter as the API while the buffers recycle.
-  static void* operator new(std::size_t size) {
-    return MessagePool::allocate(size);
-  }
-  static void operator delete(void* ptr) noexcept {
-    MessagePool::release(ptr);
-  }
-  static void operator delete(void* ptr, std::size_t /*size*/) noexcept {
-    MessagePool::release(ptr);
-  }
   /// One-line rendering for traces.
   [[nodiscard]] virtual std::string describe() const = 0;
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <queue>
 #include <stdexcept>
-#include <utility>
 
 namespace topology {
 
@@ -57,12 +55,8 @@ void DynamicPaths::check(NodeId n) const {
 
 NodeId DynamicPaths::add_node() {
   adjacency_.emplace_back();
-  const NodeId id = static_cast<NodeId>(adjacency_.size() - 1);
-  for (Tree& tree : trees_) {
-    tree.dist.push_back(kUnreachable);
-    tree.parent.push_back(kUnreachable);
-  }
-  return id;
+  trees_.clear();
+  return static_cast<NodeId>(adjacency_.size() - 1);
 }
 
 void DynamicPaths::add_edge(NodeId a, NodeId b) {
@@ -81,7 +75,7 @@ void DynamicPaths::add_edge(NodeId a, NodeId b) {
   adjacency_[a].push_back({b, true});
   adjacency_[b].push_back({a, true});
   ++stats_.edge_events;
-  for (Tree& tree : trees_) relax_from(tree, a);
+  trees_.clear();
 }
 
 bool DynamicPaths::has_edge(NodeId a, NodeId b) const {
@@ -110,115 +104,7 @@ void DynamicPaths::set_edge_state(NodeId a, NodeId b, bool up) {
     if (e.to == a) e.up = up;
   }
   ++stats_.edge_events;
-  if (up) {
-    for (Tree& tree : trees_) relax_from(tree, a);
-    return;
-  }
-  for (Tree& tree : trees_) {
-    // Losing a non-tree edge cannot change any distance: each node's tree
-    // path to the source survives intact, and removal never shortens.
-    if (tree.parent[b] == a && b != tree.source) {
-      repair_after_cut(tree, b);
-    } else if (tree.parent[a] == b && a != tree.source) {
-      repair_after_cut(tree, a);
-    }
-  }
-}
-
-void DynamicPaths::build(Tree& tree) {
-  const std::size_t n = adjacency_.size();
-  tree.dist.assign(n, kUnreachable);
-  tree.parent.assign(n, kUnreachable);
-  tree.dist[tree.source] = 0;
-  tree.parent[tree.source] = tree.source;
-  std::deque<NodeId> frontier{tree.source};
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (const HalfEdge& e : adjacency_[u]) {
-      if (e.up && tree.dist[e.to] == kUnreachable) {
-        tree.dist[e.to] = tree.dist[u] + 1;
-        tree.parent[e.to] = u;
-        frontier.push_back(e.to);
-      }
-    }
-  }
-  ++stats_.full_builds;
-}
-
-// Edge events that can only shorten paths (a new or revived edge at
-// `improved`'s side): one relaxation BFS that stops where nothing improves.
-void DynamicPaths::relax_from(Tree& tree, NodeId improved) {
-  std::deque<NodeId> frontier;
-  for (const HalfEdge& e : adjacency_[improved]) {
-    if (!e.up || tree.dist[e.to] == kUnreachable) continue;
-    if (tree.dist[improved] == kUnreachable ||
-        tree.dist[e.to] + 1 < tree.dist[improved]) {
-      tree.dist[improved] = tree.dist[e.to] + 1;
-      tree.parent[improved] = e.to;
-    }
-  }
-  if (tree.dist[improved] == kUnreachable) return;
-  frontier.push_back(improved);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    ++stats_.nodes_touched;
-    for (const HalfEdge& e : adjacency_[u]) {
-      if (!e.up) continue;
-      if (tree.dist[u] + 1 < tree.dist[e.to]) {
-        tree.dist[e.to] = tree.dist[u] + 1;
-        tree.parent[e.to] = u;
-        frontier.push_back(e.to);
-      }
-    }
-  }
-}
-
-// A tree edge died and `orphan`'s subtree lost its path to the source.
-// Invalidate exactly that subtree, then re-attach it with a unit-weight
-// Dijkstra seeded by the boundary (active edges from settled nodes into
-// the orphaned region). Parents are chosen as the first active neighbor
-// in adjacency order at distance d-1, so results are deterministic.
-void DynamicPaths::repair_after_cut(Tree& tree, NodeId orphan) {
-  std::vector<NodeId> affected{orphan};
-  tree.dist[orphan] = kUnreachable;
-  tree.parent[orphan] = kUnreachable;
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    const NodeId u = affected[i];
-    for (const HalfEdge& e : adjacency_[u]) {
-      if (tree.parent[e.to] == u) {
-        tree.dist[e.to] = kUnreachable;
-        tree.parent[e.to] = kUnreachable;
-        affected.push_back(e.to);
-      }
-    }
-  }
-  using Entry = std::pair<std::uint32_t, NodeId>;  // (candidate dist, node)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (const NodeId u : affected) {
-    std::uint32_t best = kUnreachable;
-    for (const HalfEdge& e : adjacency_[u]) {
-      if (e.up && tree.dist[e.to] != kUnreachable) {
-        best = std::min(best, tree.dist[e.to] + 1);
-      }
-    }
-    if (best != kUnreachable) heap.emplace(best, u);
-  }
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (tree.dist[u] != kUnreachable) continue;  // already settled closer
-    tree.dist[u] = d;
-    ++stats_.nodes_touched;
-    for (const HalfEdge& e : adjacency_[u]) {
-      if (!e.up) continue;
-      if (tree.parent[u] == kUnreachable && tree.dist[e.to] == d - 1) {
-        tree.parent[u] = e.to;
-      }
-      if (tree.dist[e.to] == kUnreachable) heap.emplace(d + 1, e.to);
-    }
-  }
+  trees_.clear();
 }
 
 DynamicPaths::Tree& DynamicPaths::tree_for(NodeId source) {
@@ -226,13 +112,24 @@ DynamicPaths::Tree& DynamicPaths::tree_for(NodeId source) {
   for (Tree& tree : trees_) {
     if (tree.source == source) return tree;
   }
-  trees_.emplace_back();
-  trees_.back().source = source;
-  build(trees_.back());
-  return trees_.back();
+  Tree& tree = trees_.emplace_back();
+  tree.source = source;
+  tree.dist.assign(adjacency_.size(), kUnreachable);
+  tree.dist[source] = 0;
+  std::vector<NodeId> order{source};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const NodeId u = order[i];
+    for (const HalfEdge& e : adjacency_[u]) {
+      if (e.up && tree.dist[e.to] == kUnreachable) {
+        tree.dist[e.to] = tree.dist[u] + 1;
+        order.push_back(e.to);
+      }
+    }
+  }
+  ++stats_.full_builds;
+  stats_.nodes_touched += order.size();
+  return tree;
 }
-
-void DynamicPaths::watch(NodeId source) { (void)tree_for(source); }
 
 std::uint32_t DynamicPaths::dist(NodeId source, NodeId target) {
   check(target);
@@ -242,7 +139,7 @@ std::uint32_t DynamicPaths::dist(NodeId source, NodeId target) {
 std::uint32_t DynamicPaths::hops(NodeId a, NodeId b) {
   check(a);
   check(b);
-  for (Tree& tree : trees_) {
+  for (const Tree& tree : trees_) {
     if (tree.source == a) return tree.dist[b];
     if (tree.source == b) return tree.dist[a];
   }

@@ -36,25 +36,14 @@ struct BfsTree {
 [[nodiscard]] std::vector<NodeId> path_from_source(const BfsTree& tree,
                                                    NodeId n);
 
-/// Incrementally maintained BFS forests over a graph whose links flap.
+/// Hop distances over a graph whose links flap, cached per source.
 ///
-/// The Internet-scale macro runs (10k domains) toggle links constantly;
-/// recomputing a full BFS per link event is O(V+E) each time and dominates
-/// wall clock once trees are queried after every flap. DynamicPaths keeps
-/// one BFS tree per *watched* source and repairs only the affected region
-/// on each edge event:
-///
-///  - edge up: distances can only shrink, so a relaxation BFS runs from
-///    the improved endpoint and stops where nothing improves;
-///  - edge down on a non-tree edge: no distance can change — O(1);
-///  - edge down on a tree edge: the orphaned subtree is invalidated and
-///    re-attached by a unit-weight Dijkstra seeded from its boundary.
-///
-/// Sources are registered lazily on first query, so memory is
-/// O(watched sources × nodes), not O(nodes²). Distances always equal a
-/// from-scratch bfs() on the active subgraph (asserted by the oracle
-/// tests); parent tie-breaks may differ from bfs() but are deterministic
-/// (first active neighbor in adjacency order at the settled distance).
+/// Keeps one BFS distance vector per queried source. Any change to the
+/// graph (a new node, a new edge, an edge going up or down) drops every
+/// cached tree, and the next query from a source rebuilds its tree from
+/// scratch on the active subgraph. Runs query distances (§5.4 delivery
+/// stretch, workload edge load) in bursts between link changes, so a
+/// rebuild is rare.
 class DynamicPaths {
  public:
   /// Appends a node; returns its id.
@@ -64,30 +53,24 @@ class DynamicPaths {
   /// unknown nodes, or duplicate edges.
   void add_edge(NodeId a, NodeId b);
 
-  /// Marks an existing edge up or down, repairing every watched tree.
+  /// Marks an existing edge up or down, dropping every cached tree.
   /// No-op if the edge is already in the requested state.
   void set_edge_state(NodeId a, NodeId b, bool up);
 
   /// True if the edge exists (up or down). O(degree of `a`).
   [[nodiscard]] bool has_edge(NodeId a, NodeId b) const;
 
-  /// Registers `source` (computing its tree now); idempotent.
-  void watch(NodeId source);
-
   /// Hop distance from `source` to `target` on the active subgraph
-  /// (kUnreachable if disconnected). Lazily watches `source`.
+  /// (kUnreachable if disconnected). Builds `source`'s tree if needed.
   [[nodiscard]] std::uint32_t dist(NodeId source, NodeId target);
 
-  /// Distance between two nodes, reusing whichever endpoint is already
-  /// watched (watches `a` if neither is).
+  /// Distance between two nodes, reusing whichever endpoint's tree is
+  /// cached (builds `a`'s if neither is).
   [[nodiscard]] std::uint32_t hops(NodeId a, NodeId b);
 
-  [[nodiscard]] std::size_t node_count() const { return adjacency_.size(); }
-  [[nodiscard]] std::size_t watched_count() const { return trees_.size(); }
-
-  /// Work counters proving incrementality: `full_builds` counts initial
-  /// tree constructions, `edge_events` the up/down transitions applied,
-  /// and `nodes_touched` every node re-settled by incremental repair.
+  /// Work counters: `full_builds` counts BFS tree builds, `edge_events`
+  /// the up/down transitions applied, and `nodes_touched` the nodes the
+  /// builds settle.
   struct Stats {
     std::uint64_t full_builds = 0;
     std::uint64_t edge_events = 0;
@@ -103,13 +86,9 @@ class DynamicPaths {
   struct Tree {
     NodeId source = 0;
     std::vector<std::uint32_t> dist;
-    std::vector<NodeId> parent;
   };
 
   void check(NodeId n) const;
-  void build(Tree& tree);
-  void relax_from(Tree& tree, NodeId improved);
-  void repair_after_cut(Tree& tree, NodeId orphan);
   Tree& tree_for(NodeId source);
 
   std::vector<std::vector<HalfEdge>> adjacency_;

@@ -94,7 +94,6 @@ TEST(Rib, RemovingAbsentPrefixOrCandidateChangesNothing) {
   rib.upsert(held, make_candidate(1, {2, 3}, 100, 6));
   const std::size_t size = rib.size();
   const std::size_t candidates = rib.candidate_count();
-  const std::uint64_t version = rib.version();
 
   // Absent prefix: a pure lookup, no entry left behind.
   const RibEntry* entry = rib.find(held);
@@ -102,19 +101,16 @@ TEST(Rib, RemovingAbsentPrefixOrCandidateChangesNothing) {
   EXPECT_EQ(entry, nullptr);
   EXPECT_EQ(rib.size(), size);
   EXPECT_EQ(rib.candidate_count(), candidates);
-  EXPECT_EQ(rib.version(), version);
   EXPECT_EQ(rib.find(Prefix::parse("224.1.0.0/16")), nullptr);
 
   // Absent candidate under a held prefix: same.
   EXPECT_FALSE(rib.remove(held, 7));
   EXPECT_EQ(rib.size(), size);
   EXPECT_EQ(rib.candidate_count(), candidates);
-  EXPECT_EQ(rib.version(), version);
 
   // A real removal still counts, and the last one erases the entry.
   EXPECT_TRUE(rib.remove(held, 0, &entry));
   EXPECT_NE(entry, nullptr);
-  EXPECT_GT(rib.version(), version);
   EXPECT_EQ(rib.candidate_count(), candidates - 1);
   EXPECT_TRUE(rib.remove(held, 1, &entry));
   EXPECT_EQ(entry, nullptr);

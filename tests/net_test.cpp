@@ -825,101 +825,5 @@ TEST(Rng, DrawsMatchStdMt19937_64Twin) {
   }
 }
 
-// ------------------------------------------------------------ MessagePool
-
-// Restores the calling thread's pool to a known state around each test;
-// the pool is thread-local, so tests only see their own thread's lists.
-class MessagePoolTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    previous_enabled_ = MessagePool::set_enabled(true);
-    MessagePool::trim();
-    MessagePool::reset_stats();
-  }
-  void TearDown() override {
-    MessagePool::trim();
-    MessagePool::reset_stats();
-    (void)MessagePool::set_enabled(previous_enabled_);
-  }
-  bool previous_enabled_ = true;
-};
-
-TEST_F(MessagePoolTest, RecyclesSameSizeClass) {
-  void* first = MessagePool::allocate(100);
-  MessagePool::release(first);
-  // 100 and 110 land in the same 64-byte-granular class (after the block
-  // header), so the freed block is reused.
-  void* second = MessagePool::allocate(110);
-  EXPECT_EQ(second, first);
-  MessagePool::release(second);
-
-  const MessagePool::Stats stats = MessagePool::stats();
-  EXPECT_EQ(stats.allocations, 2u);
-  EXPECT_EQ(stats.pool_hits, 1u);
-  EXPECT_EQ(stats.pool_misses, 1u);
-  EXPECT_EQ(stats.recycled, 2u);
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
-}
-
-TEST_F(MessagePoolTest, DistinctSizeClassesDoNotShareBlocks) {
-  void* small = MessagePool::allocate(32);
-  MessagePool::release(small);
-  // A 512-byte request must not be served by the freed 64-byte block.
-  void* big = MessagePool::allocate(512);
-  EXPECT_NE(big, small);
-  MessagePool::release(big);
-  EXPECT_EQ(MessagePool::stats().pool_hits, 0u);
-}
-
-TEST_F(MessagePoolTest, OversizedBlocksFallThroughToMalloc) {
-  void* huge = MessagePool::allocate(MessagePool::kMaxPooledBytes + 1);
-  ASSERT_NE(huge, nullptr);
-  MessagePool::release(huge);
-  const MessagePool::Stats stats = MessagePool::stats();
-  EXPECT_EQ(stats.pool_misses, 1u);
-  EXPECT_EQ(stats.recycled, 0u);  // never recycled, returned to malloc
-}
-
-TEST_F(MessagePoolTest, DisabledPoolStillAllocatesButNeverHits) {
-  (void)MessagePool::set_enabled(false);
-  MessagePool::reset_stats();
-  void* a = MessagePool::allocate(64);
-  MessagePool::release(a);
-  void* b = MessagePool::allocate(64);
-  ASSERT_NE(b, nullptr);
-  MessagePool::release(b);
-  const MessagePool::Stats stats = MessagePool::stats();
-  EXPECT_EQ(stats.pool_hits, 0u);
-  EXPECT_EQ(stats.recycled, 0u);
-}
-
-TEST_F(MessagePoolTest, TrimReleasesFreeLists) {
-  std::vector<void*> blocks;
-  for (int i = 0; i < 16; ++i) blocks.push_back(MessagePool::allocate(64));
-  for (void* b : blocks) MessagePool::release(b);
-  EXPECT_EQ(MessagePool::stats().recycled, 16u);
-  MessagePool::trim();
-  // After trim the lists are empty: the next allocation is a miss again.
-  MessagePool::reset_stats();
-  void* fresh = MessagePool::allocate(64);
-  MessagePool::release(fresh);
-  EXPECT_EQ(MessagePool::stats().pool_misses, 1u);
-}
-
-TEST_F(MessagePoolTest, MessagesRouteThroughThePool) {
-  // Message's class-scope operator new/delete bridge into the pool, so a
-  // delivered-and-destroyed message's block comes back on the next send.
-  struct Probe : Message {
-    std::uint64_t payload[4] = {};
-    [[nodiscard]] std::string describe() const override { return "probe"; }
-  };
-  auto first = std::make_unique<Probe>();
-  Probe* address = first.get();
-  first.reset();
-  auto second = std::make_unique<Probe>();
-  EXPECT_EQ(second.get(), address);
-  EXPECT_GE(MessagePool::stats().pool_hits, 1u);
-}
-
 }  // namespace
 }  // namespace net

@@ -344,22 +344,6 @@ TEST(DynamicPaths, MatchesBfsOnStaticGraph) {
   EXPECT_EQ(dyn.stats().full_builds, n);
 }
 
-TEST(DynamicPaths, NonTreeEdgeCutIsFree) {
-  DynamicPaths dyn;
-  for (int i = 0; i < 3; ++i) dyn.add_node();
-  dyn.add_edge(0, 1);
-  dyn.add_edge(0, 2);
-  dyn.add_edge(1, 2);
-  dyn.watch(0);
-  const std::uint64_t touched = dyn.stats().nodes_touched;
-  // 1-2 is not an edge of 0's shortest-path tree: distances cannot change.
-  dyn.set_edge_state(1, 2, false);
-  EXPECT_EQ(dyn.stats().nodes_touched, touched);
-  EXPECT_EQ(dyn.dist(0, 1), 1u);
-  EXPECT_EQ(dyn.dist(0, 2), 1u);
-  EXPECT_EQ(dyn.stats().full_builds, 1u);
-}
-
 TEST(DynamicPaths, DisconnectionAndReconnection) {
   DynamicPaths dyn;
   for (int i = 0; i < 4; ++i) dyn.add_node();
@@ -373,12 +357,40 @@ TEST(DynamicPaths, DisconnectionAndReconnection) {
   EXPECT_EQ(dyn.dist(0, 3), kUnreachable);
   dyn.set_edge_state(1, 2, true);
   EXPECT_EQ(dyn.dist(0, 3), 3u);
-  EXPECT_EQ(dyn.stats().full_builds, 1u);  // repairs, never rebuilds
+  // One build before the cut, one after it, one after the heal.
+  EXPECT_EQ(dyn.stats().full_builds, 3u);
+}
+
+TEST(DynamicPaths, LinkChangeDropsTreesAndNextQueryRebuilds) {
+  // Ring of 6: cutting 0-1 sends 0's traffic to 1 the long way round.
+  constexpr NodeId n = 6;
+  Graph oracle(n);
+  DynamicPaths dyn;
+  for (NodeId i = 0; i < n; ++i) dyn.add_node();
+  for (NodeId i = 0; i < n; ++i) {
+    oracle.add_edge(i, (i + 1) % n);
+    dyn.add_edge(i, (i + 1) % n);
+  }
+  EXPECT_EQ(dyn.hops(0, 1), 1u);
+  EXPECT_EQ(dyn.hops(1, 0), 1u);  // reuses 0's tree
+  const std::uint64_t builds = dyn.stats().full_builds;
+  EXPECT_EQ(builds, 1u);
+
+  dyn.set_edge_state(0, 1, false);
+  oracle.remove_edge(0, 1);
+  EXPECT_EQ(dyn.hops(0, 1), bfs(oracle, 0).dist[1]);
+  EXPECT_EQ(dyn.hops(0, 1), 5u);
+  EXPECT_EQ(dyn.stats().full_builds, builds + 1);
+  EXPECT_EQ(dyn.stats().nodes_touched, 2 * n);  // each build settles all
+
+  dyn.set_edge_state(0, 1, false);  // no change: the tree survives
+  EXPECT_EQ(dyn.hops(0, 1), 5u);
+  EXPECT_EQ(dyn.stats().full_builds, builds + 1);
 }
 
 TEST(DynamicPaths, OracleUnderRandomEdgeToggles) {
   // Maintain a plain Graph holding exactly the up edges; after every
-  // toggle, every watched tree's distances must equal a from-scratch BFS
+  // toggle, every queried source's distances must equal a from-scratch BFS
   // on that oracle (Graph::remove_edge exists for exactly this test).
   constexpr NodeId n = 24;
   net::Rng rng(7);
@@ -397,7 +409,6 @@ TEST(DynamicPaths, OracleUnderRandomEdgeToggles) {
     dyn.add_edge(a, b);
   }
   const NodeId sources[] = {0, n / 2, n - 1};
-  for (NodeId s : sources) dyn.watch(s);
   const std::uint64_t events_before = dyn.stats().edge_events;
   for (int iter = 0; iter < 300; ++iter) {
     const std::size_t e = rng.index(edges.size());
@@ -417,7 +428,8 @@ TEST(DynamicPaths, OracleUnderRandomEdgeToggles) {
       }
     }
   }
-  EXPECT_EQ(dyn.stats().full_builds, 3u);
+  // Every toggle drops the trees, so each source rebuilds once per toggle.
+  EXPECT_EQ(dyn.stats().full_builds, 300u * 3u);
   EXPECT_EQ(dyn.stats().edge_events, events_before + 300);
 }
 
