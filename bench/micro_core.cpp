@@ -137,12 +137,11 @@ void BM_RibDecision(benchmark::State& state) {
   std::vector<bgp::Candidate> candidates;
   for (int i = 0; i < peers; ++i) {
     bgp::Candidate c;
-    c.route.prefix = Prefix::parse("224.0.0.0/16");
     c.route.as_path = bgp::PathRef::intern(std::vector<bgp::DomainId>(
         static_cast<std::size_t>(rng.uniform_int(1, 6)), 1));
     c.route.local_pref = static_cast<int>(rng.uniform_int(80, 100));
     c.via = static_cast<bgp::PeerIndex>(i);
-    c.exit_uid = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
+    c.exit_uid = static_cast<std::uint32_t>(rng.uniform_int(1, 1 << 20));
     candidates.push_back(c);
   }
   for (auto _ : state) {
@@ -234,7 +233,6 @@ void BM_RouteCopy(benchmark::State& state) {
   // Copying a Route with a 5-hop path: the operation Adj-RIB-Out fills,
   // update deltas and decision results all reduce to.
   bgp::Route route;
-  route.prefix = Prefix::parse("224.0.0.0/16");
   route.as_path = bgp::PathRef::intern({1, 2, 3, 4, 5});
   route.origin_as = 5;
   for (auto _ : state) {

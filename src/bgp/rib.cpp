@@ -45,10 +45,11 @@ void CandidateArena::release(std::uint32_t index) {
   --live_;
 }
 
-bool RibEntry::upsert(Candidate candidate) {
+bool RibEntry::upsert(Candidate candidate, bool* appended) {
   CandidateArena& arena = CandidateArena::instance();
   const std::uint32_t prev_best = best_;
   std::uint32_t tail = CandidateArena::kNil;
+  if (appended != nullptr) *appended = false;
   for (std::uint32_t cur = head_; cur != CandidateArena::kNil;
        cur = arena.next(cur)) {
     if (arena.value(cur).via == candidate.via) {
@@ -70,14 +71,15 @@ bool RibEntry::upsert(Candidate candidate) {
   } else {
     arena.set_next(tail, index);
   }
-  ++size_;
+  if (appended != nullptr) *appended = true;
   return reselect(prev_best, nullptr);
 }
 
-bool RibEntry::remove(PeerIndex via) {
+bool RibEntry::remove(PeerIndex via, bool* unlinked) {
   CandidateArena& arena = CandidateArena::instance();
   const std::uint32_t prev_best = best_;
   std::uint32_t prev = CandidateArena::kNil;
+  if (unlinked != nullptr) *unlinked = false;
   for (std::uint32_t cur = head_; cur != CandidateArena::kNil;
        cur = arena.next(cur)) {
     if (arena.value(cur).via == via) {
@@ -86,7 +88,7 @@ bool RibEntry::remove(PeerIndex via) {
       } else {
         arena.set_next(prev, arena.next(cur));
       }
-      --size_;
+      if (unlinked != nullptr) *unlinked = true;
       if (cur == prev_best) {
         const Route before = std::move(arena.value(cur).route);
         arena.release(cur);
@@ -132,7 +134,6 @@ void RibEntry::clear() {
   }
   head_ = CandidateArena::kNil;
   best_ = CandidateArena::kNil;
-  size_ = 0;
 }
 
 std::optional<std::pair<net::Prefix, const Candidate*>> Rib::longest_match(
@@ -147,9 +148,9 @@ std::optional<std::pair<net::Prefix, const Candidate*>> Rib::longest_match(
 bool Rib::upsert(const net::Prefix& prefix, Candidate candidate,
                  const RibEntry** entry_out) {
   RibEntry& e = map_.get_or_insert(prefix);
-  const std::size_t before = e.candidate_count();
-  const bool changed = e.upsert(std::move(candidate));
-  candidates_ += e.candidate_count() - before;
+  bool appended = false;
+  const bool changed = e.upsert(std::move(candidate), &appended);
+  if (appended) ++candidates_;
   if (entry_out != nullptr) *entry_out = &e;
   return changed;
 }
@@ -161,9 +162,9 @@ bool Rib::remove(const net::Prefix& prefix, PeerIndex via,
   RibEntry* e = map_.find(prefix);
   if (entry_out != nullptr) *entry_out = e;
   if (e == nullptr) return false;
-  const std::size_t before = e->candidate_count();
-  const bool changed = e->remove(via);
-  if (e->candidate_count() == before) return false;
+  bool unlinked = false;
+  const bool changed = e->remove(via, &unlinked);
+  if (!unlinked) return false;
   --candidates_;
   if (e->empty()) {
     map_.erase(prefix);

@@ -32,8 +32,10 @@ struct Candidate {
   /// lowest-uid tie-break makes every router in a domain converge on the
   /// same best exit router (§5: "one border router is chosen as the best
   /// exit router for each group route").
-  std::uint64_t exit_uid = 0;
+  std::uint32_t exit_uid = 0;
 };
+
+static_assert(sizeof(Candidate) == 24, "a candidate is six 4-byte words");
 
 /// Total order of the decision process. Returns true if `a` is better:
 /// local origination, then highest LOCAL_PREF, then shortest AS path, then
@@ -103,13 +105,15 @@ class CandidateArena {
 
 constexpr std::size_t CandidateArena::slot_bytes() { return sizeof(Slot); }
 
+static_assert(CandidateArena::slot_bytes() == 28,
+              "an arena slot is a candidate plus its 4-byte chain link");
+
 /// A read-only view of one entry's candidates, in insertion order —
 /// iterates the arena chain. Supports range-for and size(), which is all
 /// the decision-process oracles need.
 class CandidateRange {
  public:
-  CandidateRange(std::uint32_t head, std::uint32_t size)
-      : head_(head), size_(size) {}
+  explicit CandidateRange(std::uint32_t head) : head_(head) {}
 
   class iterator {
    public:
@@ -131,35 +135,38 @@ class CandidateRange {
   [[nodiscard]] iterator end() const {
     return iterator(CandidateArena::kNil);
   }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Walks the chain: entries hold about one candidate each, so no count
+  /// is stored.
+  [[nodiscard]] std::size_t size() const {
+    std::size_t n = 0;
+    for (iterator it = begin(); it != end(); ++it) ++n;
+    return n;
+  }
+  [[nodiscard]] bool empty() const { return head_ == CandidateArena::kNil; }
 
  private:
   std::uint32_t head_;
-  std::uint32_t size_;
 };
 
-/// All candidates for one prefix plus the current selection. 12 bytes of
-/// indices into the thread's CandidateArena (vs a vector + optional);
-/// move-only, releasing its chain on destruction.
+/// All candidates for one prefix plus the current selection. 8 bytes of
+/// indices into the thread's CandidateArena (vs a vector + optional), so a
+/// PrefixMap slot holding one is 16 bytes; move-only, releasing its chain
+/// on destruction.
 class RibEntry {
  public:
   RibEntry() = default;
   RibEntry(RibEntry&& other) noexcept
-      : head_(other.head_), best_(other.best_), size_(other.size_) {
+      : head_(other.head_), best_(other.best_) {
     other.head_ = CandidateArena::kNil;
     other.best_ = CandidateArena::kNil;
-    other.size_ = 0;
   }
   RibEntry& operator=(RibEntry&& other) noexcept {
     if (this != &other) {
       if (head_ != CandidateArena::kNil) clear();
       head_ = other.head_;
       best_ = other.best_;
-      size_ = other.size_;
       other.head_ = CandidateArena::kNil;
       other.best_ = CandidateArena::kNil;
-      other.size_ = 0;
     }
     return *this;
   }
@@ -173,12 +180,14 @@ class RibEntry {
   }
 
   /// Inserts or replaces the candidate from `via`. Returns true if the
-  /// best route (selection) changed.
-  bool upsert(Candidate candidate);
+  /// best route (selection) changed. `appended` (optional) is set to
+  /// whether the candidate was new rather than a replacement.
+  bool upsert(Candidate candidate, bool* appended = nullptr);
 
   /// Removes the candidate from `via` (no-op if absent). Returns true if
-  /// the best route changed.
-  bool remove(PeerIndex via);
+  /// the best route changed. `unlinked` (optional) is set to whether a
+  /// candidate was removed.
+  bool remove(PeerIndex via, bool* unlinked = nullptr);
 
   [[nodiscard]] const Candidate* best() const {
     return best_ == CandidateArena::kNil
@@ -186,10 +195,9 @@ class RibEntry {
                : &CandidateArena::instance().value(best_);
   }
   [[nodiscard]] CandidateRange candidates() const {
-    return {head_, size_};
+    return CandidateRange(head_);
   }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t candidate_count() const { return size_; }
+  [[nodiscard]] bool empty() const { return head_ == CandidateArena::kNil; }
 
  private:
   // Re-runs the decision process and reports whether the selected route
@@ -205,8 +213,9 @@ class RibEntry {
 
   std::uint32_t head_ = CandidateArena::kNil;
   std::uint32_t best_ = CandidateArena::kNil;
-  std::uint32_t size_ = 0;
 };
+
+static_assert(sizeof(RibEntry) == 8, "a RIB entry is two arena indices");
 
 /// One routing-table view (unicast RIB or G-RIB).
 class Rib {
@@ -262,9 +271,10 @@ class Rib {
       const;
 
   /// Candidates across all entries (Adj-RIB-In size). Maintained as a
-  /// running total by upsert()/remove() so metrics refresh hooks can read
-  /// it every metric frame without an O(entries) table walk — at 1k+
-  /// domains the unicast tables make that walk O(domains²) per snapshot.
+  /// running total by upsert()/remove(), from whether each appended or
+  /// unlinked a candidate, so metrics refresh hooks can read it every
+  /// metric frame without an O(entries) table walk — at 1k+ domains the
+  /// unicast tables make that walk O(domains²) per snapshot.
   [[nodiscard]] std::size_t candidate_count() const { return candidates_; }
 
   /// Bytes of routing state held by this view: the map's slot array plus

@@ -12,8 +12,8 @@ RouteRef RouteRef::intern(const Route& route) {
 }
 
 std::uint64_t RouteTable::hash_route(const Route& route) {
-  // FNV-1a over the identifying fields. PathRef ids are canonical within
-  // the thread, so hashing the id (not the hop sequence) is sound.
+  // FNV-1a over the attributes. PathRef ids are canonical within the
+  // thread, so hashing the id (not the hop sequence) is sound.
   std::uint64_t h = 0xCBF29CE484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -21,8 +21,6 @@ std::uint64_t RouteTable::hash_route(const Route& route) {
       h *= 0x100000001B3ULL;
     }
   };
-  mix(route.prefix.base().value());
-  mix(static_cast<std::uint64_t>(route.prefix.length()));
   mix(route.as_path.id());
   mix(static_cast<std::uint64_t>(route.origin_as));
   mix(static_cast<std::uint64_t>(route.local_pref));

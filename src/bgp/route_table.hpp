@@ -9,6 +9,9 @@
 //
 //   * a cell shrinks from carrying a full Route to a 4-byte handle, and
 //     identical advertisements across peers share one stored Route;
+//   * a Route is 12 bytes of attributes with no prefix (the row key is the
+//     prefix), so an origin's routes under several prefixes with the same
+//     path share one entry too;
 //   * hash-consing makes ids canonical (PathRef ids already are, within a
 //     thread), so "does the Adj-RIB-Out already agree?" is an id compare.
 //

@@ -6,7 +6,7 @@
 namespace bgp {
 
 std::string Route::describe() const {
-  std::string out = prefix.to_string() + " path[";
+  std::string out = "path[";
   bool first = true;
   for (const DomainId hop : as_path) {
     if (!first) out += ' ';
@@ -110,8 +110,7 @@ void Speaker::originate(RouteType type, const net::Prefix& prefix) {
   origins.insert(prefix, true);
   metrics_.routes_originated->inc();
   Candidate local;
-  local.route =
-      Route{prefix, /*as_path=*/{}, /*origin_as=*/as_, /*local_pref=*/100};
+  local.route = Route{/*as_path=*/{}, /*origin_as=*/as_, /*local_pref=*/100};
   local.via = kLocalPeer;
   local.internal = false;
   local.exit_uid = uid_;
@@ -249,8 +248,8 @@ void Speaker::handle_update(PeerIndex from, const UpdateMessage& update) {
     // AS-path loop prevention: a route that already crossed this domain is
     // treated as unreachable via this peer.
     if (announced.contains_as(as_)) {
-      if (rib.remove(announced.prefix, from, &entry)) {
-        best_changed(delta.type, announced.prefix, entry);
+      if (rib.remove(delta.prefix, from, &entry)) {
+        best_changed(delta.type, delta.prefix, entry);
       }
       continue;
     }
@@ -265,8 +264,8 @@ void Speaker::handle_update(PeerIndex from, const UpdateMessage& update) {
     // iBGP candidate it is the internal sender. The lowest-uid rule then
     // elects one best exit domain-wide.
     candidate.exit_uid = candidate.internal ? peer.speaker->uid() : uid_;
-    if (rib.upsert(announced.prefix, std::move(candidate), &entry)) {
-      best_changed(delta.type, announced.prefix, entry);
+    if (rib.upsert(delta.prefix, std::move(candidate), &entry)) {
+      best_changed(delta.type, delta.prefix, entry);
     }
   }
 }

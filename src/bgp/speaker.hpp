@@ -91,7 +91,7 @@ class Speaker final : public net::Endpoint {
                                                    net::Ipv4Addr addr) const;
 
   [[nodiscard]] DomainId as() const { return as_; }
-  [[nodiscard]] std::uint64_t uid() const { return uid_; }
+  [[nodiscard]] std::uint32_t uid() const { return uid_; }
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] std::uint64_t owner_id() const override { return as_; }
 
@@ -315,7 +315,7 @@ class Speaker final : public net::Endpoint {
   net::Network& network_;
   DomainId as_;
   std::string name_;
-  std::uint64_t uid_;
+  std::uint32_t uid_;
 
   /// bgp.* counters in the network's registry — shared by every speaker on
   /// the network, so they aggregate per simulation.

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "net/prefix.hpp"
 #include "bgp/path_table.hpp"
 
 namespace bgp {
@@ -32,10 +31,11 @@ inline constexpr int kRouteTypeCount = 2;
   return "?";
 }
 
-/// A route as carried in update messages: an address prefix for a
-/// destination (or group range) plus path attributes.
+/// A route's path attributes, as carried in update messages. The prefix
+/// it reaches is not part of the route: every holder already keys it by
+/// prefix (the RIB entry, the Adj-RIB-Out row, the update delta), so equal
+/// attributes under different prefixes are one route and intern to one id.
 struct Route {
-  net::Prefix prefix;
   /// AS path, nearest AS first — a 4-byte handle into the thread's
   /// hash-consed path table (see path_table.hpp), so copying a route bumps
   /// a refcount instead of cloning a vector and path equality is an id
@@ -57,6 +57,8 @@ struct Route {
 
   friend bool operator==(const Route&, const Route&) = default;
 };
+
+static_assert(sizeof(Route) == 12, "a route is three 4-byte attributes");
 
 /// The relationship of a peering session, from one speaker's point of view.
 /// Mirrors the provider/customer structure of §2's policy discussion.

@@ -134,8 +134,7 @@ void BgpAdjRibOutInvariant::check(core::Internet& net,
                   std::string(name()), subject(s, b, prefix),
                   "announced " + sent.describe() +
                       " but the peer holds no candidate via this session"});
-            } else if (held->route.prefix != sent.prefix ||
-                       held->route.as_path != sent.as_path ||
+            } else if (held->route.as_path != sent.as_path ||
                        held->route.origin_as != sent.origin_as) {
               out.push_back(Violation{
                   std::string(name()), subject(s, b, prefix),

@@ -37,7 +37,7 @@ MascNode::MascNode(net::Network& network, DomainId domain, std::string name,
       domain_(domain),
       name_(std::move(name)),
       params_(params),
-      rng_(rng_seed),
+      rng_seed_(rng_seed),
       pool_(domain, params.pool),
       metrics_{&network.metrics().counter("masc.claims_sent"),
                &network.metrics().counter("masc.claims_granted"),
@@ -178,8 +178,9 @@ void MascNode::start_claim(std::uint64_t addresses, int retries,
       renumber = true;
       [[fallthrough]];
     case ExpansionPlan::Kind::kNewPrefix:
+      if (!rng_) rng_ = std::make_unique<net::Rng>(rng_seed_);
       chosen = choose_claim(spaces_, known_claims_, plan->new_len, now(),
-                            rng_, params_.pool.strategy);
+                            *rng_, params_.pool.strategy);
       break;
   }
   if (!chosen) {

@@ -215,7 +215,10 @@ class MascNode final : public net::Endpoint {
   DomainId domain_;
   std::string name_;
   Params params_;
-  net::Rng rng_;
+  /// The claim generator (2.5 KB of state) is built from this seed the
+  /// first time choose_claim needs it: most nodes never claim.
+  std::uint64_t rng_seed_;
+  std::unique_ptr<net::Rng> rng_;
   DomainPool pool_;
   Callbacks callbacks_;
 

@@ -31,11 +31,10 @@ Network::Network(EventQueue& events, obs::Metrics* metrics)
       // Count only messages of the live transport session: entries whose
       // epoch predates a session reset are already dead (they will be
       // discarded at their delivery time) and must not inflate the gauge.
-      for (const InFlight& f : ch.to_a.flight) {
-        if (f.epoch == ch.epoch) ++in_flight;
-      }
-      for (const InFlight& f : ch.to_b.flight) {
-        if (f.epoch == ch.epoch) ++in_flight;
+      for (const Direction* dir : {&ch.to_a, &ch.to_b}) {
+        for (std::uint32_t i = dir->head; i != kNoSlot; i = flight_[i].next) {
+          if (flight_[i].epoch == ch.epoch) ++in_flight;
+        }
       }
     }
     metrics_->gauge("net.messages_in_partition_queues")
@@ -152,17 +151,45 @@ void Network::schedule_delivery(ChannelId id, Endpoint* to,
   // used to be scheduled — so the message keeps the same (deliver_at, seq)
   // slot in the global order it always had, while riding the direction's
   // FIFO instead of the event queue.
-  dir.flight.push_back(InFlight{std::move(msg), deliver_at, sent_at,
-                                events_.reserve_seq(), ch.epoch});
+  push_flight(dir, InFlight{std::move(msg), deliver_at, sent_at,
+                            events_.reserve_seq(), ch.epoch});
   arm_direction(id, toward_b);
+}
+
+void Network::push_flight(Direction& dir, InFlight item) {
+  std::uint32_t slot;
+  if (free_flight_ != kNoSlot) {
+    slot = free_flight_;
+    free_flight_ = flight_[slot].next;
+    flight_[slot] = std::move(item);
+  } else {
+    slot = static_cast<std::uint32_t>(flight_.size());
+    flight_.push_back(std::move(item));
+  }
+  if (dir.empty()) {
+    dir.head = slot;
+  } else {
+    flight_[dir.tail].next = slot;
+  }
+  dir.tail = slot;
+}
+
+Network::InFlight Network::pop_flight(Direction& dir) {
+  const std::uint32_t slot = dir.head;
+  InFlight item = std::move(flight_[slot]);
+  dir.head = item.next;
+  if (dir.empty()) dir.tail = kNoSlot;
+  flight_[slot].next = free_flight_;
+  free_flight_ = slot;
+  return item;
 }
 
 void Network::arm_direction(ChannelId id, bool toward_b) {
   Channel& ch = channel(id);
   Direction& dir = toward_b ? ch.to_b : ch.to_a;
-  if (dir.timer_armed || dir.draining || dir.flight.empty()) return;
+  if (dir.timer_armed || dir.draining || dir.empty()) return;
   dir.timer_armed = true;
-  InFlight& head = dir.flight.front();
+  InFlight& head = flight_[dir.head];
   // A head due at the current instant takes a fresh seq, placing its drain
   // after everything already scheduled for this instant rather than at its
   // original send-time position. Every committed digest and events_run
@@ -189,7 +216,7 @@ void Network::drain_direction(ChannelId id, bool toward_b) {
     // channels_) or mutate this direction.
     Channel& ch = channel(id);
     Direction& dir = toward_b ? ch.to_b : ch.to_a;
-    if (dir.flight.empty()) break;
+    if (dir.empty()) break;
     const bool carried = !first;
     if (carried) {
       // A follower may be carried by the head's event only if nothing
@@ -199,7 +226,7 @@ void Network::drain_direction(ChannelId id, bool toward_b) {
       // peek_next_stored, not peek_next: a lazily-cancelled stored front
       // still blocks batching. peek_next would discard it and batch more,
       // changing events_run from what every committed run pins.
-      const InFlight& next = dir.flight.front();
+      const InFlight& next = flight_[dir.head];
       if (next.deliver_at != events_.now()) break;
       if (const auto pending = events_.peek_next_stored()) {
         const bool precedes =
@@ -209,8 +236,7 @@ void Network::drain_direction(ChannelId id, bool toward_b) {
       }
     }
     first = false;
-    InFlight item = std::move(dir.flight.front());
-    dir.flight.pop_front();
+    InFlight item = pop_flight(dir);
     // A TCP reset (drop_when_down channel going down) invalidates
     // in-flight segments: discard on session-epoch mismatch, at the exact
     // time the delivery would have happened.
@@ -261,9 +287,10 @@ void Network::set_up(ChannelId id, bool up) {
     // Flush held messages in their original order. Delivery latency is
     // measured from the original send, so the partition time shows up in
     // net.delivery_latency — exactly the outage the waiting period spans.
-    while (!ch.held.empty()) {
-      QueuedMsg queued = std::move(ch.held.front());
-      ch.held.pop_front();
+    // Swapped out first, so the healed channel keeps no held capacity.
+    std::vector<QueuedMsg> held;
+    held.swap(ch.held);
+    for (QueuedMsg& queued : held) {
       record_span(obs::Record::Kind::kSend, *queued.msg, id, *queued.to);
       schedule_delivery(id, queued.to, std::move(queued.msg), queued.sent_at,
                         ch.latency);

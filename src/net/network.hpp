@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -198,8 +197,15 @@ class Network {
   /// Monotonic per-network id for endpoints that tie-break on creation
   /// order (BGP's lowest-uid best-exit election). Scoped to the network —
   /// not a process-wide static — so concurrent simulations never share a
-  /// counter and every run hands out the same sequence.
-  std::uint64_t allocate_uid() { return ++next_uid_; }
+  /// counter and every run hands out the same sequence. Throws
+  /// std::length_error once the 32-bit space is spent: a wrapped uid would
+  /// silently reorder the lowest-uid tie-break.
+  std::uint32_t allocate_uid() {
+    if (next_uid_ == UINT32_MAX) {
+      throw std::length_error("Network: endpoint uids exhausted");
+    }
+    return ++next_uid_;
+  }
 
   /// Registers a callback fired on every message send and delivery.
   /// Convergence probes use this as their quiescence signal; callbacks
@@ -214,11 +220,13 @@ class Network {
     std::unique_ptr<Message> msg;
     SimTime sent_at;  // original send time: held time counts as latency
   };
-  /// One message travelling a channel direction. Messages ride this FIFO
-  /// instead of per-message event closures: `seq` is reserved from the
-  /// event queue at send time, so the message still occupies its exact
-  /// (deliver_at, seq) slot in the global total order, but the queue holds
-  /// at most one pending event per direction (the head's timer).
+  /// Slab index meaning "none" (empty FIFO, end of chain or free list).
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  /// One message travelling a channel direction. Messages ride a FIFO per
+  /// direction instead of per-message event closures: `seq` is reserved
+  /// from the event queue at send time, so the message still occupies its
+  /// exact (deliver_at, seq) slot in the global total order, but the queue
+  /// holds at most one pending event per direction (the head's timer).
   struct InFlight {
     std::unique_ptr<Message> msg;
     SimTime deliver_at;
@@ -228,21 +236,29 @@ class Network {
     // (drop_when_down channel going down) strands it and it is discarded,
     // at its original delivery time, on epoch mismatch.
     std::uint32_t epoch;
+    // The next message of the same direction (kNoSlot at the tail, where
+    // every new entry starts), or the free-list link once released.
+    std::uint32_t next = kNoSlot;
   };
+  /// A direction's FIFO is a chain of flight_ slots, oldest first, so an
+  /// idle direction owns no heap.
   struct Direction {
-    std::deque<InFlight> flight;
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
     // In-order floor: no delivery may be scheduled earlier than the
     // latest one already scheduled in this direction. Only binding under
     // disturbance jitter (fixed latency is monotone anyway).
     SimTime floor;
     bool timer_armed = false;  // one drain event pending for the head
     bool draining = false;     // re-arm deferred until the drain returns
+
+    [[nodiscard]] bool empty() const { return head == kNoSlot; }
   };
   struct Channel {
     Channel(Endpoint* a_in, Endpoint* b_in, SimTime latency_in)
         : a(a_in), b(b_in), latency(latency_in) {}
-    // Move-only: held/in-flight messages are unique_ptrs, and vector
-    // reallocation must move rather than attempt a copy.
+    // Move-only: held messages are unique_ptrs, and vector reallocation
+    // must move rather than attempt a copy.
     Channel(Channel&&) noexcept = default;
     Channel& operator=(Channel&&) noexcept = default;
 
@@ -256,7 +272,7 @@ class Network {
     Direction to_a;
     Direction to_b;
     // Messages held during a partition, per destination order of send.
-    std::deque<QueuedMsg> held;
+    std::vector<QueuedMsg> held;
   };
 
   // Inline: every send/deliver/drain resolves its channel through these.
@@ -270,6 +286,10 @@ class Network {
   const Channel& channel(ChannelId id) const {
     return const_cast<Network*>(this)->channel(id);
   }
+  /// Appends `item` to `dir`'s FIFO, reusing a freed slab slot first.
+  void push_flight(Direction& dir, InFlight item);
+  /// Unlinks `dir`'s head (which must exist) and frees its slot.
+  InFlight pop_flight(Direction& dir);
   void deliver(ChannelId id, Endpoint& to, std::unique_ptr<Message> msg,
                SimTime sent_at);
   void schedule_delivery(ChannelId id, Endpoint* to,
@@ -315,12 +335,16 @@ class Network {
   Rng* disturbance_rng_ = nullptr;  // nullptr = disturbance disabled
   obs::Stream stream_;
   std::uint64_t next_trace_id_ = 0;
-  std::uint64_t next_uid_ = 0;
+  std::uint32_t next_uid_ = 0;
   // Ambient trace id during on_message; deliver() saves and restores it,
   // so nested deliveries see their own context.
   std::uint64_t active_trace_id_ = 0;
   std::vector<std::function<void()>> activity_listeners_;
   std::vector<Channel> channels_;
+  // Every direction's in-flight messages share this slab; delivered and
+  // discarded slots go on the free list headed by free_flight_.
+  std::vector<InFlight> flight_;
+  std::uint32_t free_flight_ = kNoSlot;
 };
 
 }  // namespace net

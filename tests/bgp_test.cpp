@@ -24,11 +24,10 @@ using net::Prefix;
 // ---------------------------------------------------------------- decision
 
 Candidate make_candidate(PeerIndex via, std::vector<DomainId> path,
-                         int local_pref, std::uint64_t exit_uid,
+                         int local_pref, std::uint32_t exit_uid,
                          bool internal = false) {
   Candidate c;
-  c.route = Route{Prefix::parse("224.0.0.0/16"), PathRef::intern(path), 1,
-                  local_pref};
+  c.route = Route{PathRef::intern(path), 1, local_pref};
   c.via = via;
   c.internal = internal;
   c.exit_uid = exit_uid;
@@ -94,6 +93,10 @@ TEST(Rib, RemovingAbsentPrefixOrCandidateChangesNothing) {
   rib.upsert(held, make_candidate(1, {2, 3}, 100, 6));
   const std::size_t size = rib.size();
   const std::size_t candidates = rib.candidate_count();
+  EXPECT_EQ(candidates, 2u);
+  // Replacing a peer's candidate appends nothing.
+  rib.upsert(held, make_candidate(1, {2, 3, 4}, 100, 6));
+  EXPECT_EQ(rib.candidate_count(), candidates);
 
   // Absent prefix: a pure lookup, no entry left behind.
   const RibEntry* entry = rib.find(held);
@@ -140,9 +143,8 @@ TEST(Rib, LongestMatchFallsBackAfterLongestIsRemoved) {
 
 // -------------------------------------------------------------- AdjRibOut
 
-RouteRef route_ref(const char* prefix, DomainId origin) {
-  return RouteRef::intern(
-      Route{Prefix::parse(prefix), PathRef::intern({origin}), origin, 100});
+RouteRef route_ref(DomainId origin) {
+  return RouteRef::intern(Route{PathRef::intern({origin}), origin, 100});
 }
 
 TEST(AdjRibOut, RowLivesWhileAnyCellIsSet) {
@@ -150,7 +152,7 @@ TEST(AdjRibOut, RowLivesWhileAnyCellIsSet) {
   out.add_column();
   out.add_column();
   const Prefix p = Prefix::parse("224.2.0.0/16");
-  const RouteRef r = route_ref("224.2.0.0/16", 9);
+  const RouteRef r = route_ref(9);
   std::uint32_t row = out.find(p);
   EXPECT_EQ(row, AdjRibOut::kNoRow);
   EXPECT_FALSE(out.assign(p, row, 0, r).has_value());
@@ -172,8 +174,8 @@ TEST(AdjRibOut, NewColumnKeepsExistingCells) {
   out.add_column();
   const Prefix a = Prefix::parse("224.3.0.0/16");
   const Prefix b = Prefix::parse("224.4.0.0/16");
-  const RouteRef ra = route_ref("224.3.0.0/16", 3);
-  const RouteRef rb = route_ref("224.4.0.0/16", 4);
+  const RouteRef ra = route_ref(3);
+  const RouteRef rb = route_ref(4);
   std::uint32_t row_a = AdjRibOut::kNoRow;
   std::uint32_t row_b = AdjRibOut::kNoRow;
   out.assign(a, row_a, 0, ra);
@@ -744,11 +746,9 @@ TEST(PathTable, SurvivesBucketGrowth) {
 // ------------------------------------------------------------- RouteTable
 
 TEST(RouteTable, InternsEqualRoutesToOneId) {
-  const Route r1{Prefix::parse("224.8.0.0/16"), PathRef::intern({11, 12}), 12,
-                 100};
+  const Route r1{PathRef::intern({11, 12}), 12, 100};
   const Route r2 = r1;
-  const Route other{Prefix::parse("224.8.0.0/16"), PathRef::intern({11, 13}),
-                    13, 100};
+  const Route other{PathRef::intern({11, 13}), 13, 100};
   const RouteRef a = RouteRef::intern(r1);
   const RouteRef b = RouteRef::intern(r2);
   const RouteRef c = RouteRef::intern(other);
@@ -762,16 +762,46 @@ TEST(RouteTable, ReleasedIdsAreReused) {
   const auto live_before = RouteTable::instance().stats().live_routes;
   std::uint32_t freed_id = 0;
   {
-    const RouteRef held = RouteRef::intern(
-        Route{Prefix::parse("224.9.0.0/16"), PathRef::intern({21}), 21, 100});
+    const RouteRef held =
+        RouteRef::intern(Route{PathRef::intern({21}), 21, 100});
     freed_id = held.id();
     EXPECT_EQ(RouteTable::instance().stats().live_routes, live_before + 1);
   }
   EXPECT_EQ(RouteTable::instance().stats().live_routes, live_before);
   // The slot is recycled for the next distinct route.
-  const RouteRef next = RouteRef::intern(
-      Route{Prefix::parse("224.10.0.0/16"), PathRef::intern({22}), 22, 100});
+  const RouteRef next =
+      RouteRef::intern(Route{PathRef::intern({22}), 22, 100});
   EXPECT_EQ(next.id(), freed_id);
+}
+
+TEST(RouteTable, EqualAttributesUnderTwoPrefixesShareOneId) {
+  // A route carries no prefix, so one origin's equal attributes under two
+  // prefixes are one interned entry...
+  const Route attrs{PathRef::intern({31, 32}), 32, 100};
+  const RouteRef first = RouteRef::intern(attrs);
+  const auto live = RouteTable::instance().stats().live_routes;
+  const RouteRef second =
+      RouteRef::intern(Route{PathRef::intern({31, 32}), 32, 100});
+  EXPECT_EQ(first.id(), second.id());
+  EXPECT_EQ(RouteTable::instance().stats().live_routes, live);
+
+  // ...while each prefix keeps its own Adj-RIB-Out row and cell.
+  AdjRibOut out;
+  out.add_column();
+  const Prefix p1 = Prefix::parse("224.20.0.0/16");
+  const Prefix p2 = Prefix::parse("224.21.0.0/16");
+  std::uint32_t row1 = AdjRibOut::kNoRow;
+  std::uint32_t row2 = AdjRibOut::kNoRow;
+  out.assign(p1, row1, 0, first);
+  out.assign(p2, row2, 0, second);
+  ASSERT_NE(row1, AdjRibOut::kNoRow);
+  ASSERT_NE(row2, AdjRibOut::kNoRow);
+  EXPECT_NE(row1, row2);
+  EXPECT_EQ(out.cell(row1, 0), out.cell(row2, 0));
+  EXPECT_EQ(out.clear(p1, row1, 0), first);
+  EXPECT_EQ(out.find(p1), AdjRibOut::kNoRow);
+  ASSERT_EQ(out.find(p2), row2);
+  EXPECT_EQ(out.cell(row2, 0).get(), attrs);
 }
 
 TEST(RouteTable, NullRefIsInert) {

@@ -190,13 +190,13 @@ struct Line {
     net.settle();
   }
 
-  /// Delivers `route` to B as if A had sent it — an update A's
-  /// Adj-RIB-Out never recorded.
-  void forge_from_a(const bgp::Route& route) {
+  /// Delivers `route` for `prefix` to B as if A had sent it — an update
+  /// A's Adj-RIB-Out never recorded.
+  void forge_from_a(const net::Prefix& prefix, const bgp::Route& route) {
     bgp::Speaker& speaker = b.speaker(0);
     auto update = std::make_unique<bgp::UpdateMessage>();
     update->deltas.push_back(bgp::UpdateMessage::Delta{
-        bgp::RouteType::kUnicast, route.prefix, route});
+        bgp::RouteType::kUnicast, prefix, route});
     speaker.on_message(speaker.peer_channel(0), std::move(update));
     net.settle();
   }
@@ -217,8 +217,7 @@ TEST(AdjRibOutChecker, ConvergedStateIsClean) {
 TEST(AdjRibOutChecker, ForgedAnnouncementIsCaught) {
   Line line;
   const net::Prefix forged = net::Prefix::parse("10.200.0.0/16");
-  line.forge_from_a(
-      bgp::Route{forged, bgp::PathRef::intern({1}), 1, 100});
+  line.forge_from_a(forged, bgp::Route{bgp::PathRef::intern({1}), 1, 100});
   ASSERT_TRUE(line.b.speaker(0).lookup(bgp::RouteType::kUnicast,
                                        net::Ipv4Addr::parse("10.200.0.1")));
   const std::vector<check::Violation> found =
@@ -240,8 +239,8 @@ TEST(AdjRibOutChecker, ForgedAnnouncementIsCaught) {
 TEST(AdjRibOutChecker, ForgedPathIsCaught) {
   Line line;
   // A really announced its own prefix with path [1]; B now holds [1 7].
-  line.forge_from_a(bgp::Route{line.a.unicast_prefix(),
-                               bgp::PathRef::intern({1, 7}), 1, 100});
+  line.forge_from_a(line.a.unicast_prefix(),
+                    bgp::Route{bgp::PathRef::intern({1, 7}), 1, 100});
   const std::vector<check::Violation> found =
       adj_rib_out_violations(line.net);
   ASSERT_EQ(found.size(), 1u);

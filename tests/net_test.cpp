@@ -575,6 +575,63 @@ TEST(Network, DropWhenDownCanRevertToQueueAndFlush) {
   EXPECT_EQ(b.received[0].second, "held");
 }
 
+TEST(Network, InterleavedChannelsKeepOrderWhileSharingSlots) {
+  // Every direction's FIFO is a chain through one network-wide slab, so
+  // messages of different channels sit in interleaved slots and a freed
+  // slot is reused by whichever direction sends next.
+  EventQueue q;
+  Network network(q);
+  Recorder a("a"), b("b"), c("c"), d("d"), e("e"), f("f");
+  const auto ab = network.connect(a, b, SimTime::milliseconds(10));
+  const auto cd = network.connect(c, d, SimTime::milliseconds(5));
+  const auto ef = network.connect(e, f, SimTime::milliseconds(15));
+  network.set_drop_when_down(ef, true);
+  const auto send = [&](ChannelId ch, Endpoint& from, const char* text) {
+    network.send(ch, from, std::make_unique<TextMessage>(text));
+  };
+  const auto in_flight = [&] {
+    return network.metrics().snapshot().gauge_value("net.messages_in_flight");
+  };
+  send(ab, a, "ab0");
+  send(cd, c, "cd0");
+  send(ef, e, "ef0");
+  send(ab, a, "ab1");
+  send(cd, c, "cd1");
+  send(ef, e, "ef1");
+  EXPECT_EQ(in_flight(), 6.0);
+  // c -> d drains first; its two slots go back to the free list and the
+  // next sends on the other channels take them.
+  q.run_until(SimTime::milliseconds(6));
+  EXPECT_EQ(d.received.size(), 2u);
+  send(ab, a, "ab2");
+  send(ef, e, "ef2");
+  send(ab, b, "ba0");
+  send(cd, c, "cd2");
+  EXPECT_EQ(in_flight(), 8.0);
+  // A session reset on e <-> f strands its three messages; the gauge
+  // counts the live session's messages only.
+  network.set_up(ef, false);
+  EXPECT_EQ(in_flight(), 5.0);
+  network.set_up(ef, true);
+  send(ef, e, "ef3");
+  EXPECT_EQ(in_flight(), 6.0);
+  q.run();
+
+  const auto texts = [](const Recorder& r) {
+    std::vector<std::string> out;
+    for (const auto& [channel, text] : r.received) out.push_back(text);
+    return out;
+  };
+  EXPECT_EQ(texts(b), (std::vector<std::string>{"ab0", "ab1", "ab2"}));
+  EXPECT_EQ(texts(a), (std::vector<std::string>{"ba0"}));
+  EXPECT_EQ(texts(d), (std::vector<std::string>{"cd0", "cd1", "cd2"}));
+  EXPECT_EQ(texts(f), (std::vector<std::string>{"ef3"}));
+  EXPECT_TRUE(c.received.empty());
+  EXPECT_TRUE(e.received.empty());
+  EXPECT_EQ(network.messages_dropped(), 3u);
+  EXPECT_EQ(in_flight(), 0.0);
+}
+
 TEST(Network, CountersDelegateToMetricsRegistry) {
   EventQueue q;
   Network network(q);
