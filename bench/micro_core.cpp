@@ -5,6 +5,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgp/path_table.hpp"
@@ -301,9 +302,10 @@ void BM_BgpPropagation(benchmark::State& state) {
     net::Network network(events);
     std::vector<std::unique_ptr<bgp::Speaker>> speakers;
     for (int i = 0; i < 200; ++i) {
+      std::string name = "s";
+      name += std::to_string(i);
       speakers.push_back(std::make_unique<bgp::Speaker>(
-          network, static_cast<bgp::DomainId>(i + 1),
-          "s" + std::to_string(i)));
+          network, static_cast<bgp::DomainId>(i + 1), std::move(name)));
     }
     for (int i = 0; i + 1 < 200; ++i) {
       bgp::Speaker::connect(*speakers[i], *speakers[i + 1],

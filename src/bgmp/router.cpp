@@ -127,7 +127,9 @@ net::ChannelId Router::connect(Router& a, Router& b, net::SimTime latency) {
     throw std::invalid_argument(
         "bgmp::Router::connect: same-domain routers peer through the MIGP");
   }
-  const net::ChannelId channel = a.network_.connect(a, b, latency);
+  const net::ChannelId channel = a.network_.connect(
+      a, b, latency, static_cast<std::uint32_t>(a.external_peers_.size()),
+      static_cast<std::uint32_t>(b.external_peers_.size()));
   a.network_.set_drop_when_down(channel, true);  // a dead peering loses data
   a.external_peers_.push_back(ExternalPeer{&b, channel});
   b.external_peers_.push_back(ExternalPeer{&a, channel});
@@ -159,10 +161,8 @@ Router* Router::internal_router_for(const bgp::Speaker* speaker) const {
 
 const Router::ExternalPeer* Router::peer_by_channel(
     net::ChannelId channel) const {
-  for (const ExternalPeer& p : external_peers_) {
-    if (p.channel == channel) return &p;
-  }
-  return nullptr;
+  const std::uint32_t index = network_.endpoint_index(channel, *this);
+  return index < external_peers_.size() ? &external_peers_[index] : nullptr;
 }
 
 const Router::ExternalPeer* Router::peer_by_router(const Router* r) const {

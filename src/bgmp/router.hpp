@@ -271,6 +271,8 @@ class Router final : public net::Endpoint {
                     Group group);
   [[nodiscard]] Router* external_router_for(const bgp::Speaker* speaker) const;
   [[nodiscard]] Router* internal_router_for(const bgp::Speaker* speaker) const;
+  /// The external peering on `channel` (nullptr: none), read from the
+  /// index connect() stored on the channel.
   [[nodiscard]] const ExternalPeer* peer_by_channel(
       net::ChannelId channel) const;
   [[nodiscard]] const ExternalPeer* peer_by_router(const Router* r) const;

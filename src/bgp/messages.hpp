@@ -1,8 +1,11 @@
 // BGP update messages exchanged over peering channels.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -31,7 +34,36 @@ struct UpdateMessage final : net::Message {
     /// (carried across re-advertisements). Negative = unset.
     net::SimTime origin_time = net::SimTime::nanoseconds(-1);
   };
-  std::vector<Delta> deltas;
+
+  /// The deltas, contiguous. Most updates carry one route, so the first
+  /// delta lives in the message itself and a one-route update is a single
+  /// heap block; a second delta moves them all into `spill_`.
+  class DeltaList {
+   public:
+    /// Sizes the spill vector for `n` deltas; a no-op for n <= 1.
+    void reserve(std::size_t n) {
+      if (n > 1) spill_.reserve(n);
+    }
+    void push_back(Delta delta) {
+      if (size_ == 0) {
+        one_ = std::move(delta);
+      } else {
+        if (size_ == 1) spill_.push_back(std::move(one_));
+        spill_.push_back(std::move(delta));
+      }
+      ++size_;
+    }
+    [[nodiscard]] const Delta* begin() const {
+      return size_ > 1 ? spill_.data() : &one_;
+    }
+    [[nodiscard]] const Delta* end() const { return begin() + size_; }
+
+   private:
+    Delta one_;
+    std::vector<Delta> spill_;
+    std::uint32_t size_ = 0;
+  };
+  DeltaList deltas;
 
   [[nodiscard]] std::string describe() const override;
 };

@@ -1,6 +1,9 @@
 #include "bgp/speaker.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 
 namespace bgp {
@@ -56,7 +59,11 @@ net::ChannelId Speaker::connect(Speaker& a, Speaker& b,
         a.name_ + " AS" + std::to_string(a.as_) + " / " + b.name_ + " AS" +
         std::to_string(b.as_) + ")");
   }
-  const net::ChannelId channel = a.network_.connect(a, b, latency);
+  // Each side's PeerIndex rides on the channel, so a delivery finds its
+  // peering with one read (find_peer).
+  const net::ChannelId channel = a.network_.connect(
+      a, b, latency, static_cast<std::uint32_t>(a.peers_.size()),
+      static_cast<std::uint32_t>(b.peers_.size()));
   // A broken peering is a reset transport session, not a lossless pause:
   // both sides flush and resynchronize when it returns.
   a.network_.set_drop_when_down(channel, true);
@@ -69,19 +76,9 @@ net::ChannelId Speaker::connect(Speaker& a, Speaker& b,
 
 PeerIndex Speaker::add_peer(Speaker& peer, net::ChannelId channel,
                             Relationship rel, ExportPolicy export_policy) {
-  peers_.push_back(Peer{&peer, channel, rel, export_policy, {}});
-  peer_channels_.push_back(channel);
+  peers_.push_back(Peer{&peer, channel, rel, export_policy});
   for (AdjRibOut& out : adj_rib_out_) out.add_column();
   return static_cast<PeerIndex>(peers_.size() - 1);
-}
-
-PeerIndex Speaker::find_peer(net::ChannelId channel) const {
-  // Channel ids are allocated in connect order, so this vector is
-  // ascending and a hub speaker's lookup is a binary search.
-  const auto it = std::lower_bound(peer_channels_.begin(),
-                                   peer_channels_.end(), channel);
-  if (it == peer_channels_.end() || *it != channel) return kLocalPeer;
-  return static_cast<PeerIndex>(it - peer_channels_.begin());
 }
 
 PeerIndex Speaker::peer_by_channel(net::ChannelId channel) const {
@@ -189,7 +186,8 @@ void Speaker::on_message(net::ChannelId channel,
 void Speaker::on_channel_down(net::ChannelId channel) {
   const PeerIndex index = peer_by_channel(channel);
   // Whatever the dead session had not flushed yet dies with it.
-  peers_[index].pending.clear();
+  std::erase_if(pending_,
+                [index](const PendingDelta& d) { return d.peer == index; });
   const BatchScope batch(*this);
   for (int t = 0; t < kRouteTypeCount; ++t) {
     const auto type = static_cast<RouteType>(t);
@@ -363,54 +361,76 @@ void Speaker::apply_desired(RouteType type, const net::Prefix& prefix,
   // Queue the delta; the Adj-RIB-Out above is already updated, so later
   // syncs in the same batch compute against the post-change state. The
   // wire message goes out when the outermost batch scope flushes.
-  Peer& peer = peers_[index];
-  if (peer.pending.empty()) dirty_peers_.push_back(index);
-  const auto [it, inserted] =
-      peer.pending.try_emplace(std::pair(type, prefix));
-  if (inserted) it->second.before = std::move(before);
-  it->second.latest = desired.route != nullptr ? *desired.ref : RouteRef{};
-  it->second.origin_time =
-      update_origin_.ns() >= 0 ? update_origin_ : network_.events().now();
+  pending_.push_back(PendingDelta{
+      index, type, prefix, std::move(before),
+      desired.route != nullptr ? *desired.ref : RouteRef{},
+      update_origin_.ns() >= 0 ? update_origin_ : network_.events().now()});
 }
 
 void Speaker::flush_updates() {
-  if (dirty_peers_.empty()) return;
-  // Swap into the scratch list first: anything dirtied while flushing
-  // accumulates for the next flush instead of mutating the list being
-  // walked. Both vectors keep their capacity across batches.
-  flush_order_.swap(dirty_peers_);
-  // Ascending index order — identical send order to the full peer scan
-  // this replaces. A peer can appear twice if a mid-batch session loss
-  // cleared its pending map and later syncs re-dirtied it; the duplicate
-  // is skipped below once the map is drained.
-  std::sort(flush_order_.begin(), flush_order_.end());
-  for (const PeerIndex index : flush_order_) {
-    Peer& peer = peers_[index];
-    if (peer.pending.empty()) continue;
-    if (!network_.is_up(peer.channel)) {
-      // Session went away mid-batch; channel-up reconciles via full sync.
-      peer.pending.clear();
-      continue;
-    }
-    auto update = std::make_unique<UpdateMessage>();
-    update->deltas.reserve(peer.pending.size());
-    for (auto& [key, pd] : peer.pending) {
-      // Canonical ids: equal refs mean equal routes, so churn that netted
-      // out to no wire change is one integer compare.
-      if (pd.before == pd.latest) continue;
-      update->deltas.push_back(UpdateMessage::Delta{
-          key.first, key.second,
-          pd.latest.has_value() ? std::optional<Route>(pd.latest.get())
-                                : std::nullopt,
-          pd.origin_time});
-    }
-    peer.pending.clear();
-    if (update->deltas.empty()) continue;
-    metrics_.updates_sent->inc();
-    metrics_.updates_sent_by_domain->add(as_);
-    network_.send(peer.channel, *this, std::move(update));
+  if (pending_.empty()) return;
+  const auto key_less = [](const PendingDelta& x, const PendingDelta& y) {
+    return x.key() < y.key();
+  };
+  // Peers are sent to in ascending index order, each update listing its
+  // deltas in (type, prefix) order. Stable, so each key's run keeps its
+  // queue order. A one-prefix fan-out queues its peers in index order and
+  // needs no sort at all.
+  if (!std::is_sorted(pending_.begin(), pending_.end(), key_less)) {
+    std::stable_sort(pending_.begin(), pending_.end(), key_less);
   }
-  flush_order_.clear();
+  // Coalesce each key's run in place: the cell as the batch first found
+  // it, and the last route and origin stamp queued for it. Canonical ids:
+  // equal refs mean equal routes, so churn that netted out to no wire
+  // change is one integer compare.
+  auto out = pending_.begin();
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    auto run_end = std::next(it);
+    while (run_end != pending_.end() && run_end->key() == it->key()) {
+      ++run_end;
+    }
+    PendingDelta& last = *std::prev(run_end);
+    if (it->before != last.latest) {
+      if (&last != &*it) {
+        it->latest = std::move(last.latest);
+        it->origin_time = last.origin_time;
+      }
+      if (out != it) *out = std::move(*it);
+      ++out;
+    }
+    it = run_end;
+  }
+  pending_.erase(out, pending_.end());
+  // One update per peer whose session is still up; a session that went
+  // away mid-batch is reconciled by the channel-up full sync. Sending
+  // only queues the message, so nothing re-enters this speaker here.
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    const PeerIndex index = it->peer;
+    const auto run_end = std::find_if(
+        it, pending_.end(),
+        [index](const PendingDelta& d) { return d.peer != index; });
+    const Peer& peer = peers_[index];
+    if (network_.is_up(peer.channel)) {
+      auto update = std::make_unique<UpdateMessage>();
+      update->deltas.reserve(static_cast<std::size_t>(run_end - it));
+      for (; it != run_end; ++it) {
+        update->deltas.push_back(UpdateMessage::Delta{
+            it->type, it->prefix,
+            it->latest.has_value() ? std::optional<Route>(it->latest.get())
+                                   : std::nullopt,
+            it->origin_time});
+      }
+      metrics_.updates_sent->inc();
+      metrics_.updates_sent_by_domain->add(as_);
+      network_.send(peer.channel, *this, std::move(update));
+    }
+    it = run_end;
+  }
+  if (pending_.capacity() > kPendingKeep) {
+    pending_ = std::vector<PendingDelta>();
+  } else {
+    pending_.clear();
+  }
 }
 
 void Speaker::best_changed(RouteType type, const net::Prefix& prefix,

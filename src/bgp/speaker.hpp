@@ -15,10 +15,10 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -129,9 +129,12 @@ class Speaker final : public net::Endpoint {
   [[nodiscard]] net::ChannelId peer_channel(PeerIndex index) const {
     return peers_.at(index).channel;
   }
-  /// The peering on `channel`, or kLocalPeer when there is none: a binary
-  /// search, since channel ids ascend in connect order.
-  [[nodiscard]] PeerIndex find_peer(net::ChannelId channel) const;
+  /// The peering on `channel`, or kLocalPeer when there is none: one read
+  /// of the index connect() stored on the channel.
+  [[nodiscard]] PeerIndex find_peer(net::ChannelId channel) const {
+    const std::uint32_t index = network_.endpoint_index(channel, *this);
+    return index == net::Network::kNoIndex ? kLocalPeer : index;
+  }
 
   /// Read-only walk of what this speaker last announced in one view (its
   /// Adj-RIB-Out): `fn(prefix, peer, route)` per announced route, in
@@ -169,19 +172,23 @@ class Speaker final : public net::Endpoint {
     net::ChannelId channel;
     Relationship relationship;
     ExportPolicy export_policy;
-    /// Deltas accumulated during the current update batch (see
-    /// BatchScope). `before` snapshots the Adj-RIB-Out cell when the
-    /// batch first touched the key, so churn that nets out to no wire
-    /// change is dropped at flush. Keyed map: deterministic flush order.
-    /// Both sides are interned handles (null = absent/withdraw): ids are
-    /// canonical, so the flush netting check is an id compare and a batch
-    /// of applies costs refcount bumps, not Route copies.
-    struct PendingDelta {
-      RouteRef before;
-      RouteRef latest;
-      net::SimTime origin_time = net::SimTime::nanoseconds(-1);
-    };
-    std::map<std::pair<RouteType, net::Prefix>, PendingDelta> pending;
+  };
+
+  /// One Adj-RIB-Out change queued during the current update batch (see
+  /// BatchScope): the cell as this sync found it (`before`) and as it left
+  /// it (`latest`). Both are interned handles (null = absent/withdraw):
+  /// ids are canonical, so the flush netting check is an id compare and a
+  /// batch of applies costs refcount bumps, not Route copies.
+  struct PendingDelta {
+    PeerIndex peer;
+    RouteType type;
+    net::Prefix prefix;
+    RouteRef before;
+    RouteRef latest;
+    net::SimTime origin_time;
+
+    /// The coalescing key, in flush order.
+    [[nodiscard]] auto key() const { return std::tie(peer, type, prefix); }
   };
 
   Rib& rib_mut(RouteType type) {
@@ -235,11 +242,15 @@ class Speaker final : public net::Endpoint {
 
   PeerIndex add_peer(Speaker& peer, net::ChannelId channel, Relationship rel,
                      ExportPolicy export_policy);
+  /// find_peer(), throwing for a channel this speaker is not on.
   [[nodiscard]] PeerIndex peer_by_channel(net::ChannelId channel) const;
 
   void handle_update(PeerIndex from, const UpdateMessage& update);
 
-  /// Sends each peer's coalesced pending deltas as one UpdateMessage.
+  /// Sends each peer's coalesced pending deltas as one UpdateMessage:
+  /// sorts pending_ by (peer, type, prefix), coalesces each key's run to
+  /// its first `before` and last `latest` and origin_time, drops runs that
+  /// net out, and skips peers whose session is down.
   void flush_updates();
 
   /// Best-route change fan-out: notifies listeners and resyncs peers.
@@ -350,17 +361,15 @@ class Speaker final : public net::Endpoint {
   /// 4-byte handles per prefix, one cell per PeerIndex.
   std::array<AdjRibOut, kRouteTypeCount> adj_rib_out_;
   std::vector<Peer> peers_;
-  /// peers_[i].channel, hoisted into a flat ascending vector (channels are
-  /// allocated in connect order): peer_by_channel() binary-searches 4-byte
-  /// ids instead of striding across the full Peer structs per delivery.
-  std::vector<net::ChannelId> peer_channels_;
-  /// Peers whose pending map gained its first delta this batch. flush
-  /// sorts the indices, so the per-peer send order matches the full scan
-  /// it replaces exactly.
-  std::vector<PeerIndex> dirty_peers_;
-  /// flush_updates() scratch (swapped with dirty_peers_): keeps capacity
-  /// across batches and isolates the walk from re-entrant dirtying.
-  std::vector<PeerIndex> flush_order_;
+  /// Every delta queued in the current batch, for every peer, in queue
+  /// order: queueing is an append, and flush_updates() sorts them into
+  /// the (peer, type, prefix) order the wire needs.
+  std::vector<PendingDelta> pending_;
+  /// Capacity pending_ may keep between batches; a larger one is freed at
+  /// flush. Most batches queue a handful of entries, but full-table syncs
+  /// and hub fan-outs queue hundreds, and keeping those capacities on
+  /// every speaker costs more peak memory than regrowing them does time.
+  static constexpr std::size_t kPendingKeep = 64;
   std::vector<RouteChangeListener> listeners_;
 };
 

@@ -1,6 +1,7 @@
+#include <algorithm>
 #include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bgmp/router.hpp"
@@ -76,30 +77,72 @@ void BgmpBidirectionalInvariant::check(core::Internet& net,
 
 void BgmpAcyclicInvariant::check(core::Internet& net,
                                  std::vector<Violation>& out) {
-  const std::vector<bgmp::Router*> routers = all_routers(net);
-  std::set<bgmp::Group> groups;
-  for (bgmp::Router* router : routers) {
+  // One pass collects, per group, the routers holding a (*,G) entry, in
+  // router order. A router without one ends every chain that reaches it,
+  // so only these can start, or lie on, a cycle.
+  std::map<bgmp::Group, std::vector<const bgmp::Router*>> holders;
+  for (const bgmp::Router* router : all_routers(net)) {
     for (const auto& [group, entry] : router->star_entries()) {
       (void)entry;
-      groups.insert(group);
+      holders[group].push_back(router);
     }
   }
-  for (const bgmp::Group group : groups) {
-    std::set<const bgmp::Router*> implicated;
-    for (bgmp::Router* start : routers) {
-      if (implicated.contains(start)) continue;
-      std::set<const bgmp::Router*> visited;
+  // Where a router's parent chain leads, shared by every walk of one
+  // group, so each router is walked once: `cycle_entry` is the first
+  // router the walk from here visits twice (nullptr: the chain ends).
+  struct Fate {
+    bool resolved = false;  // false while on the walk in progress
+    bool on_cycle = false;
+    bool implicated = false;  // on the walk of a reported cycle
+    const bgmp::Router* cycle_entry = nullptr;
+  };
+  std::unordered_map<const bgmp::Router*, Fate> fates;
+  std::vector<const bgmp::Router*> path;
+  for (const auto& [group, routers] : holders) {
+    const auto next = [group](const bgmp::Router* r) -> const bgmp::Router* {
+      const bgmp::GroupEntry* entry = r->star_entry(group);
+      return entry != nullptr ? parent_hop(*entry) : nullptr;
+    };
+    fates.clear();
+    for (const bgmp::Router* start : routers) {
+      // Walk until the chain ends, reaches a resolved router, or comes
+      // back to this walk's own path (a cycle not seen before).
+      path.clear();
       const bgmp::Router* walk = start;
-      while (walk != nullptr) {
-        if (!visited.insert(walk).second) {
-          out.push_back(Violation{
-              std::string(name()), group_subject(walk, group),
-              "parent chain cycles through " + walk->name()});
-          implicated.insert(visited.begin(), visited.end());
-          break;
+      while (walk != nullptr && fates.try_emplace(walk).second) {
+        path.push_back(walk);
+        walk = next(walk);
+      }
+      const bgmp::Router* entry = nullptr;
+      if (walk != nullptr) {
+        const Fate& reached = fates[walk];
+        if (!reached.resolved) {
+          // A walk from any router on the cycle first revisits itself.
+          const auto cycle = std::find(path.begin(), path.end(), walk);
+          for (auto it = cycle; it != path.end(); ++it) {
+            fates[*it] = Fate{true, true, false, *it};
+          }
+          path.erase(cycle, path.end());
+          entry = walk;
+        } else {
+          entry = reached.on_cycle ? walk : reached.cycle_entry;
         }
-        const bgmp::GroupEntry* entry = walk->star_entry(group);
-        walk = entry != nullptr ? parent_hop(*entry) : nullptr;
+      }
+      for (const bgmp::Router* r : path) {
+        fates[r] = Fate{true, false, false, entry};
+      }
+    }
+    // Report in router order, one violation per walk that reaches a cycle
+    // from a router no earlier reported walk passed through.
+    for (const bgmp::Router* start : routers) {
+      const Fate& fate = fates[start];
+      if (fate.cycle_entry == nullptr || fate.implicated) continue;
+      const bgmp::Router* at = fate.cycle_entry;
+      out.push_back(Violation{std::string(name()), group_subject(at, group),
+                              "parent chain cycles through " + at->name()});
+      // Everything past an implicated router is implicated already.
+      for (const bgmp::Router* r = start; !fates[r].implicated; r = next(r)) {
+        fates[r].implicated = true;
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "core/domain.hpp"
 #include "core/internet.hpp"
@@ -82,9 +83,10 @@ BuiltScenario build_scenario(core::Internet& net, const ScenarioSpec& spec) {
           : static_cast<std::size_t>(spec.domains);
   for (int i = 0; i < spec.domains; ++i) {
     const bool is_top = i < tops;
+    std::string name = is_top ? "T" : "C";
+    name += std::to_string(i + 1);
     core::Domain& d = net.add_domain(
-        {.id = static_cast<bgp::DomainId>(i + 1),
-         .name = (is_top ? "T" : "C") + std::to_string(i + 1)});
+        {.id = static_cast<bgp::DomainId>(i + 1), .name = std::move(name)});
     if (is_top || topo.children.size() < active_cap) d.announce_unicast();
     (is_top ? topo.tops : topo.children).push_back(&d);
   }

@@ -10,7 +10,10 @@ namespace masc {
 
 std::string AdvertiseMessage::describe() const {
   std::string out = "MASC ADVERTISE";
-  for (const net::Prefix& p : spaces) out += " " + p.to_string();
+  for (const net::Prefix& p : spaces) {
+    out += ' ';
+    out += p.to_string();
+  }
   return out;
 }
 
@@ -51,7 +54,9 @@ MascNode::MascNode(net::Network& network, DomainId domain, std::string name,
 
 net::ChannelId MascNode::connect(MascNode& a, MascNode& b, PeerKind b_is,
                                  net::SimTime latency) {
-  const net::ChannelId channel = a.network_.connect(a, b, latency);
+  const net::ChannelId channel = a.network_.connect(
+      a, b, latency, static_cast<std::uint32_t>(a.links_.size()),
+      static_cast<std::uint32_t>(b.links_.size()));
   PeerKind a_is;  // what a is to b
   switch (b_is) {
     case PeerKind::kParent: a_is = PeerKind::kChild; break;
@@ -76,10 +81,11 @@ void MascNode::set_spaces(std::vector<net::Prefix> spaces) {
 }
 
 const MascNode::PeerLink& MascNode::link(net::ChannelId channel) const {
-  for (const PeerLink& l : links_) {
-    if (l.channel == channel) return l;
+  const std::uint32_t index = network_.endpoint_index(channel, *this);
+  if (index >= links_.size()) {
+    throw std::logic_error("MascNode: message on unknown channel");
   }
-  throw std::logic_error("MascNode: message on unknown channel");
+  return links_[index];
 }
 
 bool MascNode::we_win(net::SimTime our_time, net::SimTime their_time,

@@ -208,6 +208,8 @@ class MascNode final : public net::Endpoint {
   [[nodiscard]] bool we_win(net::SimTime our_time, net::SimTime their_time,
                             DomainId theirs) const;
 
+  /// The link on `channel`, read from the index connect() stored on the
+  /// channel; throws for a channel this node is not on.
   [[nodiscard]] const PeerLink& link(net::ChannelId channel) const;
   [[nodiscard]] net::SimTime now() const { return network_.events().now(); }
 

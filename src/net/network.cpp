@@ -52,11 +52,12 @@ Network::Network(EventQueue& events, obs::Metrics* metrics)
 
 Network::~Network() = default;
 
-ChannelId Network::connect(Endpoint& a, Endpoint& b, SimTime one_way_latency) {
+ChannelId Network::connect(Endpoint& a, Endpoint& b, SimTime one_way_latency,
+                           std::uint32_t a_index, std::uint32_t b_index) {
   if (&a == &b) {
     throw std::invalid_argument("Network::connect: endpoint peered to itself");
   }
-  channels_.emplace_back(&a, &b, one_way_latency);
+  channels_.emplace_back(&a, &b, one_way_latency, a_index, b_index);
   return ChannelId{static_cast<std::uint32_t>(channels_.size() - 1)};
 }
 

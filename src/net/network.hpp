@@ -99,10 +99,31 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
+  /// endpoint_index() of an endpoint that is not on the channel or gave no
+  /// index when it was connected.
+  static constexpr std::uint32_t kNoIndex = UINT32_MAX;
+
   /// Creates a full-duplex channel between two endpoints. Both endpoints
-  /// must outlive the network.
+  /// must outlive the network. `a_index` / `b_index` are each side's own
+  /// index for this peering (its slot in whatever peer table it keeps),
+  /// stored on the channel so a delivery resolves the local peering with
+  /// one read instead of a search.
   ChannelId connect(Endpoint& a, Endpoint& b,
-                    SimTime one_way_latency = SimTime::milliseconds(10));
+                    SimTime one_way_latency = SimTime::milliseconds(10),
+                    std::uint32_t a_index = kNoIndex,
+                    std::uint32_t b_index = kNoIndex);
+
+  /// The index `self` gave for its end of `channel` at connect time, or
+  /// kNoIndex when `self` is not on it (or the id names no channel).
+  [[nodiscard]] std::uint32_t endpoint_index(ChannelId id,
+                                             const Endpoint& self) const {
+    const auto idx = static_cast<std::size_t>(id);
+    if (idx >= channels_.size()) return kNoIndex;
+    const Channel& ch = channels_[idx];
+    if (ch.b == &self) return ch.to_b.receiver_index;
+    if (ch.a == &self) return ch.to_a.receiver_index;
+    return kNoIndex;
+  }
 
   /// Sends `msg` from `from` to its peer on `channel`. Delivery happens
   /// `latency` later via the event queue; messages queue while the channel
@@ -249,14 +270,22 @@ class Network {
     // latest one already scheduled in this direction. Only binding under
     // disturbance jitter (fixed latency is monotone anyway).
     SimTime floor;
+    // The receiving endpoint's index for the channel (Network::connect).
+    // It fits in the struct's padding, so a Channel does not grow.
+    std::uint32_t receiver_index = kNoIndex;
     bool timer_armed = false;  // one drain event pending for the head
     bool draining = false;     // re-arm deferred until the drain returns
 
     [[nodiscard]] bool empty() const { return head == kNoSlot; }
   };
+  static_assert(sizeof(Direction) == 24, "receiver_index must fit padding");
   struct Channel {
-    Channel(Endpoint* a_in, Endpoint* b_in, SimTime latency_in)
-        : a(a_in), b(b_in), latency(latency_in) {}
+    Channel(Endpoint* a_in, Endpoint* b_in, SimTime latency_in,
+            std::uint32_t a_index, std::uint32_t b_index)
+        : a(a_in), b(b_in), latency(latency_in) {
+      to_a.receiver_index = a_index;
+      to_b.receiver_index = b_index;
+    }
     // Move-only: held messages are unique_ptrs, and vector reallocation
     // must move rather than attempt a copy.
     Channel(Channel&&) noexcept = default;

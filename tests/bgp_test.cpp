@@ -3,11 +3,15 @@
 // selective propagation (§2/§4.2).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bgp/adj_rib_out.hpp"
+#include "bgp/messages.hpp"
 #include "bgp/rib.hpp"
 #include "bgp/route_table.hpp"
 #include "bgp/speaker.hpp"
@@ -645,6 +649,158 @@ TEST(Speaker, Figure1GroupRouteDistribution) {
     EXPECT_EQ(hit->next_hop, &a3) << s->name();
     EXPECT_TRUE(hit->internal);
   }
+}
+
+// --------------------------------------------------------- update batches
+
+/// a -- s -- b in a line: s's peer 0 is a, its peer 1 is b. Tests forge
+/// updates into s as if a had sent them and watch what s sends b.
+struct Relay {
+  TestNet t;
+  Speaker& a = t.speaker(1, "a");
+  Speaker& s = t.speaker(2, "s");
+  Speaker& b = t.speaker(3, "b");
+
+  Relay() {
+    Speaker::connect(a, s, Relationship::kLateral);
+    Speaker::connect(s, b, Relationship::kLateral);
+    t.settle();
+  }
+
+  /// Hands `deltas` to s as one update from a, outside any delivery.
+  void forge_from_a(const std::vector<UpdateMessage::Delta>& deltas) {
+    auto update = std::make_unique<UpdateMessage>();
+    for (const UpdateMessage::Delta& d : deltas) update->deltas.push_back(d);
+    s.on_message(s.peer_channel(0), std::move(update));
+  }
+};
+
+Route route_via(std::vector<DomainId> path) {
+  return Route{PathRef::intern(path), path.back(), 100};
+}
+
+TEST(SpeakerBatch, AnnounceThenWithdrawInOneUpdateSendsNothing) {
+  Relay r;
+  const Prefix p = Prefix::parse("224.1.0.0/16");
+  const std::uint64_t sent = r.t.network.messages_sent();
+  r.forge_from_a({{RouteType::kGroup, p, route_via({1})},
+                  {RouteType::kGroup, p, std::nullopt}});
+  // The announcement to b and its withdrawal net out within the batch.
+  EXPECT_EQ(r.t.network.messages_sent(), sent);
+  EXPECT_EQ(r.s.advertised(RouteType::kGroup, 1, p), nullptr);
+  r.t.settle();
+  EXPECT_FALSE(r.b.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3")));
+}
+
+TEST(SpeakerBatch, TwoChangesToOneKeyLeaveOneDeltaWithTheLastRouteAndStamp) {
+  Relay r;
+  r.t.events.run_until(net::SimTime::seconds(10));
+  const Prefix p = Prefix::parse("224.1.0.0/16");
+  obs::Histogram& latency =
+      r.t.network.metrics().histogram("bgp.route_convergence_latency");
+  const std::uint64_t samples = latency.count();
+  const double sum = latency.sum();
+  const std::uint64_t sent = r.t.network.messages_sent();
+  r.forge_from_a({{RouteType::kGroup, p, route_via({1}),
+                   net::SimTime::seconds(2)},
+                  {RouteType::kGroup, p, route_via({7, 1}),
+                   net::SimTime::seconds(7)}});
+  EXPECT_EQ(r.t.network.messages_sent(), sent + 1);
+  r.t.settle();
+  const auto at_b = r.b.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3"));
+  ASSERT_TRUE(at_b.has_value());
+  EXPECT_EQ(at_b->route.as_path, (std::vector<DomainId>{2, 7, 1}));
+  // s flips twice (8 s and 3 s after the two stamps); b flips once, 10 ms
+  // later, on the one delta, which carries the last stamp (7 s).
+  EXPECT_EQ(latency.count(), samples + 3);
+  EXPECT_NEAR(latency.sum() - sum, 8.0 + 3.0 + 3.01, 1e-9);
+}
+
+TEST(SpeakerBatch, FlushedUpdateListsDeltasInTypeThenPrefixOrder) {
+  Relay r;
+  std::vector<std::pair<RouteType, Prefix>> seen;
+  r.b.add_route_change_listener([&](RouteType type, const Prefix& prefix) {
+    seen.emplace_back(type, prefix);
+  });
+  const Prefix g2 = Prefix::parse("224.2.0.0/16");
+  const Prefix g1 = Prefix::parse("224.1.0.0/16");
+  const Prefix u2 = Prefix::parse("10.2.0.0/16");
+  const Prefix u1 = Prefix::parse("10.1.0.0/16");
+  const std::uint64_t sent = r.t.network.messages_sent();
+  r.forge_from_a({{RouteType::kGroup, g2, route_via({1})},
+                  {RouteType::kUnicast, u2, route_via({1})},
+                  {RouteType::kGroup, g1, route_via({1})},
+                  {RouteType::kUnicast, u1, route_via({1})}});
+  EXPECT_EQ(r.t.network.messages_sent(), sent + 1);
+  r.t.settle();
+  // b applies the deltas in message order; each one flips its best route.
+  EXPECT_EQ(seen, (std::vector<std::pair<RouteType, Prefix>>{
+                      {RouteType::kUnicast, u1},
+                      {RouteType::kUnicast, u2},
+                      {RouteType::kGroup, g1},
+                      {RouteType::kGroup, g2}}));
+}
+
+TEST(SpeakerBatch, SessionLostMidBatchDropsOnlyThatPeersDeltas) {
+  TestNet t;
+  Speaker& hub = t.speaker(1, "hub");
+  Speaker& x = t.speaker(2, "x");
+  Speaker& y = t.speaker(3, "y");
+  Speaker& z = t.speaker(4, "z");
+  Speaker::connect(hub, x, Relationship::kLateral);
+  const net::ChannelId to_y = Speaker::connect(hub, y, Relationship::kLateral);
+  Speaker::connect(hub, z, Relationship::kLateral);
+  t.settle();
+  // The first best-route change takes y's session down, after the fan-out
+  // has queued a delta for every peer but before the batch flushes.
+  bool cut = false;
+  hub.add_route_change_listener([&](RouteType, const Prefix&) {
+    if (!cut) t.network.set_up(to_y, false);
+    cut = true;
+  });
+  const std::uint64_t sent = t.network.messages_sent();
+  hub.originate(RouteType::kGroup, Prefix::parse("224.1.0.0/16"));
+  EXPECT_TRUE(cut);
+  EXPECT_EQ(t.network.messages_sent(), sent + 2);  // x and z only
+  EXPECT_EQ(t.network.messages_dropped(), 0u);
+  t.settle();
+  const Ipv4Addr addr = Ipv4Addr::parse("224.1.2.3");
+  EXPECT_TRUE(x.lookup(RouteType::kGroup, addr));
+  EXPECT_FALSE(y.lookup(RouteType::kGroup, addr));
+  EXPECT_TRUE(z.lookup(RouteType::kGroup, addr));
+  // The returning session's full sync delivers what the cut dropped.
+  t.network.set_up(to_y, true);
+  t.settle();
+  EXPECT_TRUE(y.lookup(RouteType::kGroup, addr));
+}
+
+TEST(SpeakerBatch, HubMapsEachChannelToItsOwnPeerIndex) {
+  TestNet t;
+  Speaker& hub = t.speaker(1, "hub");
+  std::vector<Speaker*> spokes;
+  std::vector<net::ChannelId> between;  // spoke-to-spoke channels
+  for (DomainId as = 2; as < 42; ++as) {
+    spokes.push_back(&t.speaker(as, "spoke" + std::to_string(as)));
+    Speaker::connect(hub, *spokes.back(), Relationship::kCustomer);
+    if (spokes.size() >= 2) {
+      // Interleaved channels the hub is not on keep its ids non-contiguous.
+      between.push_back(Speaker::connect(*spokes[spokes.size() - 2],
+                                         *spokes.back(),
+                                         Relationship::kLateral));
+    }
+  }
+  ASSERT_EQ(hub.peer_count(), spokes.size());
+  for (PeerIndex i = 0; i < hub.peer_count(); ++i) {
+    const net::ChannelId channel = hub.peer_channel(i);
+    EXPECT_EQ(hub.find_peer(channel), i);
+    EXPECT_EQ(hub.peer_speaker(i), spokes[i]);
+    // The spoke's end of the same channel is its own first peering.
+    EXPECT_EQ(spokes[i]->find_peer(channel), 0u);
+  }
+  for (const net::ChannelId channel : between) {
+    EXPECT_EQ(hub.find_peer(channel), kLocalPeer);
+  }
+  EXPECT_EQ(hub.find_peer(net::ChannelId{100000}), kLocalPeer);
 }
 
 // --------------------------------------------------------------- PathTable

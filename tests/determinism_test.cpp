@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgp/speaker.hpp"
@@ -35,9 +36,10 @@ RunResult run_once(std::uint64_t seed) {
   std::vector<Domain*> tops;
   std::vector<Domain*> children;
   for (int i = 0; i < kDomains; ++i) {
+    std::string name = i < kTops ? "T" : "C";
+    name += std::to_string(i + 1);
     Domain& d = net.add_domain(
-        {.id = static_cast<bgp::DomainId>(i + 1),
-         .name = (i < kTops ? "T" : "C") + std::to_string(i + 1)});
+        {.id = static_cast<bgp::DomainId>(i + 1), .name = std::move(name)});
     d.announce_unicast();
     (i < kTops ? tops : children).push_back(&d);
   }

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bgp/messages.hpp"
@@ -246,6 +247,56 @@ TEST(AdjRibOutChecker, ForgedPathIsCaught) {
   ASSERT_EQ(found.size(), 1u);
   EXPECT_NE(found[0].detail.find("but the peer holds"), std::string::npos)
       << found[0].detail;
+}
+
+// -------------------------------------------------------- bgmp-acyclic
+
+/// Forged group routes make A and B each resolve the other as the next hop
+/// toward a root domain (AS 9) that does not exist, so the shared tree of
+/// a group in that range cycles between them. C hangs off B and D off A;
+/// their routes, and so their tree branches, lead into the loop.
+TEST(BgmpAcyclicChecker, ForgedRouteLoopReportsEveryWalkIntoIt) {
+  core::Internet net{1};
+  core::Domain& a = net.add_domain({.id = 1, .name = "A"});
+  core::Domain& b = net.add_domain({.id = 2, .name = "B"});
+  core::Domain& c = net.add_domain({.id = 3, .name = "C"});
+  core::Domain& d = net.add_domain({.id = 4, .name = "D"});
+  net.link(a, b, bgp::Relationship::kLateral);
+  net.link(b, c, bgp::Relationship::kCustomer);
+  net.link(a, d, bgp::Relationship::kCustomer);
+  net.settle();
+  const net::Prefix range = net::Prefix::parse("224.9.0.0/16");
+  const auto forge = [&](core::Domain& at, bgp::DomainId via) {
+    bgp::Speaker& speaker = at.speaker(0);
+    auto update = std::make_unique<bgp::UpdateMessage>();
+    update->deltas.push_back(bgp::UpdateMessage::Delta{
+        bgp::RouteType::kGroup, range,
+        bgp::Route{bgp::PathRef::intern({via, 9}), 9, 100}});
+    speaker.on_message(speaker.peer_channel(0), std::move(update));
+  };
+  forge(a, 2);  // A's peer 0 is B
+  forge(b, 1);  // B's peer 0 is A
+  net.settle();
+  const net::Ipv4Addr group = net::Ipv4Addr::parse("224.9.1.1");
+  for (core::Domain* member : {&a, &c, &d}) member->host_join(group);
+  net.settle();
+
+  std::vector<check::Violation> found;
+  check::BgmpAcyclicInvariant().check(net, found);
+  // Walks start in router order A, B, C, D. A's walk reports the loop at
+  // A and implicates B; C's and D's walks enter it at B and at A.
+  const auto at = [&](core::Domain& domain) {
+    const std::string name = domain.bgmp_router(0).name();
+    return std::pair(name + " (*," + group.to_string() + ")",
+                     "parent chain cycles through " + name);
+  };
+  std::vector<std::pair<std::string, std::string>> reported;
+  for (const check::Violation& v : found) {
+    EXPECT_EQ(v.invariant, "bgmp-acyclic");
+    reported.emplace_back(v.subject, v.detail);
+  }
+  EXPECT_EQ(reported, (std::vector<std::pair<std::string, std::string>>{
+                          at(a), at(b), at(a)}));
 }
 
 }  // namespace

@@ -365,8 +365,10 @@ TEST(Metrics, WriteJsonAndJsonlIncludeHistograms) {
             std::string::npos);
   for (const char* field : {"count", "sum", "min", "max", "p50", "p95",
                             "p99"}) {
-    EXPECT_NE(json.find("\"" + std::string(field) + "\""), std::string::npos)
-        << field;
+    std::string quoted = "\"";
+    quoted += field;
+    quoted += '"';
+    EXPECT_NE(json.find(quoted), std::string::npos) << field;
   }
 
   std::ostringstream compact;
