@@ -240,8 +240,9 @@ std::size_t Router::state_bytes() const {
              entry.children.capacity_bytes() +
              entry.branch_children.capacity_bytes();
   }
-  total += migp_state_.size() *
-           (sizeof(Group) + sizeof(bool) + kNodeOverhead);
+  // The border bit of a group with a (*,G) entry is inside the entry;
+  // the (S,G)-only groups hold one set node each.
+  total += migp_state_.size() * (sizeof(Group) + kNodeOverhead);
   total += encapsulators_.size() *
            (sizeof(SourceGroup) + sizeof(Router*) + kNodeOverhead);
   return total;
@@ -298,12 +299,14 @@ std::size_t Router::aggregated_star_count() const {
 }
 
 void Router::sync_migp_state(Group group) {
-  bool want = false;
-  if (const auto it = star_entries_.find(group); it != star_entries_.end()) {
-    const GroupEntry& e = it->second;
-    want = (e.parent && e.parent->kind == TargetKey::Kind::kMigp) ||
-           e.children.contains(TargetKey::migp());
-  }
+  const auto it = star_entries_.find(group);
+  sync_migp_state(group, it == star_entries_.end() ? nullptr : &it->second);
+}
+
+void Router::sync_migp_state(Group group, GroupEntry* star) {
+  bool want = star != nullptr &&
+              ((star->parent && star->parent->kind == TargetKey::Kind::kMigp) ||
+               star->children.contains(TargetKey::migp()));
   if (!want) {
     for (const auto& [key, entry] : source_entries_) {
       if (key.group != group) continue;
@@ -314,9 +317,13 @@ void Router::sync_migp_state(Group group) {
       }
     }
   }
-  bool& have = migp_state_[group];
-  if (want == have) return;
-  have = want;
+  if (star != nullptr) {
+    if (want == star->migp_border) return;
+    star->migp_border = want;
+  } else if (want ? !migp_state_.insert(group).second
+                  : migp_state_.erase(group) == 0) {
+    return;  // no change
+  }
   service_.migp_border_state(*this, group, want);
 }
 
@@ -324,9 +331,18 @@ void Router::lose_all_state() {
   // A crashed router cannot send prunes or notifications — state simply
   // vanishes. MIGP border state is withdrawn through the domain service
   // (the MIGP is the domain's state, not this router's), everything else
-  // is dropped on the floor.
-  for (auto& [group, have] : migp_state_) {
-    if (have) service_.migp_border_state(*this, group, false);
+  // is dropped on the floor. The withdrawals go in group order, merging
+  // the (*,G) entries' bits with the (S,G)-only groups (no group is in
+  // both).
+  auto held = migp_state_.begin();
+  for (const auto& [group, entry] : star_entries_) {
+    for (; held != migp_state_.end() && *held < group; ++held) {
+      service_.migp_border_state(*this, *held, false);
+    }
+    if (entry.migp_border) service_.migp_border_state(*this, group, false);
+  }
+  for (; held != migp_state_.end(); ++held) {
+    service_.migp_border_state(*this, *held, false);
   }
   migp_state_.clear();
   star_entries_.clear();
@@ -335,11 +351,14 @@ void Router::lose_all_state() {
   reresolve_pending_ = false;
 }
 
-void Router::add_star_child(Group group, const TargetKey& child) {
+std::pair<GroupEntry*, bool> Router::add_star_child(Group group,
+                                                    const TargetKey& child) {
   const auto [it, created] = star_entries_.try_emplace(group);
   GroupEntry& entry = it->second;
   ++entry.children[child];
   if (created) {
+    // Border state held for (S,G) entries alone now belongs to the entry.
+    entry.migp_border = migp_state_.erase(group) != 0;
     // §5.2: look up the group in the G-RIB, set the parent target, and
     // send a join toward the root domain.
     if (const auto hop = rootward(group)) {
@@ -355,7 +374,8 @@ void Router::add_star_child(Group group, const TargetKey& child) {
       os << "created (*,G) for " << group.to_string();
     });
   }
-  sync_migp_state(group);
+  sync_migp_state(group, &entry);
+  return {&entry, created};
 }
 
 void Router::remove_star_child(Group group, const TargetKey& child) {
@@ -374,13 +394,20 @@ void Router::remove_star_child(Group group, const TargetKey& child) {
       send_control(*entry.parent, entry.parent_relay,
                    ControlMessage::Kind::kPruneGroup, net::Ipv4Addr{}, group);
     }
-    star_entries_.erase(it);
+    erase_star(it);
     metrics_.entries_torn_down->inc();
     obs::log_info(network_.stream(), name_, [&](auto& os) {
       os << "tore down (*,G) for " << group.to_string();
     });
+    sync_migp_state(group, nullptr);
+    return;
   }
-  sync_migp_state(group);
+  sync_migp_state(group, &entry);
+}
+
+void Router::erase_star(std::map<Group, GroupEntry>::iterator it) {
+  if (it->second.migp_border) migp_state_.insert(it->first);
+  star_entries_.erase(it);
 }
 
 SourceEntry& Router::get_or_copy_source_entry(net::Ipv4Addr source,
@@ -499,8 +526,8 @@ void Router::on_channel_down(net::ChannelId channel) {
       send_control(*entry.parent, entry.parent_relay,
                    ControlMessage::Kind::kPruneGroup, net::Ipv4Addr{}, group);
     }
-    star_entries_.erase(it);
-    sync_migp_state(group);
+    erase_star(it);
+    sync_migp_state(group, nullptr);
   }
   for (const Group group : orphaned) {
     if (!star_entries_.contains(group)) continue;
@@ -538,7 +565,7 @@ void Router::repair_group(Group group, int attempts_left) {
     send_control(hop->parent, hop->relay, ControlMessage::Kind::kJoinGroup,
                  net::Ipv4Addr{}, group);
   }
-  sync_migp_state(group);
+  sync_migp_state(group, &entry);
   obs::log_info(network_.stream(), name_, [&](auto& os) {
     os << "repaired (*,G) for " << group.to_string();
   });
@@ -574,17 +601,15 @@ void Router::handle_control(const ControlMessage& msg, const TargetKey& from) {
 }
 
 void Router::handle_join_group(Group group, const TargetKey& from) {
-  const bool existed = star_entries_.contains(group);
-  add_star_child(group, from);
+  const auto [entry, created] = add_star_child(group, from);
   // The join terminates here if it merged into an existing entry, reached
   // the group's root domain, or found no route onward; otherwise it kept
   // travelling (external parent, or relayed to an internal peer — which
   // sampled already if the chain ended inside this domain).
-  const auto it = star_entries_.find(group);
   const bool onward =
-      !existed && it != star_entries_.end() && it->second.parent &&
-      !(it->second.parent->kind == TargetKey::Kind::kMigp &&
-        it->second.parent_relay == nullptr);
+      created && entry->parent &&
+      !(entry->parent->kind == TargetKey::Kind::kMigp &&
+        entry->parent_relay == nullptr);
   if (!onward && control_origin_.ns() >= 0) {
     metrics_.join_propagation_latency->observe(
         (network_.events().now() - control_origin_).to_seconds());

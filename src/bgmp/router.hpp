@@ -24,7 +24,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -278,13 +280,21 @@ class Router final : public net::Endpoint {
   [[nodiscard]] const ExternalPeer* peer_by_router(const Router* r) const;
 
   /// Adds a child target (refcounted); creates the entry and joins toward
-  /// the root on first creation.
-  void add_star_child(Group group, const TargetKey& child);
+  /// the root on first creation. Returns the entry and whether this call
+  /// created it. A join chain never erases (*,G) state, so the entry
+  /// outlives the synchronous relays its own join makes.
+  std::pair<GroupEntry*, bool> add_star_child(Group group,
+                                              const TargetKey& child);
   /// Removes one reference; tears the entry down when empty (§5.2: "the
   /// multicast distribution tree is torn down as members leave").
   void remove_star_child(Group group, const TargetKey& child);
-  void ensure_migp_state(Group group);
-  void sync_migp_state(Group group);
+  /// Erases a (*,G) entry. A border bit it held moves to migp_state_,
+  /// where the sync that follows settles it against the (S,G) state.
+  void erase_star(std::map<Group, GroupEntry>::iterator it);
+  /// Joins or leaves the group's MIGP border state as the (*,G) entry
+  /// `star` (nullptr: none) and the group's (S,G) entries require.
+  void sync_migp_state(Group group, GroupEntry* star);
+  void sync_migp_state(Group group);  ///< looks the (*,G) entry up
 
   /// Re-resolves the rootward parent of an orphaned (*,G) entry; retries
   /// while BGP has no (live) route toward the root domain.
@@ -332,8 +342,10 @@ class Router final : public net::Endpoint {
   std::vector<Router*> internal_peers_;
   std::map<Group, GroupEntry> star_entries_;
   std::map<SourceGroup, SourceEntry> source_entries_;
-  /// Whether this router currently holds MIGP group state per group.
-  std::map<Group, bool> migp_state_;
+  /// Groups whose MIGP border state this router holds with no (*,G)
+  /// entry, for (S,G) state alone; every other group's bit is the
+  /// entry's GroupEntry::migp_border.
+  std::set<Group> migp_state_;
   /// Encapsulating routers per (S,G) — the targets of the §5.3 prune once
   /// a source-specific branch delivers native data.
   std::map<SourceGroup, Router*> encapsulators_;

@@ -147,6 +147,11 @@ struct GroupEntry {
   /// Child targets with refcounts: the MIGP-component child may stand for
   /// several internal joiners (local members and internal BGMP peers).
   TargetList children;
+  /// Whether the router holds MIGP border state for the group (the
+  /// domain's border join, so domain data reaches it). Kept in the entry
+  /// so a join or prune hop reads and updates it with the one (*,G)
+  /// lookup it already makes.
+  bool migp_border = false;
 
   [[nodiscard]] bool has_target(const TargetKey& t) const {
     return (parent && *parent == t) || children.contains(t);

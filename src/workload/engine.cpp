@@ -116,9 +116,10 @@ double Engine::flash_factor(std::uint32_t g, std::int64_t tick) const {
 }
 
 std::uint32_t Engine::slot_domain(std::uint32_t g, std::uint32_t slot) const {
+  // offset < eligible and slot < span <= eligible: one wrap at most.
   const std::uint32_t eligible = domain_count_ - 1;
-  const std::uint32_t e =
-      static_cast<std::uint32_t>((offsets_[g] + slot) % eligible);
+  std::uint32_t e = offsets_[g] + slot;
+  if (e >= eligible) e -= eligible;
   return e < roots_[g] ? e : e + 1;  // skip the group's root domain
 }
 
@@ -197,16 +198,29 @@ TickStats Engine::tick() {
   const std::uint64_t downs_before = downs_;
   const auto groups = static_cast<std::uint32_t>(roots_.size());
   const double diurnal = diurnal_factor(ticks_done_);
+  // The groups of this tick's active flashes, sorted: walked beside the
+  // rank loop, they give flash_factor's product for every group at once.
+  std::vector<std::uint32_t> flashing;
   for (const FlashCrowd& f : flashes_) {
+    if (f.start_tick > ticks_done_) break;  // sorted by start
     if (f.start_tick == ticks_done_) ++stats.flashes_started;
+    if (ticks_done_ < f.start_tick + f.duration_ticks) {
+      flashing.push_back(f.group);
+    }
   }
+  std::sort(flashing.begin(), flashing.end());
+  auto next_flash = flashing.begin();
   // Rank order, joins before leaves within a group: the one canonical
   // draw sequence both the engine and the oracle consume.
   for (std::uint32_t g = 0; g < groups; ++g) {
+    double flash = 1.0;
+    for (; next_flash != flashing.end() && *next_flash == g; ++next_flash) {
+      flash *= spec_.flash_multiplier;
+    }
     const double join_rate = spec_.arrivals_per_second * weights_[g] *
-                             diurnal * flash_factor(g, ticks_done_) *
-                             spec_.tick_seconds;
-    const std::uint64_t n_join = poisson(churn_rng_, join_rate);
+                             diurnal * flash * spec_.tick_seconds;
+    const std::uint64_t n_join =
+        sample_poisson(churn_rng_, join_rate, poisson_scratch_);
     for (std::uint64_t j = 0; j < n_join; ++j) {
       const auto slot =
           static_cast<std::uint32_t>(draw_index(churn_rng_, spans_[g]));
@@ -216,9 +230,9 @@ TickStats Engine::tick() {
     const double leave_rate = static_cast<double>(group_total_[g]) *
                               spec_.tick_seconds /
                               spec_.mean_lifetime_seconds;
-    const std::uint64_t n_leave =
-        std::min<std::uint64_t>(group_total_[g],
-                                poisson(churn_rng_, leave_rate));
+    const std::uint64_t n_leave = std::min<std::uint64_t>(
+        group_total_[g],
+        sample_poisson(churn_rng_, leave_rate, poisson_scratch_));
     for (std::uint64_t j = 0; j < n_leave; ++j) {
       const std::uint64_t k = draw_index(churn_rng_, group_total_[g]);
       apply_leave(g, find_member_slot(g, k));

@@ -23,8 +23,10 @@
 // (u01 / poisson / draw_index below) over net::Mt64, which yields the
 // standard library's mt19937_64 stream for every seed — no
 // std::*_distribution, whose draw counts vary across standard libraries.
-// The only platform dependence left is libm rounding in log/sin; ticks
-// run between event-queue runs, so same-seed reruns are byte-identical.
+// The engine draws its counts with sample_poisson, which returns the
+// reference poisson's count and draws for any libm within 1 ulp. The
+// only platform dependence left is libm rounding in log/sin; ticks run
+// between event-queue runs, so same-seed reruns are byte-identical.
 #pragma once
 
 #include <cmath>
@@ -126,7 +128,9 @@ class Engine {
   // ---- the shared process definition ------------------------------------
   // The oracle reference model reuses these so the *inputs* of both state
   // machines agree by construction; the state evolution (block-sum sampling
-  // and lazy load accounting vs brute-force scans) is what differs.
+  // and lazy load accounting vs brute-force scans) is what differs. tick()
+  // itself gets flash_factor's product for every group from one walk of the
+  // tick's active flashes.
   [[nodiscard]] double group_weight(std::uint32_t g) const {
     return weights_[g];
   }
@@ -153,18 +157,71 @@ class Engine {
   /// Poisson(lambda) by exponential inter-arrival summation: O(lambda)
   /// draws, no std::poisson_distribution (draw counts there are
   /// implementation-defined, which would break the oracle's shared
-  /// stream).
+  /// stream). This is the reference: it defines every count and draw.
   template <typename Gen>
   [[nodiscard]] static std::uint64_t poisson(Gen& rng, double lambda) {
     if (lambda <= 0.0) return 0;
-    std::uint64_t k = 0;
-    double acc = -std::log(1.0 - u01(rng));
-    while (acc <= lambda) {
-      ++k;
-      acc += -std::log(1.0 - u01(rng));
-    }
-    return k;
+    return poisson_from(rng, lambda, 0, -std::log(1.0 - u01(rng)));
   }
+  /// The reference's count and draws at one exp per call instead of one
+  /// log per arrival: the running product of the (1 − u) values,
+  /// P_j = fl(P_{j-1} · v_j), against T = fl(exp(−lambda)) stands in for
+  /// the reference's partial sum A_j of −log(v_i) against lambda, since
+  /// A_j ≤ lambda iff Π v_i ≥ exp(−lambda) in exact arithmetic.
+  ///
+  /// The margin. Let u = 2^-53, γ_n = n·u / (1 − n·u), S_j = Σ −ln v_i
+  /// exactly, and j the number of draws so far. v_i = 1 − u_i is exact.
+  /// log and exp are within 1 ulp (relative 2u), and each sum and product
+  /// step rounds once (relative u), so with nonnegative terms
+  ///   |A_j − S_j| ≤ γ_{j+1}·S_j,   P_j = e^{−S_j}·(1 + θ), |θ| ≤ γ_{j−1},
+  ///   T = e^{−lambda}·(1 + τ), |τ| ≤ 2u.
+  /// Take m = 2·γ_{j+2}·(lambda + 1) and γ = γ_{j+2}; m ≤ 1 for any j
+  /// below 10^12, so ln(1 + m) ≥ m/2. If P_j ≥ T·(1 + m),
+  /// then lambda − S_j ≥ ln(1 + m) − γ ≥ γ·lambda ≥ 0, so
+  /// A_j ≤ S_j + γ·S_j ≤ lambda: the reference draws again. If
+  /// P_j ≤ T·(1 − m), then S_j − lambda ≥ m − 2γ = 2γ·lambda, so
+  /// A_j ≥ (1 − γ)(1 + 2γ)·lambda > lambda: the reference stops. The code
+  /// widens the band to 4·(j + 2)·u·(lambda + 1)·T, which covers m·T and
+  /// the three roundings of the band itself; P_j − T is exact where it
+  /// could matter (Sterbenz: T/2 ≤ P_j ≤ 2T). A step inside the band sums
+  /// the saved v_i exactly as the reference does and finishes the call
+  /// with the reference loop, so the count and the draws are the
+  /// reference's in every case.
+  ///
+  /// lambda > kProductMaxLambda takes the reference loop outright. Below
+  /// it every P_j stays normal: a step that continues had P_{j-1} ≥ T ≥
+  /// e^{-600}, and v_j ≥ 2^-53, so P_j ≥ 2^-919 (exp(−lambda)·2^-53
+  /// leaves the normal range near lambda = 672). `scratch` holds the v_i
+  /// of the current call; it belongs to the caller, so concurrent engines
+  /// never share it.
+  template <typename Gen>
+  [[nodiscard]] static std::uint64_t sample_poisson(
+      Gen& rng, double lambda, std::vector<double>& scratch) {
+    if (lambda <= 0.0) return 0;
+    if (!(lambda <= kProductMaxLambda)) return poisson(rng, lambda);
+    const double floor = std::exp(-lambda);
+    const double band_unit = floor * (lambda + 1.0) * 0x1.0p-51;  // 4u·…·T
+    scratch.clear();
+    double product = 1.0;
+    double steps = 2.0;  // j + 2 before the first draw (j = 0)
+    for (std::uint64_t k = 0;; ++k) {
+      const double v = 1.0 - u01(rng);
+      scratch.push_back(v);
+      product *= v;
+      steps += 1.0;
+      const double gap = product - floor;
+      const double band = band_unit * steps;
+      if (gap > band) continue;   // A_j ≤ lambda: one more arrival
+      if (gap < -band) return k;  // A_j > lambda: k arrivals
+      double acc = -std::log(scratch[0]);
+      for (std::size_t i = 1; i < scratch.size(); ++i) {
+        acc += -std::log(scratch[i]);
+      }
+      return poisson_from(rng, lambda, k, acc);
+    }
+  }
+  /// Above this rate sample_poisson runs the reference loop (see there).
+  static constexpr double kProductMaxLambda = 600.0;
   /// Uniform index in [0, n) by masked rejection (portable; n >= 1).
   template <typename Gen>
   [[nodiscard]] static std::uint64_t draw_index(Gen& rng, std::uint64_t n) {
@@ -190,6 +247,18 @@ class Engine {
   }
 
  private:
+  /// The reference loop from its partial sum `acc` after `k` arrivals.
+  template <typename Gen>
+  [[nodiscard]] static std::uint64_t poisson_from(Gen& rng, double lambda,
+                                                  std::uint64_t k,
+                                                  double acc) {
+    while (acc <= lambda) {
+      ++k;
+      acc += -std::log(1.0 - u01(rng));
+    }
+    return k;
+  }
+
   void flush_domain(std::uint32_t d);
   void apply_join(std::uint32_t g, std::uint32_t slot);
   void apply_leave(std::uint32_t g, std::uint32_t slot);
@@ -219,6 +288,7 @@ class Engine {
   std::vector<std::uint32_t> block_counts_;  // members per block
   std::vector<std::uint32_t> hops_;          // cached hops while nonzero
   std::vector<std::uint64_t> group_total_;
+  std::vector<double> poisson_scratch_;     // sample_poisson's (1 − u) values
 
   // Per-domain aggregates.
   std::vector<std::uint64_t> domain_members_;

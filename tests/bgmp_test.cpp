@@ -2,15 +2,22 @@
 // bidirectional shared trees, root-domain behaviour, join/prune teardown,
 // non-member senders, multi-border-router domains with internal (MIGP)
 // targets, encapsulation, and source-specific branches — including the
-// paper's Figure 3(a)/(b) scenarios end to end.
+// paper's Figure 3(a)/(b) scenarios end to end. One lone router with a
+// recording domain service pins the exact sequence of MIGP border-state
+// joins and leaves.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "bgmp/router.hpp"
+#include "bgp/speaker.hpp"
 #include "core/domain.hpp"
 #include "core/internet.hpp"
+#include "net/event.hpp"
+#include "net/network.hpp"
 #include "net/prefix.hpp"
 #include "topology/generators.hpp"
 
@@ -466,6 +473,172 @@ TEST(Bgmp, ExplicitSourceBranchRequest) {
   fig.net.settle();
   ASSERT_EQ(fig.log.count_for(fig.f), 1);
   EXPECT_EQ(fig.log.hops_for(fig.f), 1);
+}
+
+// ---------------------------------------------------- MIGP border state
+
+/// A DomainService that records every migp_border_state call. A lone
+/// router's control plane needs nothing else from its domain.
+class RecordingService final : public bgmp::DomainService {
+ public:
+  struct Call {
+    Group group;
+    bool join;
+    bool operator==(const Call&) const = default;
+  };
+  std::vector<Call> calls;
+
+  bool deliver_data(bgmp::Router&, Ipv4Addr, Group, int) override {
+    return true;
+  }
+  void rootward_transit(bgmp::Router&, bgmp::Router&, Ipv4Addr, Group,
+                        int) override {}
+  void encapsulate(bgmp::Router&, bgmp::Router&, Ipv4Addr, Group,
+                   int) override {}
+  bool deliver_decapsulated(bgmp::Router&, bgmp::Router&, Ipv4Addr, Group,
+                            int) override {
+    return true;
+  }
+  bgmp::Router* rpf_exit(Ipv4Addr) override { return nullptr; }
+  bool needs_encapsulated_delivery(bgmp::Router&, Group) override {
+    return false;
+  }
+  void relay_control(bgmp::Router&, bgmp::Router&,
+                     const bgmp::ControlMessage&) override {}
+  void migp_border_state(bgmp::Router&, Group group, bool join) override {
+    calls.push_back({group, join});
+  }
+};
+
+/// One border router of a domain that roots the groups and hosts the
+/// source, so every entry it creates has the MIGP component as parent and
+/// no control message leaves it. `peer` stands for a second border router
+/// of the same domain that relays joins and prunes through the MIGP.
+struct LoneRouter {
+  net::EventQueue events;
+  net::Network network{events};
+  bgp::Speaker speaker{network, 1, "s1"};
+  bgp::Speaker peer_speaker{network, 1, "s1b"};
+  RecordingService service;
+  bgmp::Router router{network, speaker, service, "r1"};
+  bgmp::Router peer{network, peer_speaker, service, "r1b"};
+  const Ipv4Addr source = Ipv4Addr::parse("10.0.0.5");
+
+  LoneRouter() {
+    speaker.originate(bgp::RouteType::kGroup,
+                      Prefix::parse("224.0.128.0/24"));
+    speaker.originate(bgp::RouteType::kUnicast, Prefix::parse("10.0.0.0/24"));
+    router.set_prune_lifetime(net::SimTime::seconds(10));
+  }
+
+  void internal(bgmp::ControlMessage::Kind kind, Group group,
+                Ipv4Addr src = Ipv4Addr{}) {
+    bgmp::ControlMessage msg;
+    msg.kind = kind;
+    msg.group = group;
+    msg.source = src;
+    router.internal_control(peer, msg);
+  }
+  /// The calls since the last take().
+  std::vector<RecordingService::Call> take() {
+    return std::exchange(service.calls, {});
+  }
+};
+
+Group group_n(std::uint32_t n) {
+  return Ipv4Addr{Ipv4Addr::parse("224.0.128.0").value() + n};
+}
+
+using Calls = std::vector<RecordingService::Call>;
+
+TEST(BgmpBorderState, JoinAnnouncesOnceAndTeardownWithdraws) {
+  LoneRouter t;
+  const Group g = group_n(1);
+  // A member join that creates the (*,G) entry joins the MIGP.
+  t.router.local_members_present(g);
+  ASSERT_TRUE(t.router.on_tree(g));
+  EXPECT_EQ(t.take(), (Calls{{g, true}}));
+  // A second joiner (an internal peer) shares the entry: no new call.
+  t.internal(bgmp::ControlMessage::Kind::kJoinGroup, g);
+  EXPECT_EQ(t.take(), Calls{});
+  // The first leave keeps the entry; the last tears it down and leaves.
+  t.router.local_members_absent(g);
+  EXPECT_TRUE(t.router.on_tree(g));
+  EXPECT_EQ(t.take(), Calls{});
+  t.internal(bgmp::ControlMessage::Kind::kPruneGroup, g);
+  EXPECT_FALSE(t.router.on_tree(g));
+  EXPECT_EQ(t.take(), (Calls{{g, false}}));
+  // A prune for a group with no state changes nothing.
+  t.internal(bgmp::ControlMessage::Kind::kPruneGroup, g);
+  EXPECT_EQ(t.take(), Calls{});
+}
+
+TEST(BgmpBorderState, SourceBranchHoldsStateWithoutAStarEntry) {
+  LoneRouter t;
+  const Group g = group_n(2);
+  t.router.local_members_present(g);
+  t.router.local_members_absent(g);
+  EXPECT_EQ(t.take(), (Calls{{g, true}, {g, false}}));
+  // After the (*,G) entry is gone, a source branch joins on its own.
+  t.router.request_source_branch(t.source, g);
+  ASSERT_NE(t.router.source_entry(t.source, g), nullptr);
+  EXPECT_FALSE(t.router.on_tree(g));
+  EXPECT_EQ(t.take(), (Calls{{g, true}}));
+  // A (*,G) entry created and torn down beside it changes nothing: the
+  // state is held throughout.
+  t.router.local_members_present(g);
+  t.router.local_members_absent(g);
+  EXPECT_FALSE(t.router.on_tree(g));
+  EXPECT_EQ(t.take(), Calls{});
+  // Pruned to no children, the (S,G) entry stays until its soft state
+  // expires; then the border state goes with it.
+  t.internal(bgmp::ControlMessage::Kind::kPruneSource, g, t.source);
+  EXPECT_EQ(t.take(), Calls{});
+  t.events.run();
+  EXPECT_EQ(t.router.source_entry(t.source, g), nullptr);
+  EXPECT_EQ(t.take(), (Calls{{g, false}}));
+}
+
+TEST(BgmpBorderState, SourceBranchBeforeStarEntryIsNotAnnouncedTwice) {
+  LoneRouter t;
+  const Group g = group_n(3);
+  t.router.request_source_branch(t.source, g);
+  EXPECT_EQ(t.take(), (Calls{{g, true}}));
+  t.router.local_members_present(g);
+  t.internal(bgmp::ControlMessage::Kind::kJoinGroup, g);
+  ASSERT_TRUE(t.router.on_tree(g));
+  EXPECT_EQ(t.take(), Calls{});
+  t.internal(bgmp::ControlMessage::Kind::kPruneGroup, g);
+  t.router.local_members_absent(g);
+  EXPECT_FALSE(t.router.on_tree(g));
+  EXPECT_EQ(t.take(), Calls{});
+}
+
+TEST(BgmpBorderState, CrashWithdrawsEveryHeldGroupOnceInGroupOrder) {
+  LoneRouter t;
+  // Set up out of group order, mixing the places the state is held:
+  // (*,G) entries (1, 4), (S,G) alone (2), (S,G) then (*,G) (5), and a
+  // group whose state came and went (3).
+  t.router.local_members_present(group_n(4));
+  t.router.request_source_branch(t.source, group_n(2));
+  t.router.request_source_branch(t.source, group_n(5));
+  t.router.local_members_present(group_n(5));
+  t.router.local_members_present(group_n(1));
+  t.router.local_members_present(group_n(3));
+  t.router.local_members_absent(group_n(3));
+  t.take();
+  t.router.lose_all_state();
+  EXPECT_EQ(t.take(), (Calls{{group_n(1), false},
+                             {group_n(2), false},
+                             {group_n(4), false},
+                             {group_n(5), false}}));
+  EXPECT_EQ(t.router.entry_count(), 0u);
+  // Nothing is held any more: a rejoin announces afresh, a second crash
+  // withdraws only that.
+  t.router.local_members_present(group_n(2));
+  EXPECT_EQ(t.take(), (Calls{{group_n(2), true}}));
+  t.router.lose_all_state();
+  EXPECT_EQ(t.take(), (Calls{{group_n(2), false}}));
 }
 
 // ------------------------------------------------------------- properties

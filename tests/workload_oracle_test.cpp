@@ -14,6 +14,13 @@
 // std::mt19937_64, so the grid also checks that the two generators
 // agree.
 //
+// The engine draws its Poisson counts with Engine::sample_poisson, a
+// running product that falls back on the reference sum only where
+// rounding could make the two disagree; the sampler half demands the
+// reference Engine::poisson's count and generator state after each of
+// over a million calls, on a grid of rates, outside the product's range
+// and at rates chosen to land inside the rounding band.
+//
 // The statistical half checks the processes themselves: the Zipf
 // rank-frequency slope of realized joins matches -zipf_alpha, and total
 // arrivals match the configured Poisson rate (diurnal and flash
@@ -22,6 +29,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -311,6 +319,123 @@ TEST_P(WorkloadBlocks, SpanEdgesMatchBruteForceReplay) {
 
 INSTANTIATE_TEST_SUITE_P(Spans, WorkloadBlocks,
                          ::testing::Values(1u, 15u, 16u, 17u, 1023u));
+
+// ------------------------------------------------------ the Poisson sampler
+
+/// One generator per side from the same seed: after every call the
+/// engine's sampler must return the reference's count and leave its
+/// generator in the reference's state, i.e. have made the same draws.
+class SamplerPair {
+ public:
+  explicit SamplerPair(std::uint64_t seed) : reference_(seed), sampler_(seed) {}
+  explicit SamplerPair(const net::Mt64& state)
+      : reference_(state), sampler_(state) {}
+
+  ::testing::AssertionResult draw(double lambda) {
+    ++calls_;
+    const std::uint64_t want = Engine::poisson(reference_, lambda);
+    const std::uint64_t got =
+        Engine::sample_poisson(sampler_, lambda, scratch_);
+    if (got != want) {
+      return ::testing::AssertionFailure()
+             << "lambda " << lambda << ": count " << got << ", reference "
+             << want;
+    }
+    if (!(sampler_ == reference_)) {
+      return ::testing::AssertionFailure()
+             << "lambda " << lambda << ": generator state differs";
+    }
+    return ::testing::AssertionSuccess();
+  }
+  [[nodiscard]] std::uint64_t calls() const { return calls_; }
+
+ private:
+  net::Mt64 reference_;
+  net::Mt64 sampler_;
+  std::vector<double> scratch_;
+  std::uint64_t calls_ = 0;
+};
+
+TEST(WorkloadSampler, MatchesReferenceOnALogGridOfRates) {
+  // 65 rates from 1e-9 to the product cap, log-spaced, cycled 1000 times
+  // along one stream per seed over 16 seeds: 1,040,000 calls.
+  std::vector<double> rates;
+  constexpr int kPoints = 64;
+  for (int i = 0; i < kPoints; ++i) {
+    rates.push_back(1e-9 * std::pow(Engine::kProductMaxLambda / 1e-9,
+                                    static_cast<double>(i) / kPoints));
+  }
+  rates.push_back(Engine::kProductMaxLambda);
+  std::uint64_t calls = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SamplerPair pair(seed);
+    for (int sweep = 0; sweep < 1000; ++sweep) {
+      for (const double lambda : rates) {
+        ASSERT_TRUE(pair.draw(lambda)) << "seed " << seed;
+      }
+    }
+    calls += pair.calls();
+  }
+  EXPECT_GE(calls, 1'000'000u);
+}
+
+TEST(WorkloadSampler, MatchesReferenceOutsideTheProductRange) {
+  // Rates at or below zero draw nothing; rates above the cap (and NaN)
+  // take the reference loop itself.
+  const double cap = Engine::kProductMaxLambda;
+  const std::vector<double> rates = {
+      0.0, -0.0, -1e-300, -1.0, -std::numeric_limits<double>::infinity(),
+      std::nextafter(cap, 2 * cap), cap + 0.5, cap + 1.0, 700.0, 1000.0,
+      std::numeric_limits<double>::quiet_NaN()};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SamplerPair pair(seed);
+    for (int sweep = 0; sweep < 50; ++sweep) {
+      for (const double lambda : rates) {
+        ASSERT_TRUE(pair.draw(lambda)) << "seed " << seed;
+      }
+    }
+  }
+  net::Mt64 a(5);
+  const net::Mt64 b(5);
+  std::vector<double> scratch;
+  EXPECT_EQ(Engine::sample_poisson(a, -3.0, scratch), 0u);
+  EXPECT_EQ(a, b) << "a rate <= 0 advanced the generator";
+}
+
+TEST(WorkloadSampler, MatchesReferenceWhenTheRateIsAPartialSum) {
+  // A rate equal to the reference's own partial sum A_j (replayed from
+  // the same state), or one ulp either side of it, puts step j inside the
+  // rounding band: the product cannot tell A_j <= lambda from
+  // A_j > lambda, and only the recomputed reference sum decides right.
+  std::uint64_t cases = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    net::Mt64 stream(seed);
+    for (int round = 0; round < 200; ++round) {
+      const int j = 1 + (round * 37 + static_cast<int>(seed)) % 700;
+      // The reference's partial sums from the current state, exactly as
+      // Engine::poisson accumulates them.
+      net::Mt64 replay = stream;
+      double acc = -std::log(1.0 - Engine::u01(replay));
+      double lambda = acc;
+      for (int step = 1; step < j; ++step) {
+        acc += -std::log(1.0 - Engine::u01(replay));
+        if (acc > Engine::kProductMaxLambda) break;
+        lambda = acc;
+      }
+      for (const double rate :
+           {lambda, std::nextafter(lambda, 0.0),
+            std::nextafter(lambda, Engine::kProductMaxLambda)}) {
+        if (rate <= 0.0) continue;
+        SamplerPair pair(stream);
+        ASSERT_TRUE(pair.draw(rate))
+            << "seed " << seed << " round " << round << " j " << j;
+        ++cases;
+      }
+      (void)stream();  // move on to a fresh stretch of the stream
+    }
+  }
+  EXPECT_GE(cases, 9000u);
+}
 
 // ------------------------------------------------------ process statistics
 
