@@ -9,6 +9,8 @@
 // size series (average and max over all 2550 domains), plus steady-state
 // summaries against the paper's reported values (~50% utilization; G-RIB
 // mean ~175, max <= ~180). Writes fig2_allocation.csv next to the binary.
+// Exits 1 when the run's end-of-run invariants (MascSimResult::
+// invariants_ok) fail.
 //
 // Usage: fig2_allocation [--days N] [--tops N] [--children N] [--seed N]
 //                        [--max-prefixes N] [--csv PATH] [--metrics-out PATH]
@@ -146,10 +148,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(collide.count), collide.p50 / 3600.0,
       collide.p95 / 3600.0, collide.p99 / 3600.0);
 
+  std::printf("\n== end-of-run invariants: %s ==\n",
+              result.invariants_ok ? "ok" : "VIOLATED");
+
   if (!metrics_out.empty()) {
     std::ofstream file(metrics_out);
     metrics.write_json(file);
     std::printf("(metrics snapshot written to %s)\n", metrics_out.c_str());
   }
-  return 0;
+  return result.invariants_ok ? 0 : 1;
 }

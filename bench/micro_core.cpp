@@ -17,7 +17,6 @@
 #include "masc/registry.hpp"
 #include "net/event.hpp"
 #include "net/network.hpp"
-#include "net/prefix_trie.hpp"
 #include "net/rng.hpp"
 #include "obs/metrics.hpp"
 #include "topology/generators.hpp"
@@ -41,39 +40,6 @@ std::vector<Prefix> random_prefixes(std::size_t n, std::uint64_t seed) {
   }
   return out;
 }
-
-// ----------------------------------------------------------- prefix trie
-
-void BM_TrieInsert(benchmark::State& state) {
-  const auto prefixes =
-      random_prefixes(static_cast<std::size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    net::PrefixTrie<int> trie;
-    for (const Prefix& p : prefixes) trie.insert(p, 1);
-    benchmark::DoNotOptimize(trie.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TrieInsert)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_TrieLongestMatch(benchmark::State& state) {
-  const auto prefixes =
-      random_prefixes(static_cast<std::size_t>(state.range(0)), 2);
-  net::PrefixTrie<int> trie;
-  for (const Prefix& p : prefixes) trie.insert(p, 1);
-  net::Rng rng(3);
-  std::vector<Ipv4Addr> probes;
-  for (int i = 0; i < 1024; ++i) {
-    probes.push_back(Ipv4Addr{static_cast<std::uint32_t>(
-        0xE0000000u | rng.uniform_int(0, 0x0FFFFFFF))});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trie.longest_match(probes[i++ & 1023]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TrieLongestMatch)->Arg(1000)->Arg(10000);
 
 // ------------------------------------------------------------ event queue
 

@@ -49,7 +49,7 @@ static_assert(sizeof(Candidate) == 24, "a candidate is six 4-byte words");
 /// per-peer candidate churn) that allocation traffic and header overhead
 /// dominate routing-state memory, so candidates now live in one chunked
 /// thread-local arena and entries hold 4-byte slot indices chained through
-/// the slots (the net::PrefixTrie pool idiom, thread-confined like
+/// the slots (a pool with an index free list, thread-confined like
 /// bgp::PathTable). Blocks are fixed-size, so Candidate pointers handed
 /// out by best() stay stable until that candidate is removed.
 class CandidateArena {

@@ -100,11 +100,13 @@ const Route* Speaker::advertised(RouteType type, PeerIndex peer,
 
 void Speaker::originate(RouteType type, const net::Prefix& prefix) {
   auto& origins = origins_[static_cast<std::size_t>(type)];
-  if (origins.contains(prefix)) return;
+  if (std::find(origins.begin(), origins.end(), prefix) != origins.end()) {
+    return;
+  }
   // This call starts a routing change: stamp the updates it triggers.
   const OriginScope scope(*this, network_.events().now(), /*remote=*/false);
   const BatchScope batch(*this);
-  origins.insert(prefix, true);
+  origins.push_back(prefix);
   metrics_.routes_originated->inc();
   Candidate local;
   local.route = Route{/*as_path=*/{}, /*origin_as=*/as_, /*local_pref=*/100};
@@ -122,7 +124,7 @@ void Speaker::originate(RouteType type, const net::Prefix& prefix) {
 
 void Speaker::withdraw(RouteType type, const net::Prefix& prefix) {
   auto& origins = origins_[static_cast<std::size_t>(type)];
-  if (!origins.erase(prefix)) return;
+  if (std::erase(origins, prefix) == 0) return;
   const OriginScope scope(*this, network_.events().now(), /*remote=*/false);
   const BatchScope batch(*this);
   const RibEntry* entry = nullptr;
@@ -288,11 +290,15 @@ Speaker::SyncContext Speaker::make_sync_context(
     // §4.3.2 aggregation: suppress a more-specific covered by an own
     // origination — the covering group route already provides reachability
     // toward this domain, which will then use its more-specific entry.
+    // The longest own origination containing the prefix must be strictly
+    // shorter than it.
     if (aggregation_) {
       const auto& origins = origins_[static_cast<std::size_t>(type)];
-      const auto cover = origins.longest_match(prefix);
-      ctx.aggregation_suppressed =
-          cover && cover->first.length() < prefix.length();
+      int cover = -1;
+      for (const net::Prefix& own : origins) {
+        if (own.contains(prefix)) cover = std::max(cover, own.length());
+      }
+      ctx.aggregation_suppressed = cover >= 0 && cover < prefix.length();
     }
   }
   return ctx;
@@ -490,7 +496,9 @@ void Speaker::full_sync(PeerIndex index) {
 std::size_t Speaker::state_bytes() const {
   std::size_t total = 0;
   for (const Rib& r : ribs_) total += r.state_bytes();
-  for (const auto& origins : origins_) total += origins.memory_bytes();
+  for (const auto& origins : origins_) {
+    total += origins.capacity() * sizeof(net::Prefix);
+  }
   for (const AdjRibOut& out : adj_rib_out_) total += out.memory_bytes();
   return total;
 }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "net/prefix_trie.hpp"
 #include "bgp/adj_rib_out.hpp"
 #include "bgp/messages.hpp"
 #include "bgp/rib.hpp"
@@ -355,8 +354,8 @@ class Speaker final : public net::Endpoint {
   bool aggregation_ = true;
   int batch_depth_ = 0;
   std::array<Rib, kRouteTypeCount> ribs_;
-  /// Locally-originated prefixes per view.
-  std::array<net::PrefixTrie<bool>, kRouteTypeCount> origins_;
+  /// Locally-originated prefixes per view (one per view on the ladder).
+  std::array<std::vector<net::Prefix>, kRouteTypeCount> origins_;
   /// Last route announced to each peer, per view: one row of interned
   /// 4-byte handles per prefix, one cell per PeerIndex.
   std::array<AdjRibOut, kRouteTypeCount> adj_rib_out_;

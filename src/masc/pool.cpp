@@ -65,7 +65,6 @@ std::vector<Block> DomainPool::remove_prefix_force(const net::Prefix& prefix) {
   std::vector<Block> destroyed;
   std::erase_if(blocks_, [&](const Block& b) {
     if (!prefix.contains(b.range)) return false;
-    occupied_.erase(b.range);
     destroyed.push_back(b);
     return true;
   });
@@ -114,9 +113,13 @@ std::vector<DomainPool::MergeEvent> DomainPool::aggregate_prefixes(
   return merges;
 }
 
-std::optional<net::Prefix> DomainPool::place_block(std::uint64_t addresses,
-                                                   net::SimTime now) {
-  (void)now;
+bool DomainPool::overlaps_block(const net::Prefix& range) const {
+  return std::any_of(blocks_.begin(), blocks_.end(),
+                     [&](const Block& b) { return b.range.overlaps(range); });
+}
+
+std::optional<net::Prefix> DomainPool::place_block(
+    std::uint64_t addresses) const {
   const int len = mask_length_for(addresses);
   // First-fit: scan active prefixes in address order, lowest free aligned
   // sub-range first (inner-domain packing has no collision concerns).
@@ -134,7 +137,7 @@ std::optional<net::Prefix> DomainPool::place_block(std::uint64_t addresses,
                                 << (len - held->prefix.length());
     for (std::uint64_t i = 0; i < slots; ++i) {
       const net::Prefix slot = held->prefix.subprefix_at(len, i);
-      if (!occupied_.overlaps_any(slot)) return slot;
+      if (!overlaps_block(slot)) return slot;
     }
   }
   return std::nullopt;
@@ -146,10 +149,9 @@ std::optional<Block> DomainPool::request_block(std::uint64_t addresses,
   if (addresses == 0) {
     throw std::invalid_argument("DomainPool::request_block: zero size");
   }
-  const std::optional<net::Prefix> slot = place_block(addresses, now);
+  const std::optional<net::Prefix> slot = place_block(addresses);
   if (!slot) return std::nullopt;
   Block block{next_block_id_++, *slot, now + lifetime};
-  occupied_.insert(*slot, block.id);
   blocks_.push_back(block);
   return block;
 }
@@ -161,9 +163,8 @@ std::optional<Block> DomainPool::place_block_at(const net::Prefix& range,
       prefixes_.begin(), prefixes_.end(), [&](const ClaimedPrefix& p) {
         return (p.active || !require_active) && p.prefix.contains(range);
       });
-  if (!inside || occupied_.overlaps_any(range)) return std::nullopt;
+  if (!inside || overlaps_block(range)) return std::nullopt;
   Block block{next_block_id_++, range, expires};
-  occupied_.insert(range, block.id);
   blocks_.push_back(block);
   return block;
 }
@@ -172,18 +173,13 @@ bool DomainPool::release_block(std::uint64_t id) {
   const auto it = std::find_if(blocks_.begin(), blocks_.end(),
                                [&](const Block& b) { return b.id == id; });
   if (it == blocks_.end()) return false;
-  occupied_.erase(it->range);
   blocks_.erase(it);
   return true;
 }
 
 std::vector<net::Prefix> DomainPool::age(net::SimTime now) {
   // Expired blocks free their ranges.
-  std::erase_if(blocks_, [&](const Block& b) {
-    if (b.expires > now) return false;
-    occupied_.erase(b.range);
-    return true;
-  });
+  std::erase_if(blocks_, [&](const Block& b) { return b.expires <= now; });
   // Prefixes: renew if still in use; surrender if lapsed and empty.
   std::vector<net::Prefix> released;
   std::erase_if(prefixes_, [&](ClaimedPrefix& held) {

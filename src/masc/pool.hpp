@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "net/prefix.hpp"
-#include "net/prefix_trie.hpp"
 #include "net/time.hpp"
 #include "masc/types.hpp"
 
@@ -127,15 +126,14 @@ class DomainPool {
   [[nodiscard]] std::size_t live_block_count() const { return blocks_.size(); }
 
  private:
-  [[nodiscard]] std::optional<net::Prefix> place_block(std::uint64_t addresses,
-                                                       net::SimTime now);
+  [[nodiscard]] bool overlaps_block(const net::Prefix& range) const;
+  [[nodiscard]] std::optional<net::Prefix> place_block(
+      std::uint64_t addresses) const;
 
   DomainId domain_;
   PoolParams params_;
   std::vector<ClaimedPrefix> prefixes_;
-  std::vector<Block> blocks_;
-  /// Occupied sub-ranges within the claimed prefixes (block placement).
-  net::PrefixTrie<std::uint64_t> occupied_;  // block range -> block id
+  std::vector<Block> blocks_;  // disjoint ranges
   std::uint64_t next_block_id_ = 1;
 };
 

@@ -4,13 +4,15 @@
 // domain keeps of claims inside its space (§4.1).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/prefix.hpp"
-#include "net/prefix_trie.hpp"
 #include "net/time.hpp"
 #include "masc/types.hpp"
 
@@ -36,7 +38,8 @@ class ClaimRegistry {
   /// True if no live claim overlaps `prefix` at `now`.
   [[nodiscard]] bool is_free(const net::Prefix& prefix, net::SimTime now) const;
 
-  /// The live claim overlapping `prefix`, if any.
+  /// The live claim overlapping `prefix`, if any: the outermost live claim
+  /// containing it, else the first live claim inside it in address order.
   [[nodiscard]] std::optional<std::pair<net::Prefix, Entry>> conflicting(
       const net::Prefix& prefix, net::SimTime now) const;
 
@@ -56,15 +59,35 @@ class ClaimRegistry {
   [[nodiscard]] std::vector<std::pair<net::Prefix, Entry>> claims(
       net::SimTime now) const;
 
-  [[nodiscard]] std::size_t size() const { return trie_.size(); }
+  /// Stored entries, expired ones included until purge_expired() runs.
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
-  [[nodiscard]] bool live_overlap_exists(const net::Prefix& prefix,
-                                         net::SimTime now) const;
-  void free_decompose(const net::Prefix& space, net::SimTime now,
-                      std::vector<net::Prefix>& out) const;
+  using Slot = std::pair<net::Prefix, Entry>;
+  /// Where the entries overlapping a prefix P sit.
+  struct Overlaps {
+    /// The entries containing P (P included), deepest first: at most one
+    /// per length 0..32.
+    std::array<std::uint32_t, 33> ancestors{};
+    int ancestor_count = 0;
+    /// The first entry after P; the entries strictly inside P follow.
+    std::size_t run = 0;
+  };
 
-  net::PrefixTrie<Entry> trie_;
+  [[nodiscard]] std::size_t lower_bound(const net::Prefix& key) const;
+  [[nodiscard]] std::size_t upper_bound(const net::Prefix& key) const;
+  [[nodiscard]] Overlaps overlaps(const net::Prefix& prefix) const;
+  /// The first live entry overlapping `prefix` that `pred` accepts, in
+  /// conflicting()'s order; nullptr if none.
+  template <typename Pred>
+  [[nodiscard]] const Slot* find_live_overlap(const net::Prefix& prefix,
+                                              net::SimTime now,
+                                              Pred&& pred) const;
+
+  /// Sorted by net::Prefix's (base, length) order: every entry containing
+  /// P sorts at or before P, outermost first, and the entries strictly
+  /// inside P form the run right after P's position.
+  std::vector<Slot> entries_;
 };
 
 }  // namespace masc

@@ -15,15 +15,14 @@
 //   lets longest_match(addr) probe only the lengths that exist, longest
 //   first; erasing the last entry of a length clears its bit.
 // - Walks (for_each, for_each_within) visit entries sorted by Prefix's
-//   operator<=>, (base, length), which is net::PrefixTrie's pre-order: the
-//   RIB digest, the removal order of a session reset and the resync order
-//   all depend on it.
+//   operator<=>, (base, length): ancestors before descendants, siblings in
+//   address order. The RIB digest, the removal order of a session reset
+//   and the resync order all depend on it.
 //
-// Containment queries (ancestor chains, overlap tests) stay on
-// net::PrefixTrie. As with the trie, T must be default-constructible and
-// movable, and any insert or erase may move values: pointers and
-// references returned by find()/get_or_insert()/longest_match() are
-// invalidated by the next mutation.
+// T must be default-constructible and movable, and any insert or erase
+// may move values: pointers and references returned by
+// find()/get_or_insert()/longest_match() are invalidated by the next
+// mutation.
 #pragma once
 
 #include <algorithm>

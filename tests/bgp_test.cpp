@@ -527,6 +527,43 @@ TEST(Speaker, WithdrawingAggregateReexposesSpecifics) {
   EXPECT_EQ(d_hit->prefix, Prefix::parse("224.0.128.0/24"));
 }
 
+TEST(Speaker, NestedOwnOriginationsSuppressUntilTheLastIsWithdrawn) {
+  TestNet t;
+  // One view with two own originations, the /16 inside the /8: B's /24
+  // stays suppressed at D while either covers it.
+  Speaker& b1 = t.speaker(20, "b1");
+  Speaker& a1 = t.speaker(10, "a1");
+  Speaker& d1 = t.speaker(30, "d1");
+  Speaker::connect(b1, a1, Relationship::kProvider);
+  Speaker::connect(a1, d1, Relationship::kLateral);
+  const Prefix p8 = Prefix::parse("224.0.0.0/8");
+  const Prefix p16 = Prefix::parse("224.0.0.0/16");
+  const Prefix p24 = Prefix::parse("224.0.128.0/24");
+  a1.originate(RouteType::kGroup, p8);
+  a1.originate(RouteType::kGroup, p16);
+  b1.originate(RouteType::kGroup, p24);
+  t.settle();
+  const Rib& at_d = d1.rib(RouteType::kGroup);
+  EXPECT_NE(at_d.find(p8), nullptr);
+  EXPECT_NE(at_d.find(p16), nullptr);
+  EXPECT_EQ(at_d.find(p24), nullptr);
+
+  a1.withdraw(RouteType::kGroup, p16);
+  t.settle();
+  EXPECT_NE(at_d.find(p8), nullptr);
+  EXPECT_EQ(at_d.find(p16), nullptr);
+  EXPECT_EQ(at_d.find(p24), nullptr);  // the /8 still covers it
+
+  a1.withdraw(RouteType::kGroup, p8);
+  t.settle();
+  EXPECT_EQ(at_d.find(p8), nullptr);
+  const auto d_hit =
+      d1.lookup(RouteType::kGroup, Ipv4Addr::parse("224.0.128.1"));
+  ASSERT_TRUE(d_hit.has_value());
+  EXPECT_EQ(d_hit->prefix, p24);
+  EXPECT_EQ(d_hit->next_hop, &a1);
+}
+
 TEST(Speaker, AggregationOffPropagatesEverything) {
   TestNet t;
   Speaker& b1 = t.speaker(20, "b1");

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/domain.hpp"
@@ -390,6 +391,40 @@ TEST(MascSim, DeterministicPerSeed) {
     if (a.samples[i].utilization != c.samples[i].utilization) diverged = true;
   }
   EXPECT_TRUE(diverged);
+}
+
+/// FNV-1a over every sample's integer columns.
+std::uint64_t series_digest(const MascSimResult& result) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001B3ull;
+  };
+  for (const MascSimSample& s : result.samples) {
+    mix(s.grib_max);
+    mix(s.requested_addresses);
+    mix(s.top_level_claimed);
+    mix(s.children_claimed);
+    mix(s.total_prefixes);
+  }
+  return h;
+}
+
+TEST(MascSim, SeriesArePinned) {
+  // The Figure-2 series and request counts of two small hierarchies, one
+  // mesh and one over four exchanges, pinned: a change to the claim
+  // search, the registry or the pool that moves any claim shows up here.
+  const MascSimResult mesh = run_masc_sim(small_params());
+  EXPECT_EQ(series_digest(mesh), 0xC6024E28AE010655ull);
+  EXPECT_EQ(mesh.requests_served, 1443u);
+  // With six children per top the exchange slices never bind and the
+  // series equals the mesh's; with ten they do.
+  MascSimParams p = small_params();
+  p.exchanges = 4;
+  p.children_per_top = 10;
+  const MascSimResult exchanges = run_masc_sim(p);
+  EXPECT_EQ(series_digest(exchanges), 0xA31A39C07D8DAE20ull);
+  EXPECT_EQ(exchanges.requests_served, 2356u);
 }
 
 TEST(MascSim, ExpansionPolicyVariantsRun) {

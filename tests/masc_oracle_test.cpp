@@ -1,6 +1,6 @@
 // Differential tests for the MASC allocation state machines against
-// brute-force oracles (the trie_oracle_test approach): ClaimRegistry vs. a
-// flat interval list replaying the documented claim/fold semantics, and
+// brute-force oracles: ClaimRegistry vs. a flat interval list replaying
+// the documented claim/fold semantics, and
 // DomainPool vs. exhaustive scans of its own published invariants —
 // blocks aligned, disjoint, inside active prefixes, and a request
 // succeeding exactly when a free aligned slot exists.
@@ -46,7 +46,7 @@ class RegistryOracle {
       }
     }
     // Fold live own overlaps into the new claim; an exact-prefix entry is
-    // replaced regardless (the trie node is overwritten).
+    // replaced regardless (an expired one is overwritten).
     std::erase_if(entries_, [&](const Entry& e) {
       return (e.expires > now && e.owner == owner &&
               e.prefix.overlaps(prefix)) ||
@@ -77,6 +77,31 @@ class RegistryOracle {
     }
     return std::nullopt;
   }
+
+  /// The claim conflicting() must report: the outermost live claim
+  /// containing `prefix`, else the first live claim strictly inside it in
+  /// (base, length) order.
+  [[nodiscard]] std::optional<Entry> conflicting(const Prefix& prefix,
+                                                 SimTime now) const {
+    const Entry* outer = nullptr;
+    const Entry* inner = nullptr;
+    for (const Entry& e : entries_) {
+      if (e.expires <= now) continue;
+      if (e.prefix.contains(prefix)) {
+        if (outer == nullptr || e.prefix.length() < outer->prefix.length()) {
+          outer = &e;
+        }
+      } else if (prefix.contains(e.prefix)) {
+        if (inner == nullptr || e.prefix < inner->prefix) inner = &e;
+      }
+    }
+    if (outer != nullptr) return *outer;
+    if (inner != nullptr) return *inner;
+    return std::nullopt;
+  }
+
+  /// Stored entries, expired ones included until a purge.
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// Live claims as a comparable sorted set.
   [[nodiscard]] std::vector<std::tuple<std::uint32_t, int, DomainId>> claims(
@@ -122,32 +147,97 @@ std::vector<std::tuple<std::uint32_t, int, DomainId>> live_claims(
   return out;
 }
 
+/// Draws claims in the shapes MASC makes inside 224/8 — nested claims
+/// around a few busy centres, doubling moves (a recent claim's parent or
+/// sibling) and scatter — and probes of every length 0..32, near a
+/// centre or a recent claim, inside 224/8 or anywhere in the address
+/// space.
+class ClaimSource {
+ public:
+  ClaimSource(net::Rng& rng, const Prefix& space) : rng_(rng), space_(space) {
+    for (int i = 0; i < 6; ++i) centres_.push_back(inside(space_, 9, 14));
+  }
+
+  Prefix claim() {
+    switch (rng_.uniform_int(0, 3)) {
+      case 0: {  // nested around a centre
+        const Prefix& c = centres_[rng_.index(centres_.size())];
+        return inside(c, c.length(), std::min(c.length() + 10, 32));
+      }
+      case 1:  // doubling
+        if (!recent_.empty()) {
+          const Prefix& p = recent_[rng_.index(recent_.size())];
+          const std::optional<Prefix> next =
+              rng_.uniform_int(0, 1) == 0 ? p.parent() : p.sibling();
+          if (next && space_.contains(*next)) return *next;
+        }
+        [[fallthrough]];
+      default:  // scatter: deep enough to nest, shallow enough to collide
+        return inside(space_, 10, 16);
+    }
+  }
+
+  void remember(const Prefix& p) {
+    recent_.push_back(p);
+    if (recent_.size() > 32) recent_.erase(recent_.begin());
+  }
+
+  Prefix probe() {
+    const int len = static_cast<int>(rng_.uniform_int(0, 32));
+    switch (rng_.uniform_int(0, 3)) {
+      case 0:
+        return Prefix::containing(
+            address_in(centres_[rng_.index(centres_.size())]), len);
+      case 1:  // where claims made at different times nest
+        if (!recent_.empty()) {
+          return Prefix::containing(
+              address_in(recent_[rng_.index(recent_.size())]), len);
+        }
+        [[fallthrough]];
+      case 2:
+        return Prefix::containing(address_in(space_), len);
+      default:
+        return Prefix::containing(address_in(Prefix{}), len);
+    }
+  }
+
+ private:
+  net::Ipv4Addr address_in(const Prefix& p) {
+    const auto offset = static_cast<std::uint64_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(p.size()) - 1));
+    return net::Ipv4Addr{static_cast<std::uint32_t>(p.base().value() + offset)};
+  }
+  Prefix inside(const Prefix& p, int min_len, int max_len) {
+    return Prefix::containing(
+        address_in(p), static_cast<int>(rng_.uniform_int(min_len, max_len)));
+  }
+
+  net::Rng& rng_;
+  Prefix space_;
+  std::vector<Prefix> centres_;
+  std::vector<Prefix> recent_;
+};
+
 TEST(RegistryOracle, RandomClaimChurnMatchesBruteForce) {
   const Prefix space = Prefix::parse("224.0.0.0/8");
   net::Rng rng(0xC1A1Full);
+  ClaimSource source(rng, space);
   ClaimRegistry registry;
   RegistryOracle oracle;
   SimTime now = SimTime::seconds(0);
-
-  const auto random_prefix = [&]() {
-    // Lengths 10..16 inside 224/8: deep enough to nest, shallow enough to
-    // collide often.
-    const int len = static_cast<int>(rng.uniform_int(10, 16));
-    const std::uint64_t slots = 1ull << (len - space.length());
-    return space.subprefix_at(len, rng.uniform_int(0, static_cast<std::int64_t>(slots) - 1));
-  };
 
   std::vector<Prefix> touched;
   for (int op = 0; op < 4000; ++op) {
     now = now + SimTime::seconds(rng.uniform_int(0, 30));
     const int kind = static_cast<int>(rng.uniform_int(0, 9));
     if (kind < 6) {  // claim
-      const Prefix p = random_prefix();
+      const Prefix p = source.claim();
       const auto owner = static_cast<DomainId>(rng.uniform_int(1, 4));
       const SimTime expires = now + SimTime::seconds(rng.uniform_int(1, 600));
-      EXPECT_EQ(registry.claim(p, owner, expires, now),
-                oracle.claim(p, owner, expires, now))
+      const bool won = registry.claim(p, owner, expires, now);
+      EXPECT_EQ(won, oracle.claim(p, owner, expires, now))
           << "claim " << p.to_string() << " by " << owner << " at op " << op;
+      if (won) source.remember(p);
       touched.push_back(p);
     } else if (kind < 8 && !touched.empty()) {  // release
       const Prefix p = touched[rng.index(touched.size())];
@@ -157,24 +247,42 @@ TEST(RegistryOracle, RandomClaimChurnMatchesBruteForce) {
       registry.purge_expired(now);
       oracle.purge_expired(now);
     }
+    ASSERT_EQ(registry.size(), oracle.size()) << "at op " << op;
 
-    // Probe agreement on a few random prefixes every step, full-state
-    // agreement periodically.
+    // Probe agreement every step. One probe in four looks back in time:
+    // an entry that had lapsed when a later claim overlapped it is live
+    // again then, so live claims can nest.
     for (int probe = 0; probe < 4; ++probe) {
-      const Prefix p = random_prefix();
-      ASSERT_EQ(registry.is_free(p, now), oracle.is_free(p, now))
+      const Prefix p = source.probe();
+      const SimTime back = SimTime::seconds(rng.uniform_int(0, 600));
+      const SimTime at = probe == 0 && back < now ? now - back : now;
+      ASSERT_EQ(registry.is_free(p, at), oracle.is_free(p, at))
           << "is_free(" << p.to_string() << ") diverged at op " << op;
-      ASSERT_EQ(registry.conflicting(p, now).has_value(),
-                !oracle.is_free(p, now));
-      ASSERT_EQ(registry.owner_of(p, now), oracle.owner_of(p, now));
+      const auto got = registry.conflicting(p, at);
+      const auto want = oracle.conflicting(p, at);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "conflicting(" << p.to_string() << ") at op " << op;
+      if (got.has_value()) {
+        ASSERT_EQ(got->first, want->prefix)
+            << "conflicting(" << p.to_string() << ") at op " << op;
+        ASSERT_EQ(got->second.owner, want->owner);
+      }
+      ASSERT_EQ(registry.owner_of(p, at), oracle.owner_of(p, at));
     }
-    if (op % 200 == 0) {
+    if (op % 50 == 0) {
       ASSERT_EQ(live_claims(registry, now), oracle.claims(now))
           << "live claim sets diverged at op " << op;
-      std::vector<Prefix> expect;
-      oracle.free_prefixes(space, now, expect);
-      ASSERT_EQ(registry.free_prefixes(space, now), expect)
-          << "free decomposition diverged at op " << op;
+      const Prefix sub = source.probe();
+      const SimTime back = SimTime::seconds(rng.uniform_int(0, 600));
+      const SimTime earlier = back < now ? now - back : now;
+      for (const auto& [within, at] :
+           {std::pair{space, now}, std::pair{sub, now}, std::pair{sub, earlier}}) {
+        std::vector<Prefix> expect;
+        oracle.free_prefixes(within, at, expect);
+        ASSERT_EQ(registry.free_prefixes(within, at), expect)
+            << "free decomposition of " << within.to_string()
+            << " diverged at op " << op;
+      }
     }
   }
 }

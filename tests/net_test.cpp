@@ -1,6 +1,6 @@
-// Unit and property tests for the net substrate: addresses, prefixes, the
-// radix trie, simulated time, the event queue, the message network and the
-// random number generators.
+// Unit and property tests for the net substrate: addresses, prefixes,
+// simulated time, the event queue, the message network and the random
+// number generators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "obs/metrics.hpp"
 #include "net/network.hpp"
 #include "net/prefix.hpp"
-#include "net/prefix_trie.hpp"
 #include "net/rng.hpp"
 #include "net/time.hpp"
 #include "workload/engine.hpp"
@@ -181,134 +180,6 @@ TEST(PrefixProperty, ParentChildAlgebra) {
     ASSERT_EQ(l.sibling(), r);
     ASSERT_EQ(l.parent(), p);
     ASSERT_EQ(l.size() + r.size(), p.size());
-  }
-}
-
-// ------------------------------------------------------------- PrefixTrie
-
-TEST(PrefixTrie, InsertFindErase) {
-  PrefixTrie<int> trie;
-  EXPECT_TRUE(trie.insert(Prefix::parse("224.0.0.0/16"), 1));
-  EXPECT_TRUE(trie.insert(Prefix::parse("224.0.128.0/24"), 2));
-  EXPECT_FALSE(trie.insert(Prefix::parse("224.0.128.0/24"), 3));  // overwrite
-  EXPECT_EQ(trie.size(), 2u);
-  EXPECT_EQ(*trie.find(Prefix::parse("224.0.128.0/24")), 3);
-  EXPECT_EQ(trie.find(Prefix::parse("224.0.129.0/24")), nullptr);
-  EXPECT_TRUE(trie.erase(Prefix::parse("224.0.128.0/24")));
-  EXPECT_FALSE(trie.erase(Prefix::parse("224.0.128.0/24")));
-  EXPECT_EQ(trie.size(), 1u);
-}
-
-TEST(PrefixTrie, LongestMatchPrefersMoreSpecific) {
-  // §4.2: packets for 224.0.128/24 follow A's /16 until a border router of
-  // A uses the more specific /24 — longest match must pick the /24 when
-  // present and fall back to the /16 otherwise.
-  PrefixTrie<std::string> trie;
-  trie.insert(Prefix::parse("224.0.0.0/16"), "A");
-  trie.insert(Prefix::parse("224.0.128.0/24"), "B");
-  const auto hit = trie.longest_match(Ipv4Addr::parse("224.0.128.1"));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->first, Prefix::parse("224.0.128.0/24"));
-  EXPECT_EQ(*hit->second, "B");
-
-  const auto fallback = trie.longest_match(Ipv4Addr::parse("224.0.1.1"));
-  ASSERT_TRUE(fallback.has_value());
-  EXPECT_EQ(fallback->first, Prefix::parse("224.0.0.0/16"));
-
-  EXPECT_EQ(trie.longest_match(Ipv4Addr::parse("225.0.0.0")), std::nullopt);
-}
-
-TEST(PrefixTrie, LongestMatchOnPrefixKey) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix::parse("224.0.0.0/8"), 8);
-  trie.insert(Prefix::parse("224.0.0.0/16"), 16);
-  const auto hit = trie.longest_match(Prefix::parse("224.0.128.0/24"));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit->second, 16);
-  // A key equal to a stored prefix matches itself.
-  const auto self = trie.longest_match(Prefix::parse("224.0.0.0/16"));
-  ASSERT_TRUE(self.has_value());
-  EXPECT_EQ(*self->second, 16);
-}
-
-TEST(PrefixTrie, OverlapsAnyDetectsBothDirections) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix::parse("224.0.128.0/24"), 1);
-  EXPECT_TRUE(trie.overlaps_any(Prefix::parse("224.0.0.0/16")));   // ancestor
-  EXPECT_TRUE(trie.overlaps_any(Prefix::parse("224.0.128.0/26"))); // desc.
-  EXPECT_TRUE(trie.overlaps_any(Prefix::parse("224.0.128.0/24"))); // equal
-  EXPECT_FALSE(trie.overlaps_any(Prefix::parse("224.0.129.0/24")));
-}
-
-TEST(PrefixTrie, ForEachWithinVisitsSubtreeOnly) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix::parse("224.0.0.0/16"), 1);
-  trie.insert(Prefix::parse("224.0.128.0/24"), 2);
-  trie.insert(Prefix::parse("224.1.0.0/16"), 3);
-  std::vector<Prefix> seen;
-  trie.for_each_within(Prefix::parse("224.0.0.0/16"),
-                       [&](const Prefix& p, int) { seen.push_back(p); });
-  EXPECT_EQ(seen, (std::vector<Prefix>{Prefix::parse("224.0.0.0/16"),
-                                       Prefix::parse("224.0.128.0/24")}));
-}
-
-TEST(PrefixTrie, EntriesInAddressOrder) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix::parse("239.0.0.0/8"), 1);
-  trie.insert(Prefix::parse("224.0.0.0/8"), 2);
-  trie.insert(Prefix::parse("224.0.0.0/16"), 3);
-  const auto entries = trie.entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].first, Prefix::parse("224.0.0.0/8"));
-  EXPECT_EQ(entries[1].first, Prefix::parse("224.0.0.0/16"));
-  EXPECT_EQ(entries[2].first, Prefix::parse("239.0.0.0/8"));
-}
-
-// Property: trie agrees with a brute-force map on random workloads.
-TEST(PrefixTrieProperty, MatchesLinearScan) {
-  Rng rng(7);
-  PrefixTrie<int> trie;
-  std::vector<std::pair<Prefix, int>> reference;
-  for (int step = 0; step < 2000; ++step) {
-    const int len = static_cast<int>(rng.uniform_int(4, 28));
-    const auto addr = Ipv4Addr{static_cast<std::uint32_t>(
-        0xE0000000u | rng.uniform_int(0, 0x0FFFFFFF))};
-    const Prefix p = Prefix::containing(addr, len);
-    const auto it = std::find_if(reference.begin(), reference.end(),
-                                 [&](const auto& e) { return e.first == p; });
-    if (rng.chance(0.3) && it != reference.end()) {
-      trie.erase(p);
-      reference.erase(it);
-    } else {
-      trie.insert(p, step);
-      if (it != reference.end()) {
-        it->second = step;
-      } else {
-        reference.emplace_back(p, step);
-      }
-    }
-    ASSERT_EQ(trie.size(), reference.size());
-
-    // Longest-match against brute force for a random probe address.
-    const auto probe = Ipv4Addr{static_cast<std::uint32_t>(
-        0xE0000000u | rng.uniform_int(0, 0x0FFFFFFF))};
-    const Prefix* best = nullptr;
-    int best_value = 0;
-    for (const auto& [pref, value] : reference) {
-      if (pref.contains(probe) &&
-          (best == nullptr || pref.length() > best->length())) {
-        best = &pref;
-        best_value = value;
-      }
-    }
-    const auto got = trie.longest_match(probe);
-    if (best == nullptr) {
-      ASSERT_FALSE(got.has_value());
-    } else {
-      ASSERT_TRUE(got.has_value());
-      ASSERT_EQ(got->first, *best);
-      ASSERT_EQ(*got->second, best_value);
-    }
   }
 }
 

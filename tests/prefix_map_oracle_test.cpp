@@ -4,8 +4,8 @@
 // keys, nested prefixes sharing one base, and scatter over a few
 // addresses, so probe runs collide and lengths come and go. Directed
 // tests pin backward-shift deletion inside a probe run and across the end
-// of the slot array, and the walk order the RIB digests depend on: it
-// must equal PrefixTrie's pre-order.
+// of the slot array. The walk order the RIB digests depend on is the
+// std::map's (base, length) order, checked on every full comparison.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 
 #include "net/prefix.hpp"
 #include "net/prefix_map.hpp"
-#include "net/prefix_trie.hpp"
 #include "net/rng.hpp"
 
 namespace net {
@@ -198,32 +197,6 @@ TEST(PrefixMapOracle, RandomizedOperationsMatchBruteForce) {
       check_equivalent(map, oracle);
     }
   }
-}
-
-TEST(PrefixMapOracle, WalkOrderEqualsTriePreOrder) {
-  KeySource keys(1234);
-  PrefixMap<int> map;
-  PrefixTrie<int> trie;
-  for (int i = 0; i < 2000; ++i) {
-    const Prefix p = keys.next();
-    map.get_or_insert(p) = i;
-    trie.insert(p, i);
-    if (i % 3 == 0) {
-      const Prefix gone = keys.next();
-      map.erase(gone);
-      trie.erase(gone);
-    }
-  }
-  std::vector<std::pair<Prefix, int>> from_trie;
-  trie.for_each([&](const Prefix& p, int v) { from_trie.emplace_back(p, v); });
-  ASSERT_GT(from_trie.size(), 100u);
-  EXPECT_EQ(walk(map), from_trie);
-
-  const Prefix within = Prefix::containing(keys.probe(), 4);
-  std::vector<std::pair<Prefix, int>> trie_within;
-  trie.for_each_within(
-      within, [&](const Prefix& p, int v) { trie_within.emplace_back(p, v); });
-  EXPECT_EQ(walk_within(map, within), trie_within);
 }
 
 TEST(PrefixMap, NestedKeysSharingABaseAndExtremeLengths) {
