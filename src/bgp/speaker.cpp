@@ -176,10 +176,18 @@ std::optional<Relationship> Speaker::relationship_with(
   return std::nullopt;
 }
 
+void Speaker::on_drain(net::SmallFunction<void()>& deliveries) {
+  const BatchScope batch(*this);
+  deliveries();
+}
+
 void Speaker::on_message(net::ChannelId channel,
                          std::unique_ptr<net::Message> msg) {
   if (msg->kind != net::MessageKind::kBgpUpdate) {
     throw std::logic_error("Speaker: unexpected message type");
+  }
+  if (batch_depth_ == 0) {
+    throw std::logic_error("Speaker: update delivered outside a drain");
   }
   handle_update(peer_by_channel(channel),
                 static_cast<const UpdateMessage&>(*msg));
@@ -223,9 +231,9 @@ void Speaker::on_channel_up(net::ChannelId channel) {
 void Speaker::handle_update(PeerIndex from, const UpdateMessage& update) {
   Peer& peer = peers_[from];
   metrics_.updates_received->inc();
-  // Everything this delivery triggers — reselections across all deltas —
-  // coalesces into at most one outgoing update per peer.
-  const BatchScope batch(*this);
+  // Runs inside the drain's batch (on_drain): the reselections of every
+  // update the drain carries coalesce into at most one outgoing update per
+  // peer.
   for (const UpdateMessage::Delta& delta : update.deltas) {
     Rib& rib = rib_mut(delta.type);
     // Carry each delta's own origin stamp through local flips (sampled in

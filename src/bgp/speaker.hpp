@@ -157,6 +157,14 @@ class Speaker final : public net::Endpoint {
   [[nodiscard]] std::size_t state_bytes() const;
 
   // net::Endpoint:
+  /// One drain is one update batch, as a BGP router reads a socket's
+  /// worth of UPDATEs before it runs its decision process: every update
+  /// the drain delivers is applied first, and what they changed goes out
+  /// when the drain ends, as at most one UpdateMessage per peer.
+  void on_drain(net::SmallFunction<void()>& deliveries) override;
+  /// Applies one received update, which must arrive inside on_drain's
+  /// batch: outside any batch it throws std::logic_error, rather than
+  /// leave its deltas queued for some later, unrelated flush.
   void on_message(net::ChannelId channel,
                   std::unique_ptr<net::Message> msg) override;
   /// Session loss: all routes learned over the peering are flushed and
@@ -221,9 +229,10 @@ class Speaker final : public net::Endpoint {
   /// RAII update batch: while a scope is open, sync_peer() accumulates
   /// per-peer deltas instead of sending; when the outermost scope closes,
   /// each peer receives at most ONE UpdateMessage carrying every coalesced
-  /// delta. One received update (or one originate/withdraw, or a session
-  /// establishment's full table) therefore costs one message per peer, not
-  /// one per prefix.
+  /// delta. One drain (every update one delivery event hands this speaker,
+  /// see on_drain), one originate/withdraw, or a session establishment's
+  /// full table therefore costs at most one message per peer, not one per
+  /// prefix or per received update.
   class BatchScope {
    public:
     explicit BatchScope(Speaker& speaker) : speaker_(speaker) {

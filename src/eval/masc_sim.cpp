@@ -116,10 +116,12 @@ class Simulation {
 
   /// End-of-run integrity checks (see MascSimResult::invariants_ok).
   [[nodiscard]] bool verify_invariants() const {
-    // Top-level claims pairwise disjoint.
+    // Top-level claims pairwise disjoint, each inside its top's claim
+    // space (its exchange's partition, §4.4).
     std::vector<Prefix> top_claims;
     for (const TopDomain& top : tops_) {
       for (const masc::ClaimedPrefix& p : top.pool.prefixes()) {
+        if (!top.claim_space.contains(p.prefix)) return false;
         for (const Prefix& q : top_claims) {
           if (p.prefix.overlaps(q)) return false;
         }
@@ -188,7 +190,7 @@ class Simulation {
         return masc::can_double(p, spaces, parent.child_claims, now);
       };
       const auto plan =
-          child.pool.plan_expansion(params_.block_size, now, can_double_fn);
+          child.pool.plan_expansion(params_.block_size, can_double_fn);
       if (!plan || !execute_child_plan(child, *plan, now)) break;
       expansions_executed_->inc();
       // At the protocol level this claim would have waited out one §4.1
@@ -303,7 +305,7 @@ class Simulation {
     const auto can_double_fn = [&](const Prefix& p) {
       return masc::can_double(p, top_space, top_registry_, now);
     };
-    const auto plan = parent.pool.plan_expansion(deficit, now, can_double_fn);
+    const auto plan = parent.pool.plan_expansion(deficit, can_double_fn);
     if (!plan) return false;
     const SimTime expiry = now + params_.pool.prefix_lifetime;
     switch (plan->kind) {

@@ -80,7 +80,8 @@ struct MascSimResult {
   obs::Snapshot final_metrics;
   /// End-of-run integrity: children's claims lie inside their parent's
   /// held space, parents' mirror accounting equals the children's claims,
-  /// and top-level claims are mutually disjoint.
+  /// and top-level claims are mutually disjoint, each inside its top's
+  /// claim space (224/4, or its exchange's partition).
   bool invariants_ok = false;
 
   [[nodiscard]] const MascSimSample& final_sample() const {

@@ -165,7 +165,7 @@ void MascNode::start_claim(std::uint64_t addresses, int retries,
   const auto can_double_fn = [&](const net::Prefix& p) {
     return can_double(p, spaces_, known_claims_, now());
   };
-  const auto plan = pool_.plan_expansion(addresses, now(), can_double_fn);
+  const auto plan = pool_.plan_expansion(addresses, can_double_fn);
   if (!plan) {
     fail_request(addresses);
     return;

@@ -208,9 +208,8 @@ std::vector<net::Prefix> DomainPool::age(net::SimTime now) {
 }
 
 std::optional<ExpansionPlan> DomainPool::plan_expansion(
-    std::uint64_t deficit_addresses, net::SimTime now,
+    std::uint64_t deficit_addresses,
     const std::function<bool(const net::Prefix&)>& can_double_fn) const {
-  (void)now;
   if (deficit_addresses == 0) {
     throw std::invalid_argument("DomainPool::plan_expansion: zero deficit");
   }

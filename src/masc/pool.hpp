@@ -113,7 +113,7 @@ class DomainPool {
   /// nullopt when the policy has no move (e.g. kDoubleOnly with no
   /// doublable prefix).
   [[nodiscard]] std::optional<ExpansionPlan> plan_expansion(
-      std::uint64_t deficit_addresses, net::SimTime now,
+      std::uint64_t deficit_addresses,
       const std::function<bool(const net::Prefix&)>& can_double_fn) const;
 
   // -- metrics -------------------------------------------------------------

@@ -204,55 +204,70 @@ void Network::arm_direction(ChannelId id, bool toward_b) {
 }
 
 void Network::drain_direction(ChannelId id, bool toward_b) {
+  Endpoint* to;
   {
-    Direction& dir = toward_b ? channel(id).to_b : channel(id).to_a;
+    Channel& ch = channel(id);
+    Direction& dir = toward_b ? ch.to_b : ch.to_a;
     dir.timer_armed = false;
     // Sends from handlers below land in this FIFO; defer re-arming so the
     // loop (not a nested schedule) decides what the head's event is.
     dir.draining = true;
+    to = toward_b ? ch.b : ch.a;
   }
-  bool first = true;
-  for (;;) {
-    // Re-fetch every iteration: a handler may connect() (reallocating
-    // channels_) or mutate this direction.
-    Channel& ch = channel(id);
-    Direction& dir = toward_b ? ch.to_b : ch.to_a;
-    if (dir.empty()) break;
-    const bool carried = !first;
-    if (carried) {
-      // A follower may be carried by the head's event only if nothing
-      // else can legally run first: same delivery instant, and its
-      // reserved key precedes every key still pending in the queue. This
-      // makes batching invisible to the global (time, seq) order.
-      // peek_next_stored, not peek_next: a lazily-cancelled stored front
-      // still blocks batching. peek_next would discard it and batch more,
-      // changing events_run from what every committed run pins.
-      const InFlight& next = flight_[dir.head];
-      if (next.deliver_at != events_.now()) break;
-      if (const auto pending = events_.peek_next_stored()) {
-        const bool precedes =
-            next.deliver_at < pending->at ||
-            (pending->at == next.deliver_at && next.seq < pending->seq);
-        if (!precedes) break;
+  SmallFunction<void()> deliveries = [this, id, toward_b, to] {
+    bool first = true;
+    for (;;) {
+      // Re-fetch every iteration: a handler may connect() (reallocating
+      // channels_) or mutate this direction.
+      Channel& ch = channel(id);
+      Direction& dir = toward_b ? ch.to_b : ch.to_a;
+      if (dir.empty()) break;
+      const bool carried = !first;
+      if (carried) {
+        // A follower may be carried by the head's event only if nothing
+        // else can legally run first: same delivery instant, and its
+        // reserved key precedes every key still pending in the queue. This
+        // makes batching invisible to the global (time, seq) order.
+        // peek_next_stored, not peek_next: a lazily-cancelled stored front
+        // still blocks batching. peek_next would discard it and batch more,
+        // changing events_run from what every committed run pins.
+        const InFlight& next = flight_[dir.head];
+        if (next.deliver_at != events_.now()) break;
+        if (const auto pending = events_.peek_next_stored()) {
+          const bool precedes =
+              next.deliver_at < pending->at ||
+              (pending->at == next.deliver_at && next.seq < pending->seq);
+          if (!precedes) break;
+        }
       }
+      first = false;
+      InFlight item = pop_flight(dir);
+      // A TCP reset (drop_when_down channel going down) invalidates
+      // in-flight segments: discard on session-epoch mismatch, at the
+      // exact time the delivery would have happened.
+      if (item.epoch != ch.epoch) {
+        dropped_->inc();
+        record_span(obs::Record::Kind::kDrop, *item.msg, id, *to);
+        continue;
+      }
+      // Counted here, not at the batching decision: an epoch-dead follower
+      // is discarded, never delivered, so it must not inflate the inline-
+      // delivery count.
+      if (carried) batched_->inc();
+      deliver(id, *to, std::move(item.msg), item.sent_at);
     }
-    first = false;
-    InFlight item = pop_flight(dir);
-    // A TCP reset (drop_when_down channel going down) invalidates
-    // in-flight segments: discard on session-epoch mismatch, at the exact
-    // time the delivery would have happened.
-    if (item.epoch != ch.epoch) {
-      dropped_->inc();
-      Endpoint& to = toward_b ? *ch.b : *ch.a;
-      record_span(obs::Record::Kind::kDrop, *item.msg, id, to);
-      continue;
-    }
-    // Counted here, not at the batching decision: an epoch-dead follower
-    // is discarded, never delivered, so it must not inflate the inline-
-    // delivery count.
-    if (carried) batched_->inc();
-    deliver(id, toward_b ? *ch.b : *ch.a, std::move(item.msg), item.sent_at);
+  };
+  // deliver() leaves each message's id ambient, so the bracket's closing
+  // work runs under the last one's. The previous value comes back even on
+  // throw, so a failing handler cannot leak its id into unrelated events.
+  const std::uint64_t prev = active_trace_id_;
+  try {
+    to->on_drain(deliveries);
+  } catch (...) {
+    active_trace_id_ = prev;
+    throw;
   }
+  active_trace_id_ = prev;
   Direction& dir = toward_b ? channel(id).to_b : channel(id).to_a;
   dir.draining = false;
   arm_direction(id, toward_b);
@@ -266,18 +281,9 @@ void Network::deliver(ChannelId id, Endpoint& to, std::unique_ptr<Message> msg,
   notify_activity();
   record_span(obs::Record::Kind::kDeliver, *msg, id, to);
   // Everything the handler sends synchronously is causally downstream of
-  // this message; expose its id as the ambient trace context. The previous
-  // value is restored even on throw so a failing handler cannot leak its
-  // id into unrelated deliveries.
-  const std::uint64_t prev = active_trace_id_;
+  // this message; expose its id as the ambient trace context.
   active_trace_id_ = msg->trace_id;
-  try {
-    to.on_message(id, std::move(msg));
-  } catch (...) {
-    active_trace_id_ = prev;
-    throw;
-  }
-  active_trace_id_ = prev;
+  to.on_message(id, std::move(msg));
 }
 
 void Network::set_up(ChannelId id, bool up) {

@@ -20,6 +20,7 @@
 
 #include "net/event.hpp"
 #include "net/rng.hpp"
+#include "net/small_function.hpp"
 #include "net/time.hpp"
 #include "obs/metrics.hpp"
 #include "obs/record.hpp"
@@ -72,6 +73,17 @@ class Endpoint {
 
   /// Called when a message arrives on `channel`. Ownership transfers.
   virtual void on_message(ChannelId channel, std::unique_ptr<Message> msg) = 0;
+
+  /// Brackets one drain: the one scheduled event that hands this endpoint
+  /// a channel direction's same-instant run of messages
+  /// (Network::drain_direction). `deliveries()` passes each of them to
+  /// on_message, in order, and an override must call it exactly once. It
+  /// runs once per drain, also when every message of the drain is
+  /// discarded as epoch-dead. Work done after the call still runs under
+  /// the trace id of the drain's last delivered message, so what it
+  /// sends stays on that message's span. A BGP speaker reads the whole
+  /// drain before it exports (bgp::Speaker). Default: just deliver.
+  virtual void on_drain(SmallFunction<void()>& deliveries) { deliveries(); }
 
   /// Channel state transitions (partition start/heal). Default: ignore.
   virtual void on_channel_up(ChannelId /*channel*/) {}
@@ -203,9 +215,10 @@ class Network {
   /// stamped with this network's event-queue time.
   [[nodiscard]] obs::Stream& stream() { return stream_; }
 
-  /// The trace id of the message currently being delivered (0 outside a
-  /// delivery). send() consults this to propagate causality; handlers that
-  /// defer work through timers capture it explicitly.
+  /// The trace id of the message currently being delivered — or, in a
+  /// drain's bracket after its deliveries, of the last one delivered (0
+  /// outside a drain). send() consults this to propagate causality;
+  /// handlers that defer work through timers capture it explicitly.
   [[nodiscard]] std::uint64_t current_trace_id() const {
     return active_trace_id_;
   }
@@ -332,7 +345,8 @@ class Network {
   /// the next message is provably the globally next event (same delivery
   /// instant and its reserved key precedes everything pending in the event
   /// queue) — one scheduled event carries a whole same-link batch without
-  /// changing arrival order. Re-arms for the new head on exit.
+  /// changing arrival order. The receiver's Endpoint::on_drain brackets
+  /// the deliveries. Re-arms for the new head on exit.
   void drain_direction(ChannelId id, bool toward_b);
   [[nodiscard]] SimTime disturbance_delay();
   // Head-based pre-filter, inline: an unsampled chain skips building the
@@ -365,8 +379,9 @@ class Network {
   obs::Stream stream_;
   std::uint64_t next_trace_id_ = 0;
   std::uint32_t next_uid_ = 0;
-  // Ambient trace id during on_message; deliver() saves and restores it,
-  // so nested deliveries see their own context.
+  // Ambient trace id during on_message: deliver() sets it, and
+  // drain_direction() restores the previous value once the drain's
+  // bracket (Endpoint::on_drain) closes.
   std::uint64_t active_trace_id_ = 0;
   std::vector<std::function<void()>> activity_listeners_;
   std::vector<Channel> channels_;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -704,16 +705,98 @@ struct Relay {
     t.settle();
   }
 
-  /// Hands `deltas` to s as one update from a, outside any delivery.
+  /// Hands `deltas` to s as one update from a, in a drain of its own
+  /// outside the event queue.
   void forge_from_a(const std::vector<UpdateMessage::Delta>& deltas) {
     auto update = std::make_unique<UpdateMessage>();
     for (const UpdateMessage::Delta& d : deltas) update->deltas.push_back(d);
-    s.on_message(s.peer_channel(0), std::move(update));
+    net::SmallFunction<void()> deliveries = [&] {
+      s.on_message(s.peer_channel(0), std::move(update));
+    };
+    s.on_drain(deliveries);
   }
 };
 
 Route route_via(std::vector<DomainId> path) {
   return Route{PathRef::intern(path), path.back(), 100};
+}
+
+/// a -- s, with b and c downstream of s. Every update a sends at one
+/// instant reaches s in one drain: a has no other peer, so nothing else is
+/// pending between them.
+struct Fork {
+  TestNet t;
+  Speaker& a = t.speaker(1, "a");
+  Speaker& s = t.speaker(2, "s");
+  Speaker& b = t.speaker(3, "b");
+  Speaker& c = t.speaker(4, "c");
+
+  Fork() {
+    Speaker::connect(a, s, Relationship::kLateral);
+    Speaker::connect(s, b, Relationship::kLateral);
+    Speaker::connect(s, c, Relationship::kLateral);
+    t.settle();
+  }
+
+  [[nodiscard]] std::uint64_t batched() {
+    return t.network.metrics().counter("net.deliveries_batched").value();
+  }
+};
+
+TEST(SpeakerBatch, UpdatesOfOneDrainLeaveAsOneUpdatePerPeer) {
+  Fork f;
+  constexpr int kUpdates = 5;
+  const std::uint64_t batched = f.batched();
+  const std::uint64_t sent = f.t.network.messages_sent();
+  // Each origination flushes its own update: kUpdates messages from a.
+  for (int i = 0; i < kUpdates; ++i) {
+    f.a.originate(RouteType::kGroup,
+                  Prefix::parse("224." + std::to_string(i + 1) + ".0.0/16"));
+  }
+  ASSERT_EQ(f.t.network.messages_sent(), sent + kUpdates);
+  f.t.settle();
+  // They rode one drain into s: the first one's event carried the rest,
+  // and s's one update per link carries nothing more...
+  EXPECT_EQ(f.batched(), batched + kUpdates - 1);
+  // ...so s sent b and c one update each, not one per received update;
+  // b and c, whose only peer is s, send nothing back.
+  EXPECT_EQ(f.t.network.messages_sent(), sent + kUpdates + 2);
+  for (int i = 0; i < kUpdates; ++i) {
+    const Ipv4Addr addr =
+        Ipv4Addr::parse("224." + std::to_string(i + 1) + ".2.3");
+    EXPECT_TRUE(f.b.lookup(RouteType::kGroup, addr)) << i;
+    EXPECT_TRUE(f.c.lookup(RouteType::kGroup, addr)) << i;
+  }
+}
+
+TEST(SpeakerBatch, AnnounceThenWithdrawInOneDrainSendsNothing) {
+  Fork f;
+  const Prefix p = Prefix::parse("224.1.0.0/16");
+  const std::uint64_t batched = f.batched();
+  const std::uint64_t sent = f.t.network.messages_sent();
+  f.a.originate(RouteType::kGroup, p);
+  f.a.withdraw(RouteType::kGroup, p);
+  ASSERT_EQ(f.t.network.messages_sent(), sent + 2);
+  f.t.settle();
+  EXPECT_EQ(f.batched(), batched + 1);
+  // s applied both, and its announcement to b and c netted out with the
+  // withdrawal before the drain's end.
+  EXPECT_EQ(f.t.network.messages_sent(), sent + 2);
+  EXPECT_EQ(f.s.advertised(RouteType::kGroup, 1, p), nullptr);
+  EXPECT_EQ(f.s.advertised(RouteType::kGroup, 2, p), nullptr);
+  const Ipv4Addr addr = Ipv4Addr::parse("224.1.2.3");
+  EXPECT_FALSE(f.s.lookup(RouteType::kGroup, addr));
+  EXPECT_FALSE(f.b.lookup(RouteType::kGroup, addr));
+  EXPECT_FALSE(f.c.lookup(RouteType::kGroup, addr));
+}
+
+TEST(SpeakerBatch, UpdateOutsideADrainThrows) {
+  Relay r;
+  auto update = std::make_unique<UpdateMessage>();
+  update->deltas.push_back(UpdateMessage::Delta{
+      RouteType::kGroup, Prefix::parse("224.1.0.0/16"), route_via({1})});
+  EXPECT_THROW(r.s.on_message(r.s.peer_channel(0), std::move(update)),
+               std::logic_error);
 }
 
 TEST(SpeakerBatch, AnnounceThenWithdrawInOneUpdateSendsNothing) {

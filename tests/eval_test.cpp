@@ -453,17 +453,39 @@ TEST(MascSim, ClaimStrategyVariantsRun) {
 }
 
 
+/// True when two runs sampled the same Figure-2 series.
+bool same_series(const MascSimResult& x, const MascSimResult& y) {
+  if (x.samples.size() != y.samples.size()) return false;
+  for (std::size_t i = 0; i < x.samples.size(); ++i) {
+    const MascSimSample& a = x.samples[i];
+    const MascSimSample& b = y.samples[i];
+    if (a.utilization != b.utilization || a.grib_average != b.grib_average ||
+        a.grib_max != b.grib_max ||
+        a.top_level_claimed != b.top_level_claimed ||
+        a.total_prefixes != b.total_prefixes) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(MascSim, ExchangePartitionsConfineTopLevelClaims) {
   // §4.4: with the space partitioned among exchanges, every top-level
-  // claim stays inside its exchange's slice, and the hierarchy still
-  // serves all requests.
+  // claim stays inside its exchange's slice (invariants_ok checks each
+  // top's claims against its claim space), and the hierarchy still
+  // serves all requests. At 10 children per top the tops outgrow their
+  // first claims, so the partitions shape the run: its series differs
+  // from the one-mesh run's.
   MascSimParams p = small_params();
+  p.children_per_top = 10;
+  const MascSimResult one_mesh = run_masc_sim(p);
   p.exchanges = 4;
   const MascSimResult result = run_masc_sim(p);
   EXPECT_EQ(result.allocation_failures, 0);
   EXPECT_TRUE(result.invariants_ok);
   const MascSimSample steady = result.steady_state(60.0);
   EXPECT_GT(steady.utilization, 0.1);
+  EXPECT_FALSE(same_series(result, one_mesh));
 }
 
 TEST(MascSim, ExchangeCountBeyondTopsStillWorks) {

@@ -191,14 +191,17 @@ struct Line {
     net.settle();
   }
 
-  /// Delivers `route` for `prefix` to B as if A had sent it — an update
-  /// A's Adj-RIB-Out never recorded.
+  /// Delivers `route` for `prefix` to B as if A had sent it, in a drain
+  /// of its own — an update A's Adj-RIB-Out never recorded.
   void forge_from_a(const net::Prefix& prefix, const bgp::Route& route) {
     bgp::Speaker& speaker = b.speaker(0);
     auto update = std::make_unique<bgp::UpdateMessage>();
     update->deltas.push_back(bgp::UpdateMessage::Delta{
         bgp::RouteType::kUnicast, prefix, route});
-    speaker.on_message(speaker.peer_channel(0), std::move(update));
+    net::SmallFunction<void()> deliveries = [&] {
+      speaker.on_message(speaker.peer_channel(0), std::move(update));
+    };
+    speaker.on_drain(deliveries);
     net.settle();
   }
 };
@@ -272,7 +275,10 @@ TEST(BgmpAcyclicChecker, ForgedRouteLoopReportsEveryWalkIntoIt) {
     update->deltas.push_back(bgp::UpdateMessage::Delta{
         bgp::RouteType::kGroup, range,
         bgp::Route{bgp::PathRef::intern({via, 9}), 9, 100}});
-    speaker.on_message(speaker.peer_channel(0), std::move(update));
+    net::SmallFunction<void()> deliveries = [&] {
+      speaker.on_message(speaker.peer_channel(0), std::move(update));
+    };
+    speaker.on_drain(deliveries);
   };
   forge(a, 2);  // A's peer 0 is B
   forge(b, 1);  // B's peer 0 is A

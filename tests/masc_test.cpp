@@ -320,7 +320,7 @@ TEST(DomainPool, RejectsOverlappingPrefixes) {
 TEST(ExpansionPolicy, FirstRequestClaimsJustSufficientPrefix) {
   DomainPool pool(1, pool_params());
   const auto plan =
-      pool.plan_expansion(256, kNow, [](const Prefix&) { return true; });
+      pool.plan_expansion(256, [](const Prefix&) { return true; });
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->kind, ExpansionPlan::Kind::kNewPrefix);
   EXPECT_EQ(plan->new_len, 24);
@@ -332,7 +332,7 @@ TEST(ExpansionPolicy, DoublesWhenPostDoubleUtilizationMeetsTarget) {
   ASSERT_TRUE(pool.request_block(256, kNow, SimTime::days(30)).has_value());
   // Demand 256+256 = 512; doubling to /23 gives utilization 1.0 >= 0.75.
   const auto plan =
-      pool.plan_expansion(256, kNow, [](const Prefix&) { return true; });
+      pool.plan_expansion(256, [](const Prefix&) { return true; });
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->kind, ExpansionPlan::Kind::kDouble);
   EXPECT_EQ(plan->target, Prefix::parse("224.0.1.0/24"));
@@ -343,7 +343,7 @@ TEST(ExpansionPolicy, SkipsDoublingWhenSiblingTaken) {
   pool.add_prefix(Prefix::parse("224.0.1.0/24"), kLater);
   ASSERT_TRUE(pool.request_block(256, kNow, SimTime::days(30)).has_value());
   const auto plan =
-      pool.plan_expansion(256, kNow, [](const Prefix&) { return false; });
+      pool.plan_expansion(256, [](const Prefix&) { return false; });
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->kind, ExpansionPlan::Kind::kNewPrefix);
   EXPECT_EQ(plan->new_len, 24);
@@ -356,7 +356,7 @@ TEST(ExpansionPolicy, SkipsDoublingWhenUtilizationWouldDropBelowTarget) {
   // Demand 512 into 8192 after doubling = 6% << 75% → claim small prefix
   // instead. (Capacity exists but assume fragmentation forced the call.)
   const auto plan =
-      pool.plan_expansion(256, kNow, [](const Prefix&) { return true; });
+      pool.plan_expansion(256, [](const Prefix&) { return true; });
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->kind, ExpansionPlan::Kind::kNewPrefix);
 }
@@ -370,7 +370,7 @@ TEST(ExpansionPolicy, SoftCapAllowsExtraSmallPrefixes) {
   ASSERT_TRUE(pool.request_block(256, kNow, SimTime::days(30)).has_value());
   ASSERT_TRUE(pool.request_block(256, kNow, SimTime::days(30)).has_value());
   const auto plan =
-      pool.plan_expansion(256, kNow, [](const Prefix&) { return false; });
+      pool.plan_expansion(256, [](const Prefix&) { return false; });
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->kind, ExpansionPlan::Kind::kNewPrefix);
   EXPECT_EQ(plan->new_len, 24);
@@ -388,7 +388,7 @@ TEST(ExpansionPolicy, RenumbersAtHardCapWithNoDoubling) {
     ASSERT_TRUE(pool.request_block(256, kNow, SimTime::days(30)).has_value());
   }
   const auto plan =
-      pool.plan_expansion(256, kNow, [](const Prefix&) { return false; });
+      pool.plan_expansion(256, [](const Prefix&) { return false; });
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->kind, ExpansionPlan::Kind::kRenumber);
   // Usage 768 + deficit 256 = 1024 → /22.
@@ -423,10 +423,10 @@ TEST(ExpansionPolicy, DoubleOnlyNeverClaimsNewPrefixes) {
   DomainPool pool(1, params);
   pool.add_prefix(Prefix::parse("224.0.1.0/24"), kLater);
   const auto blocked =
-      pool.plan_expansion(256, kNow, [](const Prefix&) { return false; });
+      pool.plan_expansion(256, [](const Prefix&) { return false; });
   EXPECT_FALSE(blocked.has_value());
   const auto doubled =
-      pool.plan_expansion(256, kNow, [](const Prefix&) { return true; });
+      pool.plan_expansion(256, [](const Prefix&) { return true; });
   ASSERT_TRUE(doubled.has_value());
   EXPECT_EQ(doubled->kind, ExpansionPlan::Kind::kDouble);
 }
@@ -438,7 +438,7 @@ TEST(ExpansionPolicy, NewPrefixOnlyNeverDoubles) {
   pool.add_prefix(Prefix::parse("224.0.1.0/24"), kLater);
   ASSERT_TRUE(pool.request_block(256, kNow, SimTime::days(30)).has_value());
   const auto plan =
-      pool.plan_expansion(256, kNow, [](const Prefix&) { return true; });
+      pool.plan_expansion(256, [](const Prefix&) { return true; });
   ASSERT_TRUE(plan.has_value());
   EXPECT_NE(plan->kind, ExpansionPlan::Kind::kDouble);
 }

@@ -7,6 +7,8 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -609,6 +611,103 @@ TEST(Network, RejectsSelfPeeringAndForeignSender) {
   const auto ab = network.connect(a, b);
   EXPECT_THROW(network.send(ab, c, std::make_unique<TextMessage>("x")),
                std::invalid_argument);
+}
+
+/// Counts the drain bracket around its deliveries. A message reading
+/// "throw" makes the handler throw. With an echo channel set, the closing
+/// half of the bracket sends one message on it and keeps its trace id.
+class DrainCounter final : public Endpoint {
+ public:
+  explicit DrainCounter(Network& network) : network_(network) {}
+  void on_drain(SmallFunction<void()>& deliveries) override {
+    ++opens;
+    struct Close {
+      int& closes;
+      ~Close() { ++closes; }
+    } close{closes};
+    deliveries();
+    if (echo) {
+      echo_ids.push_back(
+          network_.send(*echo, *this, std::make_unique<TextMessage>("echo")));
+    }
+  }
+  void on_message(ChannelId, std::unique_ptr<Message> msg) override {
+    const std::string& text = static_cast<const TextMessage&>(*msg).text;
+    received.push_back(text);
+    if (text == "throw") throw std::runtime_error("handler failed");
+  }
+  [[nodiscard]] std::string name() const override { return "counter"; }
+
+  int opens = 0;
+  int closes = 0;
+  std::vector<std::string> received;
+  std::optional<ChannelId> echo;
+  std::vector<std::uint64_t> echo_ids;
+
+ private:
+  Network& network_;
+};
+
+TEST(Network, DrainBracketIsBalancedOncePerDrain) {
+  EventQueue q;
+  Network network(q);
+  Recorder a("a");
+  DrainCounter b(network);
+  const auto ch = network.connect(a, b, SimTime::milliseconds(10));
+  network.set_drop_when_down(ch, true);
+  const auto send = [&](const char* text) {
+    network.send(ch, a, std::make_unique<TextMessage>(text));
+  };
+  // Three messages due at one instant ride one drain: one bracket.
+  send("m1");
+  send("m2");
+  send("m3");
+  q.run();
+  EXPECT_EQ(b.opens, 1);
+  EXPECT_EQ(b.closes, 1);
+  EXPECT_EQ(b.received, (std::vector<std::string>{"m1", "m2", "m3"}));
+
+  // A drain whose every message died with a session reset still opens
+  // and closes the bracket once, and delivers nothing.
+  send("dead1");
+  send("dead2");
+  network.set_up(ch, false);
+  network.set_up(ch, true);
+  q.run();
+  EXPECT_EQ(network.messages_dropped(), 2u);
+  EXPECT_EQ(b.opens, 2);
+  EXPECT_EQ(b.closes, 2);
+  EXPECT_EQ(b.received.size(), 3u);
+
+  // A handler that throws mid-drain leaves the bracket closed behind it.
+  send("m4");
+  send("throw");
+  send("m5");
+  EXPECT_THROW(q.run(), std::runtime_error);
+  EXPECT_EQ(b.opens, 3);
+  EXPECT_EQ(b.closes, 3);
+  EXPECT_EQ(b.received.back(), "throw");
+  EXPECT_EQ(network.current_trace_id(), 0u);
+}
+
+TEST(Network, DrainBracketClosesUnderTheLastDeliveredTraceId) {
+  EventQueue q;
+  Network network(q);
+  Recorder a("a"), c("c");
+  DrainCounter b(network);
+  const auto ab = network.connect(a, b, SimTime::milliseconds(10));
+  b.echo = network.connect(b, c, SimTime::milliseconds(10));
+  // Sent outside any delivery, each message starts a span of its own.
+  const std::uint64_t first =
+      network.send(ab, a, std::make_unique<TextMessage>("m1"));
+  const std::uint64_t last =
+      network.send(ab, a, std::make_unique<TextMessage>("m2"));
+  ASSERT_NE(first, last);
+  q.run();
+  EXPECT_EQ(b.opens, 1);
+  EXPECT_EQ(b.echo_ids, (std::vector<std::uint64_t>{last}));
+  ASSERT_EQ(c.received.size(), 1u);
+  EXPECT_EQ(network.current_trace_id(), 0u);
 }
 
 // --------------------------------------------------------------------- Rng
