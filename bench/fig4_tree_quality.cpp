@@ -117,7 +117,7 @@ int protocol_check(std::uint64_t seed, const char* metrics_out) {
           tree.parent[n] = n;
         } else {
           tree.dist[n] =
-              static_cast<std::uint32_t>(hit->route.as_path.size());
+              static_cast<std::uint32_t>(hit->route->as_path.size());
           tree.parent[n] = s2n.at(hit->next_hop);
         }
       }

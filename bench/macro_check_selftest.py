@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Self-test of `macro_scenario --check`: one unit of digest drift must fail.
+"""Self-test of `macro_scenario --check`: one unit of drift must fail.
 
 Usage: macro_check_selftest.py MACRO_SCENARIO BASELINE_JSON
 
-Writes a copy of a flat single-run baseline (BENCH_macro_ci.json) with
-`rib_digest` raised by 1, runs `macro_scenario` with the baseline's
-parameters and `--check` against the copy, and exits 0 only if the check
-exits 1, reports `rib_digest` as the one divergence and prints the
-baseline value exactly as the copy holds it. Python's json module keeps
-the 64-bit integer exact when it writes the copy.
+For each exactly gated column it probes (`rib_digest`, the converged
+state, and `bgmp_joins_sent`, the tree-building work), writes a copy of a
+flat single-run baseline (BENCH_macro_ci.json) with that column raised by
+1, runs `macro_scenario` with the baseline's parameters and `--check`
+against the copy, and requires that the check exits 1, reports that
+column as the one divergence and prints the baseline value exactly as the
+copy holds it. Exits 0 only if every probe is caught. Python's json module
+keeps 64-bit integers exact when it writes the copy.
 """
 import json
 import os
@@ -16,15 +18,12 @@ import subprocess
 import sys
 import tempfile
 
+PROBES = ("rib_digest", "bgmp_joins_sent")
 
-def main() -> int:
-    if len(sys.argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    binary, baseline = sys.argv[1], sys.argv[2]
-    with open(baseline) as f:
-        doc = json.load(f)
-    doc["rib_digest"] += 1
+
+def probe(binary: str, baseline: dict, key: str) -> bool:
+    doc = dict(baseline)
+    doc[key] += 1
     params = doc["params"]
     with tempfile.TemporaryDirectory() as tmp:
         copy = os.path.join(tmp, "baseline.json")
@@ -42,17 +41,28 @@ def main() -> int:
     failures = [line for line in run.stderr.splitlines()
                 if "diverged" in line or "regressed" in line
                 or "lacks" in line]
-    want = f"rib_digest diverged: baseline {doc['rib_digest']},"
+    want = f"{key} diverged: baseline {doc[key]},"
     if run.returncode != 1:
-        print(f"selftest: --check exited {run.returncode}, want 1",
-              file=sys.stderr)
-        return 1
+        print(f"selftest: {key} + 1: --check exited {run.returncode}, "
+              f"want 1", file=sys.stderr)
+        return False
     if len(failures) != 1 or want not in failures[0]:
-        print(f"selftest: want exactly one failure line containing "
-              f"'{want}', got {failures}", file=sys.stderr)
-        return 1
-    print("selftest: --check caught rib_digest + 1")
-    return 0
+        print(f"selftest: {key} + 1: want exactly one failure line "
+              f"containing '{want}', got {failures}", file=sys.stderr)
+        return False
+    print(f"selftest: --check caught {key} + 1")
+    return True
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    binary, baseline = sys.argv[1], sys.argv[2]
+    with open(baseline) as f:
+        doc = json.load(f)
+    caught = [probe(binary, doc, key) for key in PROBES]
+    return 0 if all(caught) else 1
 
 
 if __name__ == "__main__":

@@ -540,11 +540,25 @@ int check_one(const Results& now, const std::string& base, double tolerance,
   if (now.spec.workload.enabled) {
     exact("workload_engine_digest", now.workload_engine_digest);
   }
+  // The joins that built the trees: every (*,G) hop is a protocol
+  // decision, so a change in their number is a change in behaviour.
+  exact("bgmp_joins_sent", now.bgmp_joins_sent);
   // …while the work done to get there may drift a little under
   // legitimate changes, but not regress past the tolerance.
   bounded("events_run", now.events_run);
   bounded("messages_sent", now.messages_sent);
   bounded("bgp_updates_sent", now.bgp_updates_sent);
+  // Work counters no gate reads: a drift is printed so a stale baseline
+  // shows up, but it does not fail the check.
+  const auto reported = [&](const char* key, std::uint64_t current) {
+    std::uint64_t expected = 0;
+    if (scrape(base, key, expected) && current != expected) {
+      std::cerr << "macro_scenario: " << key << " drifted (not gated): "
+                << "baseline " << expected << ", now " << current << "\n";
+    }
+  };
+  reported("deliveries_batched", now.deliveries_batched);
+  reported("path_nodes_touched", now.path_nodes_touched);
   // Wall-clock throughput varies with the host; report always, and gate
   // only when an explicit floor was requested (--eps-floor). The floor is
   // deliberately loose — it exists to catch a scheduler or hot-path

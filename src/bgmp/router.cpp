@@ -55,11 +55,8 @@ Router::Router(net::Network& network, bgp::Speaker& speaker,
   // short damping delay, so a BGP convergence burst causes one move).
   speaker_.add_route_change_listener(
       [this](bgp::RouteType type, const net::Prefix& prefix) {
-        if (type != bgp::RouteType::kGroup || reresolve_pending_) return;
-        // Groups are ordered by address, so the first one at or above the
-        // range's base is inside the range iff any is.
-        const auto first = star_entries_.lower_bound(prefix.base());
-        if (first == star_entries_.end() || !prefix.contains(first->first)) {
+        if (type != bgp::RouteType::kGroup || reresolve_pending_ ||
+            !star_entries_.any_in(prefix)) {
           return;
         }
         reresolve_pending_ = true;
@@ -74,16 +71,13 @@ Router::Router(net::Network& network, bgp::Speaker& speaker,
 }
 
 void Router::reresolve_parents() {
-  std::vector<Group> groups;
-  groups.reserve(star_entries_.size());
-  for (const auto& [group, entry] : star_entries_) {
-    (void)entry;
-    groups.push_back(group);
-  }
+  // A copy: the joins and prunes below relay synchronously and may add or
+  // remove groups.
+  const std::vector<Group> groups = star_entries_.groups();
   for (const Group group : groups) {
-    const auto it = star_entries_.find(group);
-    if (it == star_entries_.end()) continue;
-    GroupEntry& entry = it->second;
+    GroupEntry* const found = star_entries_.find(group);
+    if (found == nullptr) continue;
+    GroupEntry& entry = *found;
     const auto hop = rootward(group);
     if (!hop) {
       // Unreachable root: orphan the entry; a later change re-resolves.
@@ -215,8 +209,7 @@ std::optional<Router::RootwardHop> Router::sourceward(
 // ------------------------------------------------------------ entry upkeep
 
 const GroupEntry* Router::star_entry(Group group) const {
-  const auto it = star_entries_.find(group);
-  return it == star_entries_.end() ? nullptr : &it->second;
+  return star_entries_.find(group);
 }
 
 const SourceEntry* Router::source_entry(net::Ipv4Addr source,
@@ -226,14 +219,15 @@ const SourceEntry* Router::source_entry(net::Ipv4Addr source,
 }
 
 std::size_t Router::state_bytes() const {
-  // Map nodes are approximated by their value type plus the three
-  // pointers + colour of a red-black node; target lists report their
-  // actual vector capacities.
+  // The (*,G) table reports its own nodes, buckets and key array. The
+  // ordered maps' nodes are approximated by their value type plus the
+  // three pointers + colour of a red-black node; target lists report
+  // their actual vector capacities.
   constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
-  std::size_t total = 0;
+  std::size_t total = star_entries_.table_bytes();
   for (const auto& [group, entry] : star_entries_) {
-    total += sizeof(group) + sizeof(entry) + kNodeOverhead +
-             entry.children.capacity_bytes();
+    (void)group;
+    total += entry.children.capacity_bytes();
   }
   for (const auto& [key, entry] : source_entries_) {
     total += sizeof(key) + sizeof(entry) + kNodeOverhead +
@@ -299,8 +293,7 @@ std::size_t Router::aggregated_star_count() const {
 }
 
 void Router::sync_migp_state(Group group) {
-  const auto it = star_entries_.find(group);
-  sync_migp_state(group, it == star_entries_.end() ? nullptr : &it->second);
+  sync_migp_state(group, star_entries_.find(group));
 }
 
 void Router::sync_migp_state(Group group, GroupEntry* star) {
@@ -353,8 +346,8 @@ void Router::lose_all_state() {
 
 std::pair<GroupEntry*, bool> Router::add_star_child(Group group,
                                                     const TargetKey& child) {
-  const auto [it, created] = star_entries_.try_emplace(group);
-  GroupEntry& entry = it->second;
+  const auto [slot, created] = star_entries_.try_emplace(group);
+  GroupEntry& entry = *slot;
   ++entry.children[child];
   if (created) {
     // Border state held for (S,G) entries alone now belongs to the entry.
@@ -379,9 +372,9 @@ std::pair<GroupEntry*, bool> Router::add_star_child(Group group,
 }
 
 void Router::remove_star_child(Group group, const TargetKey& child) {
-  const auto it = star_entries_.find(group);
-  if (it == star_entries_.end()) return;
-  GroupEntry& entry = it->second;
+  GroupEntry* const found = star_entries_.find(group);
+  if (found == nullptr) return;
+  GroupEntry& entry = *found;
   const auto c = entry.children.find(child);
   if (c == entry.children.end()) return;
   if (--c->second <= 0) entry.children.erase(c);
@@ -394,7 +387,7 @@ void Router::remove_star_child(Group group, const TargetKey& child) {
       send_control(*entry.parent, entry.parent_relay,
                    ControlMessage::Kind::kPruneGroup, net::Ipv4Addr{}, group);
     }
-    erase_star(it);
+    erase_star(group, entry);
     metrics_.entries_torn_down->inc();
     obs::log_info(network_.stream(), name_, [&](auto& os) {
       os << "tore down (*,G) for " << group.to_string();
@@ -405,9 +398,9 @@ void Router::remove_star_child(Group group, const TargetKey& child) {
   sync_migp_state(group, &entry);
 }
 
-void Router::erase_star(std::map<Group, GroupEntry>::iterator it) {
-  if (it->second.migp_border) migp_state_.insert(it->first);
-  star_entries_.erase(it);
+void Router::erase_star(Group group, const GroupEntry& entry) {
+  if (entry.migp_border) migp_state_.insert(group);
+  star_entries_.erase(group);  // last: `entry` dies here
 }
 
 SourceEntry& Router::get_or_copy_source_entry(net::Ipv4Addr source,
@@ -419,11 +412,10 @@ SourceEntry& Router::get_or_copy_source_entry(net::Ipv4Addr source,
   entry.source = source;
   // Copy the (*,G) target list (footnote 10: the oif list of the (*,G)
   // entry is copied so receivers keep getting S's packets).
-  if (const auto star = star_entries_.find(group);
-      star != star_entries_.end()) {
-    entry.parent = star->second.parent;
-    entry.parent_relay = star->second.parent_relay;
-    entry.children = star->second.children;
+  if (const GroupEntry* star = star_entries_.find(group); star != nullptr) {
+    entry.parent = star->parent;
+    entry.parent_relay = star->parent_relay;
+    entry.children = star->children;
   }
   return source_entries_.emplace(key, std::move(entry)).first->second;
 }
@@ -504,7 +496,8 @@ void Router::on_channel_down(net::ChannelId channel) {
 
   std::vector<Group> orphaned;
   std::vector<Group> emptied;
-  for (auto& [group, entry] : star_entries_) {
+  for (const Group group : star_entries_.groups()) {
+    GroupEntry& entry = *star_entries_.find(group);
     entry.children.erase(dead);
     const bool parent_dead = entry.parent && *entry.parent == dead;
     if (parent_dead) {
@@ -517,16 +510,16 @@ void Router::on_channel_down(net::ChannelId channel) {
   // Entries with no children left tear down (prune upstream if it still
   // exists); orphaned ones with children re-join once BGP reconverges.
   for (const Group group : emptied) {
-    const auto it = star_entries_.find(group);
-    if (it == star_entries_.end()) continue;
-    GroupEntry& entry = it->second;
+    GroupEntry* const found = star_entries_.find(group);
+    if (found == nullptr) continue;
+    GroupEntry& entry = *found;
     if (entry.parent &&
         !(entry.parent->kind == TargetKey::Kind::kMigp &&
           entry.parent_relay == nullptr)) {
       send_control(*entry.parent, entry.parent_relay,
                    ControlMessage::Kind::kPruneGroup, net::Ipv4Addr{}, group);
     }
-    erase_star(it);
+    erase_star(group, entry);
     sync_migp_state(group, nullptr);
   }
   for (const Group group : orphaned) {
@@ -539,9 +532,9 @@ void Router::on_channel_down(net::ChannelId channel) {
 }
 
 void Router::repair_group(Group group, int attempts_left) {
-  const auto it = star_entries_.find(group);
-  if (it == star_entries_.end()) return;  // torn down meanwhile
-  GroupEntry& entry = it->second;
+  GroupEntry* const found = star_entries_.find(group);
+  if (found == nullptr) return;  // torn down meanwhile
+  GroupEntry& entry = *found;
   if (entry.parent) return;  // already repaired
   const auto hop = rootward(group);
   const bool usable =
@@ -858,8 +851,8 @@ void Router::handle_data(net::Ipv4Addr source, Group group, int hops,
 
   const SourceGroup key{source, group};
   const auto sg = source_entries_.find(key);
-  const auto star = star_entries_.find(group);
-  const bool on_tree_now = star != star_entries_.end();
+  const GroupEntry* const star = star_entries_.find(group);
+  const bool on_tree_now = star != nullptr;
 
   // ---- source-specific branch overlay -----------------------------------
   if (sg != source_entries_.end() && sg->second.toward_source) {
@@ -904,12 +897,11 @@ void Router::handle_data(net::Ipv4Addr source, Group group, int hops,
       // radiates when the branch parent doubles as a tree neighbour — the
       // far side merged both roles into the single marked send.
       const bool parent_is_tree_target =
-          on_tree_now && entry.parent &&
-          star->second.has_target(*entry.parent);
+          on_tree_now && entry.parent && star->has_target(*entry.parent);
       if (!branch_copy || parent_is_tree_target) {
         if (on_tree_now) {
-          forward_star(star->second, exclude, /*suppress_migp=*/true, source,
-                       group, hops);
+          forward_star(*star, exclude, /*suppress_migp=*/true, source, group,
+                       hops);
         } else if (!branch_copy) {
           forward_rootward(source, group, hops, arrival);
         }
@@ -922,8 +914,7 @@ void Router::handle_data(net::Ipv4Addr source, Group group, int hops,
     // that local members are already served by the branch.
     const bool suppress_migp = entry.children.contains(TargetKey::migp());
     if (on_tree_now) {
-      forward_star(star->second, exclude, suppress_migp, source, group,
-                   hops);
+      forward_star(*star, exclude, suppress_migp, source, group, hops);
     } else {
       forward_rootward(source, group, hops, arrival);
     }
@@ -953,8 +944,8 @@ void Router::handle_data(net::Ipv4Addr source, Group group, int hops,
 
   // ---- (*,G) / rootward ---------------------------------------------------
   if (on_tree_now) {
-    forward_star(star->second, exclude, /*suppress_migp=*/false, source,
-                 group, hops);
+    forward_star(*star, exclude, /*suppress_migp=*/false, source, group,
+                 hops);
     return;
   }
   forward_rootward(source, group, hops, arrival);

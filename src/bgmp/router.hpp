@@ -176,8 +176,10 @@ class Router final : public net::Endpoint {
   /// provisions for this by allowing (*,G-prefix) … state to be stored at
   /// the routers wherever the list of targets are the same").
   [[nodiscard]] std::size_t aggregated_star_count() const;
-  /// Bytes of tree state held by this router: (*,G)/(S,G) entry nodes plus
-  /// their flat target lists. Feeds the core.state_bytes_per_domain gauge.
+  /// Bytes of tree state held by this router: the (*,G) table's hash
+  /// nodes, buckets and sorted keys, the (S,G) entry nodes, and every
+  /// entry's flat target lists. Feeds the core.state_bytes_per_domain
+  /// gauge.
   [[nodiscard]] std::size_t state_bytes() const;
   [[nodiscard]] bgp::Speaker& speaker() { return speaker_; }
   [[nodiscard]] const bgp::Speaker& speaker() const { return speaker_; }
@@ -185,7 +187,7 @@ class Router final : public net::Endpoint {
   /// Full tree-state views for the invariant checkers, which walk the
   /// target-list graph across routers (bidirectionality, acyclicity,
   /// G-RIB consistency).
-  [[nodiscard]] const std::map<Group, GroupEntry>& star_entries() const {
+  [[nodiscard]] const GroupTable& star_entries() const {
     return star_entries_;
   }
   [[nodiscard]] const std::map<SourceGroup, SourceEntry>& source_entries()
@@ -281,16 +283,18 @@ class Router final : public net::Endpoint {
 
   /// Adds a child target (refcounted); creates the entry and joins toward
   /// the root on first creation. Returns the entry and whether this call
-  /// created it. A join chain never erases (*,G) state, so the entry
-  /// outlives the synchronous relays its own join makes.
+  /// created it. A join chain never erases (*,G) state, and the table
+  /// never moves an entry (GroupTable), so the pointer outlives the
+  /// synchronous relays its own join makes.
   std::pair<GroupEntry*, bool> add_star_child(Group group,
                                               const TargetKey& child);
   /// Removes one reference; tears the entry down when empty (§5.2: "the
   /// multicast distribution tree is torn down as members leave").
   void remove_star_child(Group group, const TargetKey& child);
-  /// Erases a (*,G) entry. A border bit it held moves to migp_state_,
-  /// where the sync that follows settles it against the (S,G) state.
-  void erase_star(std::map<Group, GroupEntry>::iterator it);
+  /// Erases `group`'s (*,G) entry. A border bit it held moves to
+  /// migp_state_, where the sync that follows settles it against the (S,G)
+  /// state.
+  void erase_star(Group group, const GroupEntry& entry);
   /// Joins or leaves the group's MIGP border state as the (*,G) entry
   /// `star` (nullptr: none) and the group's (S,G) entries require.
   void sync_migp_state(Group group, GroupEntry* star);
@@ -340,7 +344,7 @@ class Router final : public net::Endpoint {
 
   std::vector<ExternalPeer> external_peers_;
   std::vector<Router*> internal_peers_;
-  std::map<Group, GroupEntry> star_entries_;
+  GroupTable star_entries_;
   std::map<SourceGroup, SourceEntry> source_entries_;
   /// Groups whose MIGP border state this router holds with no (*,G)
   /// entry, for (S,G) state alone; every other group's bit is the

@@ -6,10 +6,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/ip.hpp"
+#include "net/prefix.hpp"
 
 namespace bgmp {
 
@@ -194,6 +196,103 @@ struct SourceGroup {
   net::Ipv4Addr source;
   Group group;
   friend auto operator<=>(const SourceGroup&, const SourceGroup&) = default;
+};
+
+/// The (*,G) table: entries in a hash table keyed by group, beside the
+/// groups in ascending order. A join or prune hop finds its entry with one
+/// hash probe. Walks that send joins or prunes go in group order through
+/// the sorted keys, so the schedule they feed is the one an ordered map
+/// gave, and so does iteration (the checkers and digests read it).
+///
+/// Entries are hash-table nodes. A rehash relinks nodes without moving
+/// them, so a GroupEntry* stays valid until its own group is erased.
+class GroupTable {
+ public:
+  /// Iterates in group order, yielding (group, entry) pairs.
+  class const_iterator {
+   public:
+    const_iterator(const GroupTable* table,
+                   std::vector<Group>::const_iterator at)
+        : table_(table), at_(at) {}
+    [[nodiscard]] std::pair<Group, const GroupEntry&> operator*() const {
+      return {*at_, table_->entries_.find(*at_)->second};
+    }
+    const_iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.at_ == b.at_;
+    }
+
+   private:
+    const GroupTable* table_;
+    std::vector<Group>::const_iterator at_;
+  };
+
+  [[nodiscard]] const_iterator begin() const {
+    return {this, order_.begin()};
+  }
+  [[nodiscard]] const_iterator end() const { return {this, order_.end()}; }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool contains(Group group) const {
+    return entries_.contains(group);
+  }
+
+  /// The entry for `group`; nullptr when there is none.
+  [[nodiscard]] GroupEntry* find(Group group) {
+    const auto it = entries_.find(group);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  [[nodiscard]] const GroupEntry* find(Group group) const {
+    const auto it = entries_.find(group);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+
+  /// The entry for `group`, added empty if absent, and whether it was.
+  std::pair<GroupEntry*, bool> try_emplace(Group group) {
+    const auto [it, created] = entries_.try_emplace(group);
+    if (created) {
+      order_.insert(std::lower_bound(order_.begin(), order_.end(), group),
+                    group);
+    }
+    return {&it->second, created};
+  }
+
+  void erase(Group group) {
+    if (entries_.erase(group) == 0) return;
+    order_.erase(std::lower_bound(order_.begin(), order_.end(), group));
+  }
+
+  void clear() {
+    entries_.clear();
+    order_.clear();
+  }
+
+  /// The groups, ascending.
+  [[nodiscard]] const std::vector<Group>& groups() const { return order_; }
+
+  /// Whether any group lies inside `range`, in O(log n): the first group
+  /// at or above the range's base is inside it iff any is.
+  [[nodiscard]] bool any_in(const net::Prefix& range) const {
+    const auto it = std::lower_bound(order_.begin(), order_.end(),
+                                     range.base());
+    return it != order_.end() && range.contains(*it);
+  }
+
+  /// Heap bytes of the table itself: one node per entry (the next pointer
+  /// and the key/entry pair), the bucket array and the sorted keys. The
+  /// entries' target lists are not counted here.
+  [[nodiscard]] std::size_t table_bytes() const {
+    using Node = std::pair<void*, std::pair<const Group, GroupEntry>>;
+    return entries_.size() * sizeof(Node) +
+           entries_.bucket_count() * sizeof(void*) +
+           order_.capacity() * sizeof(Group);
+  }
+
+ private:
+  std::unordered_map<Group, GroupEntry> entries_;
+  std::vector<Group> order_;  ///< every key of entries_, ascending
 };
 
 }  // namespace bgmp

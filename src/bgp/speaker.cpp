@@ -150,7 +150,7 @@ std::optional<LookupResult> Speaker::lookup(RouteType type,
   const Candidate& best = *hit->second;
   LookupResult result;
   result.prefix = hit->first;
-  result.route = best.route;
+  result.route = &best.route;
   if (best.via == kLocalPeer) {
     result.next_hop = nullptr;
     result.internal = false;

@@ -46,7 +46,9 @@ enum class ExportPolicy : std::uint8_t {
 /// by BGMP: which peer is the next hop toward the prefix's origin.
 struct LookupResult {
   net::Prefix prefix;
-  Route route;
+  /// The best route, in place in the RIB: valid until the RIB next
+  /// changes. Not a copy, so a lookup costs no path-table refcount.
+  const Route* route = nullptr;
   /// The speaker to forward toward; nullptr when the route is locally
   /// originated (this domain is the root/origin — §5.2's "no BGP next hop").
   Speaker* next_hop = nullptr;

@@ -16,7 +16,10 @@ topology::Graph single_router_graph() { return topology::Graph(1); }
 }  // namespace
 
 Domain::Domain(Internet& internet, Config config)
-    : internet_(internet), config_(std::move(config)) {
+    : internet_(internet),
+      config_(std::move(config)),
+      // Internet::add_domain appends the domain once it is constructed.
+      index_(internet.domain_count()) {
   if (config_.name.empty()) {
     config_.name = "AS" + std::to_string(config_.id);
   }

@@ -12,10 +12,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bgmp/router.hpp"
@@ -68,6 +68,9 @@ class Domain final : public bgmp::DomainService,
   // -- identity ------------------------------------------------------------
   [[nodiscard]] bgp::DomainId id() const { return config_.id; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
+  /// The domain's position in its Internet: Internet::domain(index()) is
+  /// this domain.
+  [[nodiscard]] std::size_t index() const { return index_; }
   /// The domain's unicast address block (10.x.y.0/24, derived from id).
   [[nodiscard]] net::Prefix unicast_prefix() const;
   /// A host address inside the domain (host index 1..254).
@@ -164,13 +167,15 @@ class Domain final : public bgmp::DomainService,
 
   Internet& internet_;
   Config config_;
+  std::size_t index_;
   std::unique_ptr<migp::Migp> migp_;
   std::vector<Border> borders_;
   std::unique_ptr<masc::MascNode> masc_;
   std::unique_ptr<masc::Maas> maas_;
   /// Which border router joined the inter-domain tree per group (so the
-  /// leave goes to the same router even if routes churned).
-  std::map<Group, bgmp::Router*> joined_via_;
+  /// leave goes to the same router even if routes churned). Never walked,
+  /// so hashed.
+  std::unordered_map<Group, bgmp::Router*> joined_via_;
 };
 
 }  // namespace core

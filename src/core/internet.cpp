@@ -67,7 +67,7 @@ Internet::Internet(std::uint64_t seed)
 
 Domain& Internet::add_domain(Domain::Config config) {
   domains_.push_back(std::make_unique<Domain>(*this, std::move(config)));
-  domain_nodes_.emplace(domains_.back().get(), domain_paths_.add_node());
+  (void)domain_paths_.add_node();  // node id == the domain's index
   // A domain joining a running internet is a perturbation worth timing;
   // during initial topology construction (nothing run yet) it is not.
   if (events_.events_run() > 0) probe_->arm("domain-join");
@@ -86,8 +86,8 @@ void Internet::link(Domain& a, Domain& b, bgp::Relationship a_sees_b,
   links_.push_back(Link{&a, &b, bgp_channel, bgmp_channel});
   // Mirror the pair into the domain-level path graph (one edge per pair,
   // however many borders carry it); a fresh link raises the pair.
-  const topology::NodeId na = domain_nodes_.at(&a);
-  const topology::NodeId nb = domain_nodes_.at(&b);
+  const topology::NodeId na = node_of(a);
+  const topology::NodeId nb = node_of(b);
   if (domain_paths_.has_edge(na, nb)) {
     domain_paths_.set_edge_state(na, nb, true);
   } else {
@@ -118,7 +118,7 @@ void Internet::set_link_state(const Domain& a, const Domain& b, bool up) {
                        (peering.a == &b && peering.b == &a);
     if (match) network_.set_up(peering.channel, up);
   }
-  domain_paths_.set_edge_state(domain_nodes_.at(&a), domain_nodes_.at(&b), up);
+  domain_paths_.set_edge_state(node_of(a), node_of(b), up);
   probe_->arm(up ? "link-up" : "link-down");
 }
 
@@ -134,8 +134,7 @@ void Internet::set_domain_connectivity(const Domain& d, bool up) {
   }
   for (const Link& link : links_) {
     if (link.a != &d && link.b != &d) continue;
-    domain_paths_.set_edge_state(domain_nodes_.at(link.a),
-                                 domain_nodes_.at(link.b), up);
+    domain_paths_.set_edge_state(node_of(*link.a), node_of(*link.b), up);
   }
   probe_->arm(up ? "domain-up" : "domain-down");
 }
@@ -201,8 +200,16 @@ void Internet::enable_step_profiling() {
   });
 }
 
+topology::NodeId Internet::node_of(const Domain& d) const {
+  if (d.index() >= domains_.size() || domains_[d.index()].get() != &d) {
+    throw std::out_of_range("Internet: " + d.name() +
+                            " is a domain of another Internet");
+  }
+  return static_cast<topology::NodeId>(d.index());
+}
+
 std::uint32_t Internet::domain_hops(const Domain& a, const Domain& b) {
-  return domain_paths_.hops(domain_nodes_.at(&a), domain_nodes_.at(&b));
+  return domain_paths_.hops(node_of(a), node_of(b));
 }
 
 Domain* Internet::domain_of_address(net::Ipv4Addr addr) const {

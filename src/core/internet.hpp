@@ -147,6 +147,10 @@ class Internet {
     net::ChannelId bgmp_channel;
   };
 
+  /// `d`'s node in domain_paths_; throws std::out_of_range for a domain
+  /// of another Internet.
+  [[nodiscard]] topology::NodeId node_of(const Domain& d) const;
+
   net::EventQueue events_;
   net::Network network_;
   net::Rng rng_;
@@ -161,9 +165,8 @@ class Internet {
   std::vector<MascPeering> masc_peerings_;
   std::vector<std::unique_ptr<Domain>> domains_;
   /// Domain-level link graph with cached BFS distances, mirroring
-  /// add_domain()/link()/set_link_state().
+  /// add_domain()/link()/set_link_state(). Domain::index() is the node id.
   topology::DynamicPaths domain_paths_;
-  std::map<const Domain*, topology::NodeId> domain_nodes_;
   net::PrefixMap<Domain*> unicast_map_;
   DeliveryObserver observer_;
 };

@@ -4,6 +4,19 @@
 
 namespace migp {
 
+namespace {
+
+/// The first (router, count) entry of a sorted per-group list whose router
+/// is not below `r`.
+template <typename Counts>
+auto lower_bound_router(Counts& counts, RouterId r) {
+  return std::lower_bound(
+      counts.begin(), counts.end(), r,
+      [](const auto& entry, RouterId key) { return entry.first < key; });
+}
+
+}  // namespace
+
 MigpBase::MigpBase(topology::Graph graph, std::vector<RouterId> borders,
                    RpfExitFn rpf_exit)
     : graph_(std::move(graph)),
@@ -27,11 +40,15 @@ void MigpBase::check_router(RouterId r) const {
 
 void MigpBase::host_join(RouterId at, Group group) {
   check_router(at);
-  const bool was_present = has_members(group);
-  ++members_[group][at];
-  if (!was_present && listener_ != nullptr) {
-    listener_->on_group_present(group);
+  const auto [g, created] = members_.try_emplace(group);
+  auto& counts = g->second;
+  const auto it = lower_bound_router(counts, at);
+  if (it != counts.end() && it->first == at) {
+    ++it->second;
+  } else {
+    counts.insert(it, {at, 1});
   }
+  if (created && listener_ != nullptr) listener_->on_group_present(group);
 }
 
 void MigpBase::host_leave(RouterId at, Group group) {
@@ -40,8 +57,8 @@ void MigpBase::host_leave(RouterId at, Group group) {
   if (g == members_.end()) {
     throw std::logic_error("Migp::host_leave: no members for group");
   }
-  const auto r = g->second.find(at);
-  if (r == g->second.end() || r->second == 0) {
+  const auto r = lower_bound_router(g->second, at);
+  if (r == g->second.end() || r->first != at) {
     throw std::logic_error("Migp::host_leave: no member at router " +
                            std::to_string(at));
   }
@@ -53,21 +70,25 @@ void MigpBase::host_leave(RouterId at, Group group) {
 }
 
 bool MigpBase::has_members(Group group) const {
-  const auto g = members_.find(group);
-  return g != members_.end() && !g->second.empty();
+  return members_.contains(group);
 }
 
 bool MigpBase::router_has_members(RouterId at, Group group) const {
   check_router(at);
   const auto g = members_.find(group);
-  return g != members_.end() && g->second.contains(at);
+  if (g == members_.end()) return false;
+  const auto r = lower_bound_router(g->second, at);
+  return r != g->second.end() && r->first == at;
 }
 
 std::vector<Group> MigpBase::groups_with_members() const {
   std::vector<Group> groups;
+  groups.reserve(members_.size());
   for (const auto& [group, routers] : members_) {
-    if (!routers.empty()) groups.push_back(group);
+    (void)routers;
+    groups.push_back(group);
   }
+  std::sort(groups.begin(), groups.end());
   return groups;
 }
 
@@ -76,15 +97,22 @@ void MigpBase::border_join(RouterId border, Group group) {
   if (!is_border(border)) {
     throw std::invalid_argument("Migp::border_join: not a border router");
   }
-  border_joined_[group].insert(border);
+  std::vector<RouterId>& joined = border_joined_[group];
+  const auto it = std::lower_bound(joined.begin(), joined.end(), border);
+  if (it == joined.end() || *it != border) joined.insert(it, border);
 }
 
 void MigpBase::border_leave(RouterId border, Group group) {
-  const auto g = border_joined_.find(group);
-  if (g == border_joined_.end() || g->second.erase(border) == 0) {
-    throw std::logic_error("Migp::border_leave: border was not joined");
+  if (const auto g = border_joined_.find(group); g != border_joined_.end()) {
+    std::vector<RouterId>& joined = g->second;
+    const auto it = std::lower_bound(joined.begin(), joined.end(), border);
+    if (it != joined.end() && *it == border) {
+      joined.erase(it);
+      if (joined.empty()) border_joined_.erase(g);
+      return;
+    }
   }
-  if (g->second.empty()) border_joined_.erase(g);
+  throw std::logic_error("Migp::border_leave: border was not joined");
 }
 
 int MigpBase::unicast_hops(RouterId from, RouterId to) const {
@@ -97,7 +125,8 @@ std::set<RouterId> MigpBase::interested_routers(Group group) const {
   std::set<RouterId> out;
   if (const auto g = members_.find(group); g != members_.end()) {
     for (const auto& [router, count] : g->second) {
-      if (count > 0) out.insert(router);
+      (void)count;
+      out.insert(router);
     }
   }
   if (const auto b = border_joined_.find(group); b != border_joined_.end()) {
@@ -123,7 +152,8 @@ void MigpBase::classify(RouterId router, Group group, RouterId injected_at,
   if (router != injected_at && is_border(router)) {
     const auto b = border_joined_.find(group);
     const bool joined =
-        b != border_joined_.end() && b->second.contains(router);
+        b != border_joined_.end() &&
+        std::binary_search(b->second.begin(), b->second.end(), router);
     if (joined && std::find(out.border_routers.begin(),
                             out.border_routers.end(),
                             router) == out.border_routers.end()) {

@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "migp/migp.hpp"
@@ -73,10 +75,13 @@ class MigpBase : public Migp {
   RpfExitFn rpf_exit_;
   MembershipListener* listener_ = nullptr;
 
-  /// Per group: member refcount per router.
-  std::map<Group, std::map<RouterId, int>> members_;
-  /// Per group: border routers holding BGMP group state.
-  std::map<Group, std::set<RouterId>> border_joined_;
+  /// Per group: member refcount per router, sorted by router. A group is
+  /// present iff some router has members. Hashed: only
+  /// groups_with_members() walks it, and it sorts.
+  std::unordered_map<Group, std::vector<std::pair<RouterId, int>>> members_;
+  /// Per group: border routers holding BGMP group state, sorted. A group
+  /// is present iff some border is joined.
+  std::unordered_map<Group, std::vector<RouterId>> border_joined_;
 
  private:
   mutable std::map<RouterId, topology::BfsTree> bfs_cache_;

@@ -258,19 +258,24 @@ void Network::drain_direction(ChannelId id, bool toward_b) {
     }
   };
   // deliver() leaves each message's id ambient, so the bracket's closing
-  // work runs under the last one's. The previous value comes back even on
-  // throw, so a failing handler cannot leak its id into unrelated events.
+  // work runs under the last one's. Closing the drain runs on throw too:
+  // the previous id comes back, so a failing handler cannot leak its id
+  // into unrelated events, and the direction is re-armed, so the messages
+  // queued behind the failure still arrive if the caller runs on.
   const std::uint64_t prev = active_trace_id_;
+  const auto close = [&] {
+    active_trace_id_ = prev;
+    Direction& dir = toward_b ? channel(id).to_b : channel(id).to_a;
+    dir.draining = false;
+    arm_direction(id, toward_b);
+  };
   try {
     to->on_drain(deliveries);
   } catch (...) {
-    active_trace_id_ = prev;
+    close();
     throw;
   }
-  active_trace_id_ = prev;
-  Direction& dir = toward_b ? channel(id).to_b : channel(id).to_a;
-  dir.draining = false;
-  arm_direction(id, toward_b);
+  close();
 }
 
 void Network::deliver(ChannelId id, Endpoint& to, std::unique_ptr<Message> msg,

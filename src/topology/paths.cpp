@@ -55,8 +55,14 @@ void DynamicPaths::check(NodeId n) const {
 
 NodeId DynamicPaths::add_node() {
   adjacency_.emplace_back();
-  trees_.clear();
+  drop_trees();
+  tree_of_.push_back(kNoTree);
   return static_cast<NodeId>(adjacency_.size() - 1);
+}
+
+void DynamicPaths::drop_trees() {
+  for (const Tree& tree : trees_) tree_of_[tree.source] = kNoTree;
+  trees_.clear();
 }
 
 void DynamicPaths::add_edge(NodeId a, NodeId b) {
@@ -75,7 +81,7 @@ void DynamicPaths::add_edge(NodeId a, NodeId b) {
   adjacency_[a].push_back({b, true});
   adjacency_[b].push_back({a, true});
   ++stats_.edge_events;
-  trees_.clear();
+  drop_trees();
 }
 
 bool DynamicPaths::has_edge(NodeId a, NodeId b) const {
@@ -104,14 +110,13 @@ void DynamicPaths::set_edge_state(NodeId a, NodeId b, bool up) {
     if (e.to == a) e.up = up;
   }
   ++stats_.edge_events;
-  trees_.clear();
+  drop_trees();
 }
 
 DynamicPaths::Tree& DynamicPaths::tree_for(NodeId source) {
   check(source);
-  for (Tree& tree : trees_) {
-    if (tree.source == source) return tree;
-  }
+  if (tree_of_[source] != kNoTree) return trees_[tree_of_[source]];
+  tree_of_[source] = static_cast<std::uint32_t>(trees_.size());
   Tree& tree = trees_.emplace_back();
   tree.source = source;
   tree.dist.assign(adjacency_.size(), kUnreachable);
@@ -139,10 +144,10 @@ std::uint32_t DynamicPaths::dist(NodeId source, NodeId target) {
 std::uint32_t DynamicPaths::hops(NodeId a, NodeId b) {
   check(a);
   check(b);
-  for (const Tree& tree : trees_) {
-    if (tree.source == a) return tree.dist[b];
-    if (tree.source == b) return tree.dist[a];
-  }
+  // Distances are symmetric (every edge is up or down in both
+  // directions), so either endpoint's tree answers.
+  if (tree_of_[a] != kNoTree) return trees_[tree_of_[a]].dist[b];
+  if (tree_of_[b] != kNoTree) return trees_[tree_of_[b]].dist[a];
   return dist(a, b);
 }
 

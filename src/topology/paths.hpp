@@ -88,11 +88,17 @@ class DynamicPaths {
     std::vector<std::uint32_t> dist;
   };
 
+  static constexpr std::uint32_t kNoTree = UINT32_MAX;
+
   void check(NodeId n) const;
   Tree& tree_for(NodeId source);
+  /// Drops every cached tree.
+  void drop_trees();
 
   std::vector<std::vector<HalfEdge>> adjacency_;
   std::vector<Tree> trees_;
+  /// Per node, the index of its tree in trees_ (kNoTree: none cached).
+  std::vector<std::uint32_t> tree_of_;
   Stats stats_;
 };
 

@@ -15,6 +15,16 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   h *= 0x100000001B3ull;
 }
 
+/// The domain at `slot` of a window starting at `offset` over the
+/// `eligible` domains other than `root`.
+std::uint32_t window_domain(std::uint32_t offset, std::uint32_t root,
+                            std::uint32_t eligible, std::uint32_t slot) {
+  // offset < eligible and slot < span <= eligible: one wrap at most.
+  std::uint32_t e = offset + slot;
+  if (e >= eligible) e -= eligible;
+  return e < root ? e : e + 1;  // skip the group's root domain
+}
+
 }  // namespace
 
 Engine::Engine(const Spec& spec, std::uint32_t domain_count,
@@ -116,22 +126,17 @@ double Engine::flash_factor(std::uint32_t g, std::int64_t tick) const {
 }
 
 std::uint32_t Engine::slot_domain(std::uint32_t g, std::uint32_t slot) const {
-  // offset < eligible and slot < span <= eligible: one wrap at most.
-  const std::uint32_t eligible = domain_count_ - 1;
-  std::uint32_t e = offsets_[g] + slot;
-  if (e >= eligible) e -= eligible;
-  return e < roots_[g] ? e : e + 1;  // skip the group's root domain
+  return window_domain(offsets_[g], roots_[g], domain_count_ - 1, slot);
 }
 
-std::uint32_t Engine::find_member_slot(std::uint32_t g,
-                                       std::uint64_t k) const {
-  const std::uint32_t* blocks = block_counts_.data() + block_base_[g];
+std::uint32_t Engine::find_member_slot(const std::uint32_t* blocks,
+                                       const std::uint32_t* cells,
+                                       std::uint64_t k) {
   std::uint32_t slot = 0;
   for (; k >= *blocks; ++blocks) {
     k -= *blocks;
     slot += kBlockSlots;
   }
-  const std::uint32_t* cells = counts_.data() + cell_base_[g];
   for (; k >= cells[slot]; ++slot) k -= cells[slot];
   return slot;
 }
@@ -144,51 +149,30 @@ void Engine::flush_domain(std::uint32_t d) {
   load_flushed_at_[d] = ticks_done_;
 }
 
-void Engine::apply_join(std::uint32_t g, std::uint32_t slot) {
-  std::uint32_t& count = counts_[cell_base_[g] + slot];
-  ++block_counts_[block_base_[g] + slot / kBlockSlots];
-  ++count;
-  if (++group_total_[g] == 1) ++active_groups_;
-  ++members_total_;
-  members_peak_ = std::max(members_peak_, members_total_);
-  ++joins_total_;
-  const std::uint32_t d = slot_domain(g, slot);
-  ++domain_members_[d];
-  if (count == 1) {
-    ++ups_;
-    ++active_cells_;
-    const std::uint32_t hops = hops_fn_ ? hops_fn_(g, d) : 0;
-    hops_[cell_base_[g] + slot] = hops;
-    if (hops != 0) {
-      flush_domain(d);
-      load_rate_[d] += packets_per_tick_[g] * hops;
-    }
-    if (observer_) observer_({ticks_done_, g, d, true});
+void Engine::cell_up(std::uint32_t g, std::uint32_t slot, std::uint32_t d) {
+  ++ups_;
+  ++active_cells_;
+  const std::uint32_t hops = hops_fn_ ? hops_fn_(g, d) : 0;
+  hops_[cell_base_[g] + slot] = hops;
+  if (hops != 0) {
+    flush_domain(d);
+    load_rate_[d] += packets_per_tick_[g] * hops;
   }
+  if (observer_) observer_({ticks_done_, g, d, true});
 }
 
-void Engine::apply_leave(std::uint32_t g, std::uint32_t slot) {
-  std::uint32_t& count = counts_[cell_base_[g] + slot];
-  --block_counts_[block_base_[g] + slot / kBlockSlots];
-  --count;
-  if (--group_total_[g] == 0) --active_groups_;
-  --members_total_;
-  ++leaves_total_;
-  const std::uint32_t d = slot_domain(g, slot);
-  --domain_members_[d];
-  if (count == 0) {
-    ++downs_;
-    --active_cells_;
-    // The hops cached at join time are subtracted — not re-queried — so
-    // the rate returns to exactly what this cell added even if the
-    // topology changed underneath (chaos partitions).
-    const std::uint32_t hops = hops_[cell_base_[g] + slot];
-    if (hops != 0) {
-      flush_domain(d);
-      load_rate_[d] -= packets_per_tick_[g] * hops;
-    }
-    if (observer_) observer_({ticks_done_, g, d, false});
+void Engine::cell_down(std::uint32_t g, std::uint32_t slot, std::uint32_t d) {
+  ++downs_;
+  --active_cells_;
+  // The hops cached at join time are subtracted — not re-queried — so
+  // the rate returns to exactly what this cell added even if the
+  // topology changed underneath (chaos partitions).
+  const std::uint32_t hops = hops_[cell_base_[g] + slot];
+  if (hops != 0) {
+    flush_domain(d);
+    load_rate_[d] -= packets_per_tick_[g] * hops;
   }
+  if (observer_) observer_({ticks_done_, g, d, false});
 }
 
 TickStats Engine::tick() {
@@ -210,8 +194,13 @@ TickStats Engine::tick() {
   }
   std::sort(flashing.begin(), flashing.end());
   auto next_flash = flashing.begin();
+  const std::uint32_t eligible = domain_count_ - 1;
   // Rank order, joins before leaves within a group: the one canonical
-  // draw sequence both the engine and the oracle consume.
+  // draw sequence both the engine and the oracle consume. A group's cells,
+  // blocks and window stay in locals, and its totals are written back
+  // once per loop: joins only raise them and leaves only lower them, so
+  // the peak and the active-group count come out as per-member updates
+  // would leave them. The transition handlers read none of them.
   for (std::uint32_t g = 0; g < groups; ++g) {
     double flash = 1.0;
     for (; next_flash != flashing.end() && *next_flash == g; ++next_flash) {
@@ -221,23 +210,48 @@ TickStats Engine::tick() {
                              diurnal * flash * spec_.tick_seconds;
     const std::uint64_t n_join =
         sample_poisson(churn_rng_, join_rate, poisson_scratch_);
+    std::uint64_t total = group_total_[g];
+    // Nothing to place and nobody to leave: a leave rate of 0 draws nothing.
+    if (n_join == 0 && total == 0) continue;
+    std::uint32_t* const cells = counts_.data() + cell_base_[g];
+    std::uint32_t* const blocks = block_counts_.data() + block_base_[g];
+    const std::uint32_t offset = offsets_[g];
+    const std::uint32_t root = roots_[g];
+    const std::uint32_t span = spans_[g];
     for (std::uint64_t j = 0; j < n_join; ++j) {
       const auto slot =
-          static_cast<std::uint32_t>(draw_index(churn_rng_, spans_[g]));
-      apply_join(g, slot);
+          static_cast<std::uint32_t>(draw_index(churn_rng_, span));
+      const std::uint32_t d = window_domain(offset, root, eligible, slot);
+      ++blocks[slot / kBlockSlots];
+      ++domain_members_[d];
+      if (cells[slot]++ == 0) [[unlikely]] cell_up(g, slot, d);
     }
+    // From here on the group has members (the skip above saw to that).
+    if (total == 0) ++active_groups_;
+    total += n_join;
+    members_total_ += n_join;
+    members_peak_ = std::max(members_peak_, members_total_);
+    joins_total_ += n_join;
     stats.joins += n_join;
-    const double leave_rate = static_cast<double>(group_total_[g]) *
+    const double leave_rate = static_cast<double>(total) *
                               spec_.tick_seconds /
                               spec_.mean_lifetime_seconds;
     const std::uint64_t n_leave = std::min<std::uint64_t>(
-        group_total_[g],
-        sample_poisson(churn_rng_, leave_rate, poisson_scratch_));
+        total, sample_poisson(churn_rng_, leave_rate, poisson_scratch_));
     for (std::uint64_t j = 0; j < n_leave; ++j) {
-      const std::uint64_t k = draw_index(churn_rng_, group_total_[g]);
-      apply_leave(g, find_member_slot(g, k));
+      const std::uint64_t k = draw_index(churn_rng_, total);
+      const std::uint32_t slot = find_member_slot(blocks, cells, k);
+      const std::uint32_t d = window_domain(offset, root, eligible, slot);
+      --total;
+      --blocks[slot / kBlockSlots];
+      --domain_members_[d];
+      if (--cells[slot] == 0) [[unlikely]] cell_down(g, slot, d);
     }
+    if (total == 0) --active_groups_;
+    members_total_ -= n_leave;
+    leaves_total_ += n_leave;
     stats.leaves += n_leave;
+    group_total_[g] = total;
   }
   ++ticks_done_;
   stats.up_transitions = ups_ - ups_before;

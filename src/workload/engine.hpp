@@ -260,12 +260,17 @@ class Engine {
   }
 
   void flush_domain(std::uint32_t d);
-  void apply_join(std::uint32_t g, std::uint32_t slot);
-  void apply_leave(std::uint32_t g, std::uint32_t slot);
-  /// The slot holding the (k+1)-th member of g in slot order: the first
-  /// slot whose prefix sum exceeds k. Requires k < group_total_[g].
-  [[nodiscard]] std::uint32_t find_member_slot(std::uint32_t g,
-                                               std::uint64_t k) const;
+  /// Cell (g, slot) of domain `d` went 0 → 1 (cell_up) or 1 → 0
+  /// (cell_down): edge load, transition counters, the observer. Kept out
+  /// of tick()'s member loops, which reach them once per transition.
+  void cell_up(std::uint32_t g, std::uint32_t slot, std::uint32_t d);
+  void cell_down(std::uint32_t g, std::uint32_t slot, std::uint32_t d);
+  /// The slot holding the (k+1)-th member of a group in slot order, given
+  /// its block and cell counts: the first slot whose prefix sum exceeds k.
+  /// Requires k below the group's total.
+  [[nodiscard]] static std::uint32_t find_member_slot(
+      const std::uint32_t* blocks, const std::uint32_t* cells,
+      std::uint64_t k);
 
   Spec spec_;
   std::uint32_t domain_count_;

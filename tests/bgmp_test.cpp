@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "net/event.hpp"
 #include "net/network.hpp"
 #include "net/prefix.hpp"
+#include "obs/record.hpp"
 #include "topology/generators.hpp"
 
 namespace core {
@@ -639,6 +642,149 @@ TEST(BgmpBorderState, CrashWithdrawsEveryHeldGroupOnceInGroupOrder) {
   EXPECT_EQ(t.take(), (Calls{{group_n(2), true}}));
   t.router.lose_all_state();
   EXPECT_EQ(t.take(), (Calls{{group_n(2), false}}));
+}
+
+// ---------------------------------------------------------- (*,G) table
+
+TEST(BgmpGroupTable, RouteChangeReresolvesOnlyForRangesHoldingAGroup) {
+  LoneRouter t;
+  t.router.local_members_present(group_n(5));
+  const std::size_t idle = t.events.pending();
+  // G-RIB changes for ranges just below and just above the group: no
+  // group inside, nothing to re-resolve.
+  t.speaker.originate(bgp::RouteType::kGroup, Prefix::parse("224.0.128.0/30"));
+  t.speaker.originate(bgp::RouteType::kGroup, Prefix::parse("224.0.128.8/29"));
+  EXPECT_EQ(t.events.pending(), idle);
+  // A range covering the group schedules one re-resolve, and a second
+  // change before it runs adds none.
+  t.speaker.originate(bgp::RouteType::kGroup, Prefix::parse("224.0.128.4/30"));
+  EXPECT_EQ(t.events.pending(), idle + 1);
+  t.speaker.originate(bgp::RouteType::kGroup, Prefix::parse("224.0.128.4/31"));
+  EXPECT_EQ(t.events.pending(), idle + 1);
+  t.events.run();
+  EXPECT_TRUE(t.router.on_tree(group_n(5)));
+}
+
+/// The (*,G) joins and prunes each router sends, read from the network's
+/// span stream: "JOIN <group> -> <receiver>" in send order.
+class ControlLog {
+ public:
+  explicit ControlLog(Internet& net) {
+    net.network().stream().add_sink(sink_);
+    net.network().stream().set_span_rate(1.0);
+  }
+  /// Forgets everything logged so far.
+  void mark() { from_ = sink_->records().size(); }
+  [[nodiscard]] std::vector<std::string> sent_by(Domain& d) const {
+    const std::string router = d.bgmp_router().name();
+    std::vector<std::string> out;
+    const auto& records = sink_->records();
+    for (std::size_t i = from_; i < records.size(); ++i) {
+      const obs::Record& r = records[i];
+      if (r.kind != obs::Record::Kind::kSend || r.from != router) continue;
+      for (const char* kind : {"JOIN", "PRUNE"}) {
+        const std::string prefix = std::string("BGMP ") + kind + "(*,G) G=";
+        if (r.text.rfind(prefix, 0) == 0) {
+          out.push_back(std::string(kind) + " " +
+                        r.text.substr(prefix.size()) + " -> " + r.to);
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::shared_ptr<obs::MemorySink> sink_ = std::make_shared<obs::MemorySink>();
+  std::size_t from_ = 0;
+};
+
+/// Groups joined out of address order, so a walk in any other order shows.
+const std::vector<Group> kScrambled = {group_n(9), group_n(2), group_n(5)};
+
+TEST(BgmpGroupTable, ReresolveMovesParentsInGroupOrder) {
+  // m prefers lateral a over provider b toward root r. When a loses r,
+  // m's G-RIB route moves to b and every (*,G) parent migrates: join b,
+  // then prune a, group by group in address order.
+  Internet net;
+  Domain& r = net.add_domain({.id = 1, .name = "r"});
+  Domain& a = net.add_domain({.id = 2, .name = "a"});
+  Domain& b = net.add_domain({.id = 3, .name = "b"});
+  Domain& m = net.add_domain({.id = 4, .name = "m"});
+  net.link(r, a);
+  net.link(r, b);
+  net.link(m, a, bgp::Relationship::kLateral);
+  net.link(m, b, bgp::Relationship::kProvider);
+  r.originate_group_range(Prefix::parse("224.0.128.0/24"));
+  net.settle();
+  for (const Group g : kScrambled) m.host_join(g);
+  net.settle();
+  ASSERT_EQ(m.bgmp_router().star_entry(group_n(2))->parent,
+            bgmp::TargetKey::external(&a.bgmp_router()));
+  ControlLog log(net);
+  net.set_link_state(r, a, false);
+  net.settle();
+  EXPECT_EQ(log.sent_by(m),
+            (std::vector<std::string>{
+                "JOIN 224.0.128.2 -> b/bgmp", "PRUNE 224.0.128.2 -> a/bgmp",
+                "JOIN 224.0.128.5 -> b/bgmp", "PRUNE 224.0.128.5 -> a/bgmp",
+                "JOIN 224.0.128.9 -> b/bgmp", "PRUNE 224.0.128.9 -> a/bgmp"}));
+}
+
+TEST(BgmpGroupTable, ChannelDownPrunesAndRejoinsInGroupOrder) {
+  // t carries m's groups toward root r and has a longer way round through
+  // u. Losing m empties every entry: prunes to r in group order. Losing r
+  // orphans them: rejoins through u in group order.
+  Internet net;
+  Domain& r = net.add_domain({.id = 1, .name = "r"});
+  Domain& t = net.add_domain({.id = 2, .name = "t"});
+  Domain& u = net.add_domain({.id = 3, .name = "u"});
+  Domain& m = net.add_domain({.id = 4, .name = "m"});
+  Domain& n = net.add_domain({.id = 5, .name = "n"});
+  net.link(r, t);
+  net.link(t, u);
+  net.link(u, r);
+  net.link(t, m);
+  net.link(t, n);
+  r.originate_group_range(Prefix::parse("224.0.128.0/24"));
+  net.settle();
+  for (const Group g : kScrambled) m.host_join(g);
+  net.settle();
+  ControlLog log(net);
+  net.set_link_state(t, m, false);
+  net.settle();
+  EXPECT_EQ(log.sent_by(t), (std::vector<std::string>{
+                                "PRUNE 224.0.128.2 -> r/bgmp",
+                                "PRUNE 224.0.128.5 -> r/bgmp",
+                                "PRUNE 224.0.128.9 -> r/bgmp"}));
+  for (const Group g : kScrambled) n.host_join(g);
+  net.settle();
+  log.mark();
+  net.set_link_state(r, t, false);
+  net.settle();
+  EXPECT_EQ(log.sent_by(t), (std::vector<std::string>{
+                                "JOIN 224.0.128.2 -> u/bgmp",
+                                "JOIN 224.0.128.5 -> u/bgmp",
+                                "JOIN 224.0.128.9 -> u/bgmp"}));
+}
+
+TEST(BgmpGroupTable, RestartRejoinsInGroupOrder) {
+  Internet net;
+  Domain& r = net.add_domain({.id = 1, .name = "r"});
+  Domain& m = net.add_domain({.id = 2, .name = "m"});
+  net.link(r, m);
+  r.originate_group_range(Prefix::parse("224.0.128.0/24"));
+  net.settle();
+  for (const Group g : kScrambled) m.host_join(g);
+  net.settle();
+  EXPECT_EQ(m.migp().groups_with_members(),
+            (std::vector<Group>{group_n(2), group_n(5), group_n(9)}));
+  ControlLog log(net);
+  m.crash();
+  m.restart();
+  EXPECT_EQ(log.sent_by(m), (std::vector<std::string>{
+                                "JOIN 224.0.128.2 -> r/bgmp",
+                                "JOIN 224.0.128.5 -> r/bgmp",
+                                "JOIN 224.0.128.9 -> r/bgmp"}));
 }
 
 // ------------------------------------------------------------- properties

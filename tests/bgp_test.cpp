@@ -234,8 +234,8 @@ TEST(Speaker, PropagatesRouteAcrossALine) {
   ASSERT_TRUE(at3.has_value());
   EXPECT_EQ(at3->prefix, Prefix::parse("224.1.0.0/16"));
   EXPECT_EQ(at3->next_hop, &s2);
-  EXPECT_EQ(at3->route.origin_as, 1u);
-  EXPECT_EQ(at3->route.as_path, (std::vector<DomainId>{2, 1}));
+  EXPECT_EQ(at3->route->origin_as, 1u);
+  EXPECT_EQ(at3->route->as_path, (std::vector<DomainId>{2, 1}));
 
   const auto at1 = s1.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3"));
   ASSERT_TRUE(at1.has_value());
@@ -339,7 +339,7 @@ TEST(Speaker, PrefersShorterPathAcrossTriangle) {
   const auto hit = s3.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.0.1"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->next_hop, &s1);
-  EXPECT_EQ(hit->route.as_path.size(), 1u);
+  EXPECT_EQ(hit->route->as_path.size(), 1u);
 }
 
 TEST(Speaker, RecoversWhenBestPathWithdrawn) {
@@ -381,11 +381,11 @@ TEST(Speaker, RejectsLoopedPaths) {
     const auto hit =
         s->lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.0.1"));
     ASSERT_TRUE(hit.has_value());
-    EXPECT_FALSE(hit->route.contains_as(s->as()));
+    EXPECT_FALSE(hit->route->contains_as(s->as()));
   }
   // s3 is two hops from AS1 either way.
   EXPECT_EQ(s3.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.0.1"))
-                ->route.as_path.size(),
+                ->route->as_path.size(),
             2u);
 }
 
@@ -829,7 +829,7 @@ TEST(SpeakerBatch, TwoChangesToOneKeyLeaveOneDeltaWithTheLastRouteAndStamp) {
   r.t.settle();
   const auto at_b = r.b.lookup(RouteType::kGroup, Ipv4Addr::parse("224.1.2.3"));
   ASSERT_TRUE(at_b.has_value());
-  EXPECT_EQ(at_b->route.as_path, (std::vector<DomainId>{2, 7, 1}));
+  EXPECT_EQ(at_b->route->as_path, (std::vector<DomainId>{2, 7, 1}));
   // s flips twice (8 s and 3 s after the two stamps); b flips once, 10 ms
   // later, on the one delta, which carries the last stamp (7 s).
   EXPECT_EQ(latency.count(), samples + 3);

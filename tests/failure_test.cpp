@@ -101,7 +101,7 @@ TEST(BgpFailure, FailoverToAlternatePath) {
       s3.lookup(bgp::RouteType::kGroup, Ipv4Addr::parse("224.1.0.1"));
   ASSERT_TRUE(via_s2.has_value());
   EXPECT_EQ(via_s2->next_hop, &s2);
-  EXPECT_EQ(via_s2->route.as_path.size(), 2u);
+  EXPECT_EQ(via_s2->route->as_path.size(), 2u);
   t.network.set_up(direct, true);
   t.settle();
   EXPECT_EQ(s3.lookup(bgp::RouteType::kGroup, Ipv4Addr::parse("224.1.0.1"))

@@ -59,7 +59,7 @@ topology::BfsTree tree_from_ribs(Internet& net,
       tree.dist[n] = 0;
       tree.parent[n] = n;
     } else {
-      tree.dist[n] = static_cast<std::uint32_t>(hit->route.as_path.size());
+      tree.dist[n] = static_cast<std::uint32_t>(hit->route->as_path.size());
       tree.parent[n] = speaker_to_node.at(hit->next_hop);
     }
   }
@@ -219,7 +219,7 @@ TEST(FullPipeline, MascToMaasToBgmpEndToEnd) {
   EXPECT_EQ(at_c->next_hop, nullptr);  // locally rooted
   const auto hit = m.speaker().lookup(bgp::RouteType::kGroup, group);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->route.origin_as, t.id());  // the aggregate
+  EXPECT_EQ(hit->route->origin_as, t.id());  // the aggregate
 
   // A member in M joins; a host in C sends; data arrives.
   m.host_join(group);

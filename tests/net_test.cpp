@@ -688,6 +688,16 @@ TEST(Network, DrainBracketIsBalancedOncePerDrain) {
   EXPECT_EQ(b.closes, 3);
   EXPECT_EQ(b.received.back(), "throw");
   EXPECT_EQ(network.current_trace_id(), 0u);
+
+  // …and the direction open: a caller that catches the throw and runs on
+  // still gets the message queued behind it (its own drain, at the
+  // failure's instant) and the next one.
+  send("m6");
+  q.run();
+  EXPECT_EQ(b.opens, 5);
+  EXPECT_EQ(b.closes, 5);
+  EXPECT_EQ(b.received, (std::vector<std::string>{"m1", "m2", "m3", "m4",
+                                                  "throw", "m5", "m6"}));
 }
 
 TEST(Network, DrainBracketClosesUnderTheLastDeliveredTraceId) {

@@ -388,6 +388,57 @@ TEST(DynamicPaths, LinkChangeDropsTreesAndNextQueryRebuilds) {
   EXPECT_EQ(dyn.stats().full_builds, builds + 1);
 }
 
+TEST(DynamicPaths, HopsAgreesWithDistAcrossManyCachedTrees) {
+  // More cached trees than a ladder rung has sources (122), with only the
+  // even nodes' trees cached up front: hops answers from whichever
+  // endpoint holds a tree, in both argument orders, and builds only when
+  // neither does.
+  constexpr NodeId n = 160;
+  net::Rng rng(11);
+  Graph oracle(n);
+  DynamicPaths dyn;
+  for (NodeId i = 0; i < n; ++i) dyn.add_node();
+  const auto both = [&](NodeId a, NodeId b) {
+    if (a == b || oracle.has_edge(a, b)) return;
+    oracle.add_edge(a, b);
+    dyn.add_edge(a, b);
+  };
+  for (NodeId i = 0; i < n; ++i) both(i, (i + 1) % n);
+  for (int i = 0; i < 80; ++i) {
+    both(static_cast<NodeId>(rng.index(n)), static_cast<NodeId>(rng.index(n)));
+  }
+  const auto check_all = [&] {
+    for (NodeId s = 0; s < n; s += 2) (void)dyn.dist(s, 0);
+    const std::uint64_t builds = dyn.stats().full_builds;
+    std::vector<BfsTree> truth;
+    for (NodeId s = 0; s < n; ++s) truth.push_back(bfs(oracle, s));
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = 0; b < n; ++b) {
+        ASSERT_EQ(dyn.hops(a, b), truth[a].dist[b]) << a << "-" << b;
+        ASSERT_EQ(dyn.hops(b, a), truth[a].dist[b]) << b << "-" << a;
+      }
+    }
+    // Each odd node's tree was built once, when hops first met two
+    // endpoints without one; every other answer reused a cached tree.
+    EXPECT_EQ(dyn.stats().full_builds, builds + n / 2);
+    // With every tree cached, dist and hops agree in both orders.
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = 0; b < n; ++b) {
+        ASSERT_EQ(dyn.dist(a, b), dyn.hops(b, a)) << a << "-" << b;
+      }
+    }
+    EXPECT_EQ(dyn.stats().full_builds, builds + n / 2);
+  };
+  check_all();
+  // An edge flip drops every tree; the rebuilt answers follow the cut.
+  dyn.set_edge_state(0, 1, false);
+  oracle.remove_edge(0, 1);
+  check_all();
+  dyn.set_edge_state(0, 1, true);
+  oracle.add_edge(0, 1);
+  check_all();
+}
+
 TEST(DynamicPaths, OracleUnderRandomEdgeToggles) {
   // Maintain a plain Graph holding exactly the up edges; after every
   // toggle, every queried source's distances must equal a from-scratch BFS
