@@ -22,6 +22,7 @@
 // the machine-readable report instead.
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -72,22 +73,12 @@ int main(int argc, char** argv) {
   const eval::CriticalPathReport report =
       eval::analyze_records(eval::read_records_jsonl(in));
 
-  if (json) {
-    report.write_json(std::cout);
-  } else {
-    report.write_text(std::cout);
-  }
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "analyze_run: cannot write " << out_path << "\n";
-      return 2;
-    }
-    if (json) {
-      report.write_json(out);
-    } else {
-      report.write_text(out);
-    }
+  std::ostringstream text;
+  json ? report.write_json(text) : report.write_text(text);
+  std::cout << text.str();
+  if (!out_path.empty() && !(std::ofstream(out_path) << text.str())) {
+    std::cerr << "analyze_run: cannot write " << out_path << "\n";
+    return 2;
   }
   return 0;
 }

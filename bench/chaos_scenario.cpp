@@ -39,6 +39,7 @@
 
 #include "eval/args.hpp"
 #include "eval/chaos.hpp"
+#include "obs/json.hpp"
 
 int main(int argc, char** argv) {
   eval::ChaosConfig base;
@@ -118,8 +119,8 @@ int main(int argc, char** argv) {
       std::cerr << "chaos_scenario: cannot write " << out_path << "\n";
       return 2;
     }
-    out << "[\n";
   }
+  obs::Json::Array reports;  // one per seed that ran, for --out
 
   int failed = 0;
   int violated = 0;
@@ -141,10 +142,7 @@ int main(int argc, char** argv) {
       continue;
     }
     wall += result.wall_seconds;
-    if (out.is_open()) {
-      if (s > 0) out << ",\n";
-      result.write_json(out);
-    }
+    if (out.is_open()) reports.push_back(result.to_json());
     if (!result.violations.empty()) {
       ++violated;
       std::cerr << "chaos_scenario: seed " << config.seed << " violated "
@@ -164,7 +162,7 @@ int main(int argc, char** argv) {
           "chaos-violation-seed" + std::to_string(config.seed) + ".json";
       std::ofstream dump_out(dump);
       if (dump_out) {
-        result.write_json(dump_out);
+        dump_out << result.to_json().dump(obs::Json::Style::kPretty);
         std::cerr << "  wrote " << dump << "\n";
       }
     } else if (!result.quiesced) {
@@ -180,7 +178,9 @@ int main(int argc, char** argv) {
                 << " events)\n";
     }
   }
-  if (out.is_open()) out << "]\n";
+  if (out.is_open()) {
+    out << obs::Json(std::move(reports)).dump(obs::Json::Style::kPretty);
+  }
 
   std::cerr << "chaos_scenario: " << seed_count << " seed(s), " << violated
             << " with violations, " << failed << " failed, " << wall

@@ -49,17 +49,18 @@
 // the committed 256-domain rib_digest is invariant.
 //
 // --check compares this run against a previously emitted JSON file: the
-// baseline rung with matching parameters (a flat old-style report counts
-// as one rung) must reproduce the converged RIB, path and tree digests
-// exactly, and the deterministic work counters (events run, messages
-// sent, BGP updates) may grow at most FRAC (default 0.25) before the exit
-// code turns nonzero. Wall-clock throughput and RSS are reported but not
+// baseline rung whose "params" object equals the run's (a flat
+// single-run report counts as one rung) must reproduce the converged RIB,
+// path and tree digests exactly, and the deterministic work counters
+// (events run, messages sent, BGP updates) may grow at most FRAC (default
+// 0.25) before the exit code turns nonzero. A run that no baseline rung
+// matches fails too. Wall-clock throughput and RSS are reported but not
 // gated — they are properties of the host, not of the code under test.
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -67,8 +68,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
-#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "bgp/speaker.hpp"
@@ -79,6 +79,7 @@
 #include "eval/telemetry.hpp"
 #include "net/prefix.hpp"
 #include "net/rng.hpp"
+#include "obs/json.hpp"
 #include "workload/session.hpp"
 
 namespace {
@@ -94,41 +95,16 @@ std::uint64_t peak_rss_kib() {
 
 struct Results {
   eval::ScenarioSpec spec;
+  // The columns the --telemetry pass compares or recomputes.
   double wall_seconds = 0.0;
   std::uint64_t events_run = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t bgp_updates_sent = 0;
-  std::uint64_t bgmp_joins_sent = 0;
-  std::uint64_t claims_granted = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t deliveries_batched = 0;  // drained inline by a link FIFO
-  std::uint64_t grib_entries_total = 0;
+  double events_per_second = 0.0;
+  std::uint64_t items = 0;  // protocol ops: claims + joins + deliveries
   std::uint64_t rib_digest = 0;  // FNV-1a over every domain's final RIBs
   std::uint64_t path_digest = 0;  // chosen neighbours and hop sequences
   std::uint64_t tree_digest = 0;  // BGMP (*,G)/(S,G) target lists
-  double events_per_second = 0.0;
-  double items_per_second = 0.0;  // protocol ops (claims+joins+deliveries)
-  std::uint64_t peak_rss_kib = 0;
-  double state_bytes_per_domain = 0.0;
-  // Hop-distance cache work: BFS trees built (one per queried source
-  // between link changes) and the nodes those builds settled.
-  std::uint64_t path_full_builds = 0;
-  std::uint64_t path_nodes_touched = 0;
-  // Mean inter-domain hops actually travelled per delivery vs the
-  // shortest possible — the tree-stretch measure of §5.4.
-  double delivery_hops_mean = 0.0;
-  double delivery_stretch = 0.0;
-  // Aggregate end-host layer (--workload): the realized member population
-  // and the BGMP economy it induced. members_total is reported on every
-  // rung (0 when the workload is off) so ladder reports have a uniform
-  // schema; the rest only when the workload ran.
-  std::uint64_t members_total = 0;
-  std::uint64_t members_peak = 0;
-  std::uint64_t workload_joins = 0;
-  std::uint64_t workload_tree_joins = 0;
-  std::uint64_t workload_tree_prunes = 0;
-  std::uint64_t workload_edge_load = 0;
-  std::uint64_t workload_engine_digest = 0;
+  // Every other measured column, in report order.
+  obs::Json::Object columns;
   // Telemetry yield of this run (non-zero only when spec.telemetry is on).
   std::uint64_t recorder_frames = 0;
   std::uint64_t spans_sampled = 0;
@@ -138,7 +114,6 @@ struct Results {
   bool telemetry_measured = false;
   double events_per_second_telemetry = 0.0;
   double telemetry_overhead = 0.0;
-  std::uint64_t telemetry_rib_digest = 0;
 };
 
 Results run_scenario(const eval::ScenarioSpec& spec,
@@ -188,44 +163,57 @@ Results run_scenario(const eval::ScenarioSpec& spec,
   r.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   r.events_run = net.events().events_run();
-  r.messages_sent = snap.counter_value("net.messages_sent");
-  r.bgp_updates_sent = snap.counter_value("bgp.updates_sent");
-  r.bgmp_joins_sent = snap.counter_value("bgmp.joins_sent");
-  r.claims_granted = snap.counter_value("masc.claims_granted");
-  r.deliveries = snap.counter_value("core.deliveries");
-  r.deliveries_batched = snap.counter_value("net.deliveries_batched");
-  for (std::size_t i = 0; i < net.domain_count(); ++i) {
-    r.grib_entries_total +=
-        net.domain(i).speaker().rib(bgp::RouteType::kGroup).size();
-  }
+  r.events_per_second = static_cast<double>(r.events_run) / r.wall_seconds;
+  r.items = snap.counter_value("masc.claims_granted") +
+            snap.counter_value("bgmp.joins_sent") +
+            snap.counter_value("core.deliveries");
   r.rib_digest = eval::rib_digest(net);
   r.path_digest = eval::path_digest(net);
   r.tree_digest = eval::tree_digest(net);
-  r.events_per_second =
-      static_cast<double>(r.events_run) / r.wall_seconds;
-  const auto items = r.claims_granted + r.bgmp_joins_sent + r.deliveries;
-  r.items_per_second = static_cast<double>(items) / r.wall_seconds;
-  r.peak_rss_kib = peak_rss_kib();
-  r.state_bytes_per_domain = snap.gauge_value("core.state_bytes_per_domain");
-  r.path_full_builds = net.domain_paths().stats().full_builds;
-  r.path_nodes_touched = net.domain_paths().stats().nodes_touched;
-  if (stretch_samples > 0) {
-    r.delivery_hops_mean = static_cast<double>(hops_travelled) /
-                           static_cast<double>(stretch_samples);
-    r.delivery_stretch = hops_shortest == 0
-                             ? 0.0
-                             : static_cast<double>(hops_travelled) /
-                                   static_cast<double>(hops_shortest);
+  std::uint64_t grib_entries_total = 0;
+  for (std::size_t i = 0; i < net.domain_count(); ++i) {
+    grib_entries_total +=
+        net.domain(i).speaker().rib(bgp::RouteType::kGroup).size();
   }
+  // Aggregate end-host layer (--workload): the realized member population
+  // and the BGMP economy it induced. members_total is reported on every
+  // rung (0 when the workload is off) so ladder reports have a uniform
+  // schema; the rest only when the workload ran.
+  workload::SessionReport report;
+  if (workload_session) report = workload_session->report();
+  const auto six = obs::Json::six_digits;
+  const auto ratio = [](std::uint64_t a, std::uint64_t b) {
+    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
+  };
+  r.columns = {
+      {"messages_sent", snap.counter_value("net.messages_sent")},
+      {"bgp_updates_sent", snap.counter_value("bgp.updates_sent")},
+      {"bgmp_joins_sent", snap.counter_value("bgmp.joins_sent")},
+      {"claims_granted", snap.counter_value("masc.claims_granted")},
+      {"deliveries", snap.counter_value("core.deliveries")},
+      // Drained inline by a link FIFO.
+      {"deliveries_batched", snap.counter_value("net.deliveries_batched")},
+      {"grib_entries_total", grib_entries_total},
+      {"peak_rss_kib", peak_rss_kib()},
+      {"state_bytes_per_domain",
+       six(snap.gauge_value("core.state_bytes_per_domain"))},
+      // Hop-distance cache work: BFS trees built (one per queried source
+      // between link changes) and the nodes those builds settled.
+      {"path_full_builds", net.domain_paths().stats().full_builds},
+      {"path_nodes_touched", net.domain_paths().stats().nodes_touched},
+      // Mean inter-domain hops actually travelled per delivery vs the
+      // shortest possible — the tree-stretch measure of §5.4.
+      {"delivery_hops_mean", six(ratio(hops_travelled, stretch_samples))},
+      {"delivery_stretch", six(ratio(hops_travelled, hops_shortest))},
+      {"members_total", report.members_total}};
   if (workload_session) {
-    const workload::SessionReport report = workload_session->report();
-    r.members_total = report.members_total;
-    r.members_peak = report.members_peak;
-    r.workload_joins = report.joins_total;
-    r.workload_tree_joins = report.tree_joins;
-    r.workload_tree_prunes = report.tree_prunes;
-    r.workload_edge_load = report.edge_load_total;
-    r.workload_engine_digest = report.engine_digest;
+    r.columns.insert(r.columns.end(),
+                     {{"members_peak", report.members_peak},
+                      {"workload_joins", report.joins_total},
+                      {"workload_tree_joins", report.tree_joins},
+                      {"workload_tree_prunes", report.tree_prunes},
+                      {"workload_edge_load", report.edge_load_total},
+                      {"workload_engine_digest", report.engine_digest}});
   }
   if (telemetry.has_value()) {
     telemetry->final_tick();
@@ -312,260 +300,125 @@ Results run_with_telemetry_column(const eval::ScenarioSpec& spec,
   }
   std::sort(pair_overheads.begin(), pair_overheads.end());
   const std::size_t n = pair_overheads.size();
-  off.items_per_second =
-      static_cast<double>(off.claims_granted + off.bgmp_joins_sent +
-                          off.deliveries) /
-      off.wall_seconds;
   off.telemetry_measured = true;
   off.events_per_second_telemetry = on.events_per_second;
   off.telemetry_overhead =
       n % 2 == 1 ? pair_overheads[n / 2]
                  : (pair_overheads[n / 2 - 1] + pair_overheads[n / 2]) / 2.0;
-  off.telemetry_rib_digest = on.rib_digest;
   off.recorder_frames = on.recorder_frames;
   off.spans_sampled = on.spans_sampled;
   return off;
 }
 
-void write_rung(const Results& r, std::ostream& os, const char* indent) {
+obs::Json::Object rung_json(const Results& r) {
+  const auto six = obs::Json::six_digits;
   const eval::ScenarioSpec& s = r.spec;
-  os << indent << "\"params\": {\"domains\": " << s.domains
-     << ", \"groups\": " << s.groups << ", \"joins\": " << s.joins
-     << ", \"seed\": " << s.seed << ", \"max_tops\": " << s.max_tops
-     << ", \"active_children\": " << s.active_children
-     << ", \"flap_pairs\": " << s.flap_pairs
-     << ", \"workload\": " << (s.workload.enabled ? 1 : 0)
-     << ", \"workload_groups\": "
-     << (s.workload.enabled ? s.workload.groups : 0)
-     << ", \"workload_ticks\": "
-     << (s.workload.enabled ? s.workload.ticks() : 0)
-     << ", \"workload_arrivals_milli\": "
-     << (s.workload.enabled
-             ? std::llround(s.workload.arrivals_per_second * 1000.0)
-             : 0)
-     << "},\n"
-     << indent << "\"wall_seconds\": " << r.wall_seconds << ",\n"
-     << indent << "\"events_run\": " << r.events_run << ",\n"
-     << indent << "\"events_per_second\": " << r.events_per_second << ",\n"
-     << indent << "\"items_per_second\": " << r.items_per_second << ",\n"
-     << indent << "\"messages_sent\": " << r.messages_sent << ",\n"
-     << indent << "\"bgp_updates_sent\": " << r.bgp_updates_sent << ",\n"
-     << indent << "\"bgmp_joins_sent\": " << r.bgmp_joins_sent << ",\n"
-     << indent << "\"claims_granted\": " << r.claims_granted << ",\n"
-     << indent << "\"deliveries\": " << r.deliveries << ",\n"
-     << indent << "\"deliveries_batched\": " << r.deliveries_batched << ",\n"
-     << indent << "\"grib_entries_total\": " << r.grib_entries_total << ",\n"
-     << indent << "\"peak_rss_kib\": " << r.peak_rss_kib << ",\n"
-     << indent << "\"state_bytes_per_domain\": " << r.state_bytes_per_domain
-     << ",\n"
-     << indent << "\"path_full_builds\": " << r.path_full_builds << ",\n"
-     << indent << "\"path_nodes_touched\": " << r.path_nodes_touched << ",\n"
-     << indent << "\"delivery_hops_mean\": " << r.delivery_hops_mean << ",\n"
-     << indent << "\"delivery_stretch\": " << r.delivery_stretch << ",\n"
-     << indent << "\"members_total\": " << r.members_total << ",\n";
-  if (r.spec.workload.enabled) {
-    os << indent << "\"members_peak\": " << r.members_peak << ",\n"
-       << indent << "\"workload_joins\": " << r.workload_joins << ",\n"
-       << indent << "\"workload_tree_joins\": " << r.workload_tree_joins
-       << ",\n"
-       << indent << "\"workload_tree_prunes\": " << r.workload_tree_prunes
-       << ",\n"
-       << indent << "\"workload_edge_load\": " << r.workload_edge_load
-       << ",\n"
-       << indent << "\"workload_engine_digest\": "
-       << r.workload_engine_digest << ",\n";
-  }
+  const workload::Spec& w = s.workload;
+  // --check picks the baseline rung whose "params" equal the run's.
+  const obs::Json::Object params{
+      {"domains", s.domains}, {"groups", s.groups}, {"joins", s.joins},
+      {"seed", s.seed}, {"max_tops", s.max_tops},
+      {"active_children", s.active_children}, {"flap_pairs", s.flap_pairs},
+      {"workload", w.enabled ? 1 : 0},
+      {"workload_groups", w.enabled ? w.groups : 0},
+      {"workload_ticks", w.enabled ? w.ticks() : 0},
+      {"workload_arrivals_milli",
+       w.enabled ? std::llround(w.arrivals_per_second * 1000.0) : 0}};
+  obs::Json::Object rung{{"params", params},
+                         {"wall_seconds", six(r.wall_seconds)},
+                         {"events_run", r.events_run},
+                         {"events_per_second", six(r.events_per_second)},
+                         {"items_per_second",
+                          six(static_cast<double>(r.items) / r.wall_seconds)}};
+  rung.insert(rung.end(), r.columns.begin(), r.columns.end());
   if (r.telemetry_measured) {
-    os << indent << "\"events_per_second_telemetry\": "
-       << r.events_per_second_telemetry << ",\n"
-       << indent << "\"telemetry_overhead\": " << r.telemetry_overhead
-       << ",\n"
-       << indent << "\"telemetry_rib_digest\": " << r.telemetry_rib_digest
-       << ",\n"
-       << indent << "\"recorder_frames\": " << r.recorder_frames << ",\n"
-       << indent << "\"spans_sampled\": " << r.spans_sampled << ",\n";
+    rung.insert(rung.end(),
+                {{"events_per_second_telemetry",
+                  six(r.events_per_second_telemetry)},
+                 {"telemetry_overhead", six(r.telemetry_overhead)},
+                 // Equal by construction: the pass exits when it differs.
+                 {"telemetry_rib_digest", r.rib_digest},
+                 {"recorder_frames", r.recorder_frames},
+                 {"spans_sampled", r.spans_sampled}});
   }
-  os << indent << "\"path_digest\": " << r.path_digest << ",\n"
-     << indent << "\"tree_digest\": " << r.tree_digest << ",\n"
-     << indent << "\"rib_digest\": " << r.rib_digest << "\n";
+  rung.insert(rung.end(), {{"path_digest", r.path_digest},
+                           {"tree_digest", r.tree_digest},
+                           {"rib_digest", r.rib_digest}});
+  return rung;
 }
 
-void write_json(const std::vector<Results>& runs, bool ladder,
-                std::ostream& os) {
+/// A single run reports its rung's columns at the top level; a ladder
+/// lists them under "rungs".
+obs::Json report_json(const std::vector<Results>& runs, bool ladder) {
   if (!ladder) {
-    os << "{\n  \"bench\": \"macro_scenario\",\n";
-    write_rung(runs.front(), os, "  ");
-    os << "}\n";
-    return;
+    obs::Json::Object report = rung_json(runs.front());
+    report.insert(report.begin(), {"bench", "macro_scenario"});
+    return report;
   }
-  os << "{\n  \"bench\": \"macro_ladder\",\n  \"rungs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    os << "    {\n";
-    write_rung(runs[i], os, "      ");
-    os << "    }" << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
+  obs::Json::Array rungs;
+  for (const Results& r : runs) rungs.emplace_back(rung_json(r));
+  return obs::Json::Object{{"bench", "macro_ladder"},
+                           {"rungs", std::move(rungs)}};
 }
 
-// Minimal field scraper for our own flat JSON schema — keeps the
-// regression check self-contained (no JSON library, no python). Returns
-// the text that follows the key's colon.
-std::optional<std::string_view> field(const std::string& text,
-                                      const std::string& key) {
-  const auto at = text.find('"' + key + '"');
-  if (at == std::string::npos) return std::nullopt;
-  const auto colon = text.find(':', at);
-  if (colon == std::string::npos) return std::nullopt;
-  const auto value = text.find_first_not_of(" \t\r\n", colon + 1);
-  if (value == std::string::npos) return std::nullopt;
-  return std::string_view(text).substr(value);
-}
+// The columns --check gates, in the order it reports them.
+enum class Gate { kExact, kBounded, kReported };
+constexpr std::pair<const char*, Gate> kGates[] = {
+    // The converged state, the realized member population and the joins
+    // that built the trees (every (*,G) hop is a protocol decision) must
+    // be reproduced exactly.
+    {"grib_entries_total", Gate::kExact}, {"rib_digest", Gate::kExact},
+    {"path_digest", Gate::kExact}, {"tree_digest", Gate::kExact},
+    {"members_total", Gate::kExact}, {"workload_engine_digest", Gate::kExact},
+    {"bgmp_joins_sent", Gate::kExact},
+    // The work done to get there may drift a little under legitimate
+    // changes, but not grow past the tolerance.
+    {"events_run", Gate::kBounded}, {"messages_sent", Gate::kBounded},
+    {"bgp_updates_sent", Gate::kBounded},
+    // Work counters no gate reads: a drift is printed so a stale baseline
+    // shows up, but it does not fail the check.
+    {"deliveries_batched", Gate::kReported},
+    {"path_nodes_touched", Gate::kReported}};
 
-bool scrape(const std::string& text, const std::string& key, double& out) {
-  const auto value = field(text, key);
-  if (!value) return false;
-  out = std::strtod(value->data(), nullptr);
-  return true;
-}
-
-// Integer fields parse exactly: read through a double, a 64-bit digest
-// near 8e18 rounds to a multiple of 1,024.
-bool scrape(const std::string& text, const std::string& key,
-            std::uint64_t& out) {
-  const auto value = field(text, key);
-  return value && std::from_chars(value->data(),
-                                  value->data() + value->size(), out)
-                          .ec == std::errc{};
-}
-
-// Splits a ladder baseline into its rung objects (brace-matched); a flat
-// old-style report is treated as a single rung.
-std::vector<std::string> baseline_rungs(const std::string& text) {
-  const auto rungs_at = text.find("\"rungs\"");
-  if (rungs_at == std::string::npos) return {text};
-  std::vector<std::string> out;
-  int depth = 0;
-  std::size_t open = std::string::npos;
-  for (std::size_t i = text.find('[', rungs_at); i < text.size(); ++i) {
-    if (text[i] == '{') {
-      if (depth++ == 0) open = i;
-    } else if (text[i] == '}') {
-      if (--depth == 0) out.push_back(text.substr(open, i - open + 1));
-    } else if (text[i] == ']' && depth == 0) {
-      break;
-    }
-  }
-  return out;
-}
-
-bool params_match(const Results& now, const std::string& base) {
-  std::uint64_t p = 0;
-  const auto required = [&](const char* key, std::uint64_t want) {
-    return scrape(base, key, p) && p == want;
-  };
-  // The caps are absent from pre-ladder baselines; absent means 0.
-  const auto cap = [&](const char* key, std::uint64_t want) {
-    return scrape(base, key, p) ? p == want : want == 0;
-  };
-  const workload::Spec& w = now.spec.workload;
-  return required("domains", static_cast<std::uint64_t>(now.spec.domains)) &&
-         required("groups", static_cast<std::uint64_t>(now.spec.groups)) &&
-         required("joins", static_cast<std::uint64_t>(now.spec.joins)) &&
-         required("seed", now.spec.seed) &&
-         cap("max_tops", static_cast<std::uint64_t>(now.spec.max_tops)) &&
-         cap("active_children",
-             static_cast<std::uint64_t>(now.spec.active_children)) &&
-         cap("flap_pairs", static_cast<std::uint64_t>(now.spec.flap_pairs)) &&
-         // Workload keys are cap-style: absent from pre-workload baselines
-         // means "workload off", so old baselines keep matching.
-         cap("workload", w.enabled ? 1 : 0) &&
-         cap("workload_groups",
-             w.enabled ? static_cast<std::uint64_t>(w.groups) : 0) &&
-         cap("workload_ticks",
-             w.enabled ? static_cast<std::uint64_t>(w.ticks()) : 0) &&
-         cap("workload_arrivals_milli",
-             w.enabled ? static_cast<std::uint64_t>(
-                             std::llround(w.arrivals_per_second * 1000.0))
-                       : 0);
-}
-
-int check_one(const Results& now, const std::string& base, double tolerance,
-              double telemetry_budget, double eps_floor) {
+int check_one(const Results& now, const obs::Json& run, const obs::Json& base,
+              double tolerance, double telemetry_budget, double eps_floor) {
   int failures = 0;
-  const auto exact = [&](const char* key, std::uint64_t current) {
-    std::uint64_t expected = 0;
-    if (!scrape(base, key, expected)) {
+  for (const auto& [key, gate] : kGates) {
+    // A column this run does not report (the workload's engine digest
+    // with the workload off) is not compared.
+    const std::uint64_t* current = run.get<std::uint64_t>(key);
+    const std::uint64_t* expected = base.get<std::uint64_t>(key);
+    if (!current || (!expected && gate == Gate::kReported)) continue;
+    if (!expected) {
       std::cerr << "macro_scenario: baseline lacks integer \"" << key
                 << "\"\n";
       ++failures;
-      return;
+      continue;
     }
-    if (current != expected) {
-      std::cerr << "macro_scenario: " << key << " diverged: baseline "
-                << expected << ", now " << current << "\n";
-      ++failures;
+    if (gate == Gate::kBounded
+            ? static_cast<double>(*current) <=
+                  static_cast<double>(*expected) * (1.0 + tolerance)
+            : *current == *expected) {
+      continue;
     }
-  };
-  // Deterministic (hardware-independent) quantities: the message economy
-  // may grow at most `tolerance` before the check fails.
-  const auto bounded = [&](const char* key, std::uint64_t current) {
-    std::uint64_t expected = 0;
-    if (!scrape(base, key, expected)) {
-      std::cerr << "macro_scenario: baseline lacks integer \"" << key
-                << "\"\n";
-      ++failures;
-      return;
+    std::cerr << "macro_scenario: " << key;
+    if (gate == Gate::kExact) std::cerr << " diverged: baseline ";
+    if (gate == Gate::kBounded) {
+      std::cerr << " regressed > " << tolerance * 100 << "%: baseline ";
     }
-    if (static_cast<double>(current) >
-        static_cast<double>(expected) * (1.0 + tolerance)) {
-      std::cerr << "macro_scenario: " << key << " regressed > "
-                << tolerance * 100 << "%: baseline " << expected << ", now "
-                << current << "\n";
-      ++failures;
-    }
-  };
-  // Converged state must be reproduced bit-for-bit…
-  exact("grib_entries_total", now.grib_entries_total);
-  exact("rib_digest", now.rib_digest);
-  exact("path_digest", now.path_digest);
-  exact("tree_digest", now.tree_digest);
-  // …including the realized member population: exact whenever the
-  // baseline carries the column (post-workload baselines always do), and
-  // the full engine state digest on workload rungs.
-  std::uint64_t members_base = 0;
-  if (now.spec.workload.enabled ||
-      scrape(base, "members_total", members_base)) {
-    exact("members_total", now.members_total);
+    if (gate == Gate::kReported) std::cerr << " drifted (not gated): baseline ";
+    std::cerr << *expected << ", now " << *current << "\n";
+    if (gate != Gate::kReported) ++failures;
   }
-  if (now.spec.workload.enabled) {
-    exact("workload_engine_digest", now.workload_engine_digest);
-  }
-  // The joins that built the trees: every (*,G) hop is a protocol
-  // decision, so a change in their number is a change in behaviour.
-  exact("bgmp_joins_sent", now.bgmp_joins_sent);
-  // …while the work done to get there may drift a little under
-  // legitimate changes, but not regress past the tolerance.
-  bounded("events_run", now.events_run);
-  bounded("messages_sent", now.messages_sent);
-  bounded("bgp_updates_sent", now.bgp_updates_sent);
-  // Work counters no gate reads: a drift is printed so a stale baseline
-  // shows up, but it does not fail the check.
-  const auto reported = [&](const char* key, std::uint64_t current) {
-    std::uint64_t expected = 0;
-    if (scrape(base, key, expected) && current != expected) {
-      std::cerr << "macro_scenario: " << key << " drifted (not gated): "
-                << "baseline " << expected << ", now " << current << "\n";
-    }
-  };
-  reported("deliveries_batched", now.deliveries_batched);
-  reported("path_nodes_touched", now.path_nodes_touched);
   // Wall-clock throughput varies with the host; report always, and gate
   // only when an explicit floor was requested (--eps-floor). The floor is
   // deliberately loose — it exists to catch a scheduler or hot-path
   // regression that costs a fifth of the throughput, not to measure the
   // host.
-  double base_eps = 0.0;
-  if (scrape(base, "events_per_second", base_eps) && base_eps > 0.0) {
+  const obs::Json* eps = base.find("events_per_second");
+  const double base_eps =
+      eps != nullptr ? eps->as_double().value_or(0.0) : 0.0;
+  if (base_eps > 0.0) {
     std::cerr << "macro_scenario: " << now.spec.domains << " domains: "
               << now.events_per_second << " events/s vs baseline "
               << base_eps << " (" << (now.events_per_second / base_eps)
@@ -599,35 +452,35 @@ int check_one(const Results& now, const std::string& base, double tolerance,
 int check_against(const std::vector<Results>& runs, const std::string& path,
                   double tolerance, double telemetry_budget,
                   double eps_floor) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "macro_scenario: cannot read baseline " << path << "\n";
+  std::stringstream buf;
+  buf << std::ifstream(path).rdbuf();
+  const std::optional<obs::Json> baseline = obs::Json::parse(buf.str());
+  if (!baseline) {
+    std::cerr << "macro_scenario: cannot read baseline " << path
+              << " as JSON\n";
     return 2;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::vector<std::string> rungs = baseline_rungs(buf.str());
+  // A ladder lists its rungs; a single-run report is one rung.
+  const obs::Json::Array flat{*baseline};
+  const auto* ladder = baseline->get<obs::Json::Array>("rungs");
+  const obs::Json::Array& rungs = ladder != nullptr ? *ladder : flat;
 
   int failures = 0;
-  int matched = 0;
   for (const Results& r : runs) {
-    bool found = false;
-    for (const std::string& rung : rungs) {
-      if (!params_match(r, rung)) continue;
-      found = true;
-      ++matched;
-      failures += check_one(r, rung, tolerance, telemetry_budget, eps_floor);
-      break;
+    const obs::Json run = rung_json(r);
+    const auto match =
+        std::find_if(rungs.begin(), rungs.end(), [&](const obs::Json& rung) {
+          const obs::Json* params = rung.find("params");
+          return params != nullptr && *params == *run.find("params");
+        });
+    if (match == rungs.end()) {
+      std::cerr << "macro_scenario: no baseline rung has the params of the "
+                << r.spec.domains << "-domain run\n";
+      ++failures;
+      continue;
     }
-    if (!found) {
-      std::cerr << "macro_scenario: no baseline rung matches "
-                << r.spec.domains << " domains; skipping its "
-                   "deterministic checks\n";
-    }
-  }
-  if (matched == 0) {
-    std::cerr << "macro_scenario: baseline parameters differ; "
-                 "skipping deterministic checks\n";
+    failures +=
+        check_one(r, run, *match, tolerance, telemetry_budget, eps_floor);
   }
   if (failures == 0) {
     std::cerr << "macro_scenario: within baseline (" << path << ")\n";
@@ -759,14 +612,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  write_json(runs, !ladder.empty(), std::cout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "macro_scenario: cannot write " << out_path << "\n";
-      return 2;
-    }
-    write_json(runs, !ladder.empty(), out);
+  const std::string text =
+      report_json(runs, !ladder.empty()).dump(obs::Json::Style::kPretty);
+  std::cout << text;
+  if (!out_path.empty() && !(std::ofstream(out_path) << text)) {
+    std::cerr << "macro_scenario: cannot write " << out_path << "\n";
+    return 2;
   }
   if (!check_path.empty()) {
     return check_against(runs, check_path, tolerance, telemetry_budget,

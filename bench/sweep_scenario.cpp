@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -88,14 +89,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  result.write_json(std::cout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "sweep_scenario: cannot write " << out_path << "\n";
-      return 2;
-    }
-    result.write_json(out);
+  std::ostringstream report;
+  result.write_json(report);
+  std::cout << report.str();
+  if (!out_path.empty() && !(std::ofstream(out_path) << report.str())) {
+    std::cerr << "sweep_scenario: cannot write " << out_path << "\n";
+    return 2;
   }
 
   if (const std::size_t failed = result.failed_cells(); failed > 0) {

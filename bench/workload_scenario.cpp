@@ -32,83 +32,77 @@
 #include "core/internet.hpp"
 #include "eval/args.hpp"
 #include "eval/scenario.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "workload/session.hpp"
 
 namespace {
 
-void write_report(const eval::ScenarioSpec& spec,
-                  const workload::SessionReport& report,
-                  const obs::Snapshot& snap, double wall_seconds,
-                  std::uint64_t events_run, std::uint64_t rib_digest,
-                  std::ostream& os) {
+obs::Json report_json(const eval::ScenarioSpec& spec, core::Internet& net,
+                      const workload::Session& session, double wall_seconds) {
+  using obs::Json;
+  const auto six = Json::six_digits;
   const workload::Spec& w = spec.workload;
-  os << "{\n  \"bench\": \"workload_scenario\",\n"
-     << "  \"params\": {\"domains\": " << spec.domains
-     << ", \"seed\": " << spec.seed
-     << ", \"max_tops\": " << spec.max_tops
-     << ", \"active_children\": " << spec.active_children
-     << ", \"workload_groups\": " << w.groups
-     << ", \"sim_days\": " << w.sim_days
-     << ", \"tick_seconds\": " << w.tick_seconds
-     << ", \"arrivals_per_second\": " << w.arrivals_per_second
-     << ", \"mean_lifetime_seconds\": " << w.mean_lifetime_seconds
-     << ", \"zipf_alpha\": " << w.zipf_alpha
-     << ", \"diurnal_amplitude\": " << w.diurnal_amplitude
-     << ", \"flash_crowds\": " << w.flash_crowds
-     << ", \"flash_multiplier\": " << w.flash_multiplier
-     << ", \"flash_duration_seconds\": " << w.flash_duration_seconds
-     << ", \"span_base\": " << w.span_base
-     << ", \"span_alpha\": " << w.span_alpha
-     << ", \"packets_per_second\": " << w.packets_per_second << "},\n"
-     << "  \"wall_seconds\": " << wall_seconds << ",\n"
-     << "  \"events_run\": " << events_run << ",\n"
-     << "  \"events_per_second\": "
-     << (wall_seconds > 0.0 ? static_cast<double>(events_run) / wall_seconds
-                            : 0.0)
-     << ",\n"
-     << "  \"members_total\": " << report.members_total << ",\n"
-     << "  \"members_peak\": " << report.members_peak << ",\n"
-     << "  \"joins_total\": " << report.joins_total << ",\n"
-     << "  \"leaves_total\": " << report.leaves_total << ",\n"
-     << "  \"tree_joins\": " << report.tree_joins << ",\n"
-     << "  \"tree_prunes\": " << report.tree_prunes << ",\n"
-     << "  \"active_cells\": " << report.active_cells << ",\n"
-     << "  \"active_groups\": " << report.active_groups << ",\n"
-     << "  \"groups_leased\": " << report.groups_leased << ",\n"
-     << "  \"lease_failures\": " << report.lease_failures << ",\n"
-     << "  \"flash_crowds_drawn\": " << report.flash_crowds << ",\n"
-     << "  \"ticks_run\": " << report.ticks_run << ",\n"
-     << "  \"edge_load_total\": " << report.edge_load_total << ",\n"
-     << "  \"address_fragmentation\": "
-     << snap.gauge_value("workload.address_fragmentation") << ",\n";
-
+  const obs::Snapshot snap = net.metrics_snapshot();
+  const workload::SessionReport report = session.report();
+  const std::uint64_t events_run = net.events().events_run();
   const obs::HistogramStats lat =
       snap.histogram_stats("bgmp.join_propagation_latency");
-  os << "  \"join_latency_seconds\": {\"count\": " << lat.count
-     << ", \"p50\": " << lat.p50 << ", \"p95\": " << lat.p95
-     << ", \"p99\": " << lat.p99 << ", \"max\": " << lat.max << "},\n";
-
   // The heaviest tree edges: the exact per-domain counter's top list,
   // keyed by member-domain id (packet-hops accumulated over the run).
-  os << "  \"edge_load_top\": [";
+  Json::Array edge_load_top;
   if (const obs::ShardedSample* edges =
           snap.find_sharded("bgmp.tree_edge_load.by_domain")) {
-    const std::vector<obs::ShardedItem> top = edges->top();
-    for (std::size_t i = 0; i < top.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << "{\"domain\": " << top[i].key
-         << ", \"packet_hops\": " << top[i].value << "}";
+    for (const obs::ShardedItem& item : edges->top()) {
+      edge_load_top.emplace_back(
+          Json::Object{{"domain", item.key}, {"packet_hops", item.value}});
     }
   }
-  os << "],\n";
-
-  os << "  \"members_by_day\": [";
-  for (std::size_t i = 0; i < report.members_by_day.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << report.members_by_day[i];
-  }
-  os << "],\n"
-     << "  \"engine_digest\": " << report.engine_digest << ",\n"
-     << "  \"rib_digest\": " << rib_digest << "\n}\n";
+  return Json::Object{
+      {"bench", "workload_scenario"},
+      {"params",
+       Json::Object{
+           {"domains", spec.domains}, {"seed", spec.seed},
+           {"max_tops", spec.max_tops},
+           {"active_children", spec.active_children},
+           {"workload_groups", w.groups}, {"sim_days", six(w.sim_days)},
+           {"tick_seconds", six(w.tick_seconds)},
+           {"arrivals_per_second", six(w.arrivals_per_second)},
+           {"mean_lifetime_seconds", six(w.mean_lifetime_seconds)},
+           {"zipf_alpha", six(w.zipf_alpha)},
+           {"diurnal_amplitude", six(w.diurnal_amplitude)},
+           {"flash_crowds", w.flash_crowds},
+           {"flash_multiplier", six(w.flash_multiplier)},
+           {"flash_duration_seconds", six(w.flash_duration_seconds)},
+           {"span_base", w.span_base}, {"span_alpha", six(w.span_alpha)},
+           {"packets_per_second", six(w.packets_per_second)}}},
+      {"wall_seconds", six(wall_seconds)}, {"events_run", events_run},
+      {"events_per_second",
+       six(wall_seconds > 0.0 ? static_cast<double>(events_run) / wall_seconds
+                              : 0.0)},
+      {"members_total", report.members_total},
+      {"members_peak", report.members_peak},
+      {"joins_total", report.joins_total},
+      {"leaves_total", report.leaves_total},
+      {"tree_joins", report.tree_joins}, {"tree_prunes", report.tree_prunes},
+      {"active_cells", report.active_cells},
+      {"active_groups", report.active_groups},
+      {"groups_leased", report.groups_leased},
+      {"lease_failures", report.lease_failures},
+      {"flash_crowds_drawn", report.flash_crowds},
+      {"ticks_run", report.ticks_run},
+      {"edge_load_total", report.edge_load_total},
+      {"address_fragmentation",
+       six(snap.gauge_value("workload.address_fragmentation"))},
+      {"join_latency_seconds",
+       Json::Object{{"count", lat.count}, {"p50", six(lat.p50)},
+                    {"p95", six(lat.p95)}, {"p99", six(lat.p99)},
+                    {"max", six(lat.max)}}},
+      {"edge_load_top", std::move(edge_load_top)},
+      {"members_by_day", Json::Array(report.members_by_day.begin(),
+                                     report.members_by_day.end())},
+      {"engine_digest", report.engine_digest},
+      {"rib_digest", eval::rib_digest(net)}};
 }
 
 }  // namespace
@@ -187,20 +181,12 @@ int main(int argc, char** argv) {
 
   const double wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
-  const obs::Snapshot snap = net.metrics_snapshot();
-  const std::uint64_t digest = eval::rib_digest(net);
-  const workload::SessionReport report = session->report();
-
-  write_report(spec, report, snap, wall_seconds, net.events().events_run(),
-               digest, std::cout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "workload_scenario: cannot write " << out_path << "\n";
-      return 2;
-    }
-    write_report(spec, report, snap, wall_seconds, net.events().events_run(),
-                 digest, out);
+  const std::string text = report_json(spec, net, *session, wall_seconds)
+                               .dump(obs::Json::Style::kPretty);
+  std::cout << text;
+  if (!out_path.empty() && !(std::ofstream(out_path) << text)) {
+    std::cerr << "workload_scenario: cannot write " << out_path << "\n";
+    return 2;
   }
   return 0;
 }

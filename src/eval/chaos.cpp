@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -292,45 +291,32 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   return result;
 }
 
-void ChaosResult::write_json(std::ostream& os) const {
-  os << "{\n  \"bench\": \"chaos\",\n  \"seed\": " << config.seed
-     << ",\n  \"domains\": " << config.domains
-     << ",\n  \"steps\": " << config.steps
-     << ",\n  \"check_every\": " << config.check_every
-     << ",\n  \"loss_rate\": " << config.loss_rate
-     << ",\n  \"reorder_rate\": " << config.reorder_rate
-     << ",\n  \"inject_skip_waiting_period\": "
-     << (config.inject_skip_waiting_period ? "true" : "false")
-     << ",\n  \"passed\": " << (passed() ? "true" : "false")
-     << ",\n  \"quiesced\": " << (quiesced ? "true" : "false")
-     << ",\n  \"events_run\": " << events_run
-     << ",\n  \"checks_run\": " << checks_run
-     << ",\n  \"recorder_frames\": " << recorder_frames
-     << ",\n  \"spans_recorded\": " << spans_recorded
-     << ",\n  \"workload_members\": " << workload_members
-     << ",\n  \"workload_ticks\": " << workload_ticks
-     << ",\n  \"workload_engine_digest\": " << workload_engine_digest
-     << ",\n  \"sim_seconds\": " << sim_seconds
-     << ",\n  \"wall_seconds\": " << wall_seconds << ",\n  \"schedule\": [";
-  bool first = true;
-  for (const std::string& line : schedule) {
-    os << (first ? "" : ",") << "\n    \"" << obs::detail::json_escape(line)
-       << "\"";
-    first = false;
-  }
-  os << "\n  ],\n  \"violations\": [";
-  first = true;
+obs::Json ChaosResult::to_json() const {
+  using obs::Json;
+  Json::Array violation_list;
   for (const ChaosViolation& v : violations) {
-    os << (first ? "" : ",") << "\n    {\"step\": " << v.step
-       << ", \"invariant\": \"" << obs::detail::json_escape(v.invariant)
-       << "\", \"subject\": \"" << obs::detail::json_escape(v.subject)
-       << "\", \"detail\": \"" << obs::detail::json_escape(v.detail)
-       << "\"}";
-    first = false;
+    violation_list.emplace_back(
+        Json::Object{{"step", v.step}, {"invariant", v.invariant},
+                     {"subject", v.subject}, {"detail", v.detail}});
   }
-  os << "\n  ],\n  \"metrics\": ";
-  metrics.write_jsonl(os);  // single line, ends in '\n'
-  os << "}\n";
+  return Json::Object{
+      {"bench", "chaos"}, {"seed", config.seed}, {"domains", config.domains},
+      {"steps", config.steps}, {"check_every", config.check_every},
+      {"loss_rate", Json::six_digits(config.loss_rate)},
+      {"reorder_rate", Json::six_digits(config.reorder_rate)},
+      {"inject_skip_waiting_period", config.inject_skip_waiting_period},
+      {"passed", passed()}, {"quiesced", quiesced},
+      {"events_run", events_run}, {"checks_run", checks_run},
+      {"recorder_frames", recorder_frames},
+      {"spans_recorded", spans_recorded},
+      {"workload_members", workload_members},
+      {"workload_ticks", workload_ticks},
+      {"workload_engine_digest", workload_engine_digest},
+      {"sim_seconds", Json::six_digits(sim_seconds)},
+      {"wall_seconds", Json::six_digits(wall_seconds)},
+      {"schedule", Json::Array(schedule.begin(), schedule.end())},
+      {"violations", std::move(violation_list)},
+      {"metrics", metrics.to_json()}};
 }
 
 }  // namespace eval

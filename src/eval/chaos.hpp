@@ -17,12 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "eval/telemetry.hpp"
 #include "net/time.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "workload/spec.hpp"
 
@@ -115,7 +115,7 @@ struct ChaosResult {
 
   /// {"bench":"chaos", "seed":..., "schedule":[...], "violations":[...],
   ///  "metrics":{...}} — the replayable record a CI failure uploads.
-  void write_json(std::ostream& os) const;
+  [[nodiscard]] obs::Json to_json() const;
 };
 
 /// Runs one seeded chaos schedule to completion. Deterministic: equal

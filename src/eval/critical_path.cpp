@@ -2,21 +2,21 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
+#include <optional>
 #include <ostream>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
-#include "obs/metrics.hpp"  // detail::json_escape
+#include "obs/json.hpp"
 
 namespace eval {
 
 namespace {
 
-/// %.9f matches the records JSONL time rendering — nanosecond sim-time
-/// resolution round-trips exactly, and the fixed width keeps reports
-/// byte-stable.
+/// The text report prints times as the JSON one does (obs::Json::seconds,
+/// %.9f): nanosecond sim-time resolution at a fixed width.
 std::string fmt_time(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.9f", v);
@@ -192,41 +192,33 @@ std::size_t CriticalPathReport::longest_window() const {
 }
 
 void CriticalPathReport::write_json(std::ostream& os) const {
-  os << "{\n  \"report\": \"critical_path\",\n  \"events_seen\": "
-     << events_seen << ",\n  \"unmatched_fires\": " << unmatched_fires
-     << ",\n  \"window_count\": " << windows.size() << ",\n  \"windows\": [";
-  bool first = true;
+  using obs::Json;
+  Json::Array window_list;
   for (const ConvergenceWindow& w : windows) {
-    os << (first ? "" : ",") << "\n    {\"label\": \""
-       << obs::detail::json_escape(w.label) << "\", \"armed_at\": "
-       << fmt_time(w.armed_at) << ", \"converged_at\": "
-       << fmt_time(w.converged_at) << ", \"duration\": "
-       << fmt_time(w.duration()) << ", \"traces\": " << w.traces
-       << ", \"hops\": " << w.hops << ", \"critical_trace\": "
-       << w.critical_trace << ",\n     \"phases\": {";
-    bool first_phase = true;
+    Json::Object phases;
     for (const auto& [phase, seconds] : w.phase_seconds) {
-      os << (first_phase ? "" : ", ") << "\"" << obs::detail::json_escape(phase)
-         << "\": " << fmt_time(seconds);
-      first_phase = false;
+      phases.emplace_back(phase, Json::seconds(seconds));
     }
-    os << "},\n     \"critical_hops\": [";
-    bool first_hop = true;
+    Json::Array hops;
     for (const CriticalHop& h : w.critical_hops) {
-      os << (first_hop ? "" : ",") << "\n      {\"from\": \""
-         << obs::detail::json_escape(h.from) << "\", \"to\": \""
-         << obs::detail::json_escape(h.to) << "\", \"phase\": \""
-         << hop_phase(h) << "\", \"start\": " << fmt_time(h.start)
-         << ", \"end\": " << fmt_time(h.end) << ", \"latency\": "
-         << fmt_time(h.latency()) << ", \"held\": "
-         << (h.held ? "true" : "false") << ", \"message\": \""
-         << obs::detail::json_escape(h.message) << "\"}";
-      first_hop = false;
+      hops.emplace_back(Json::Object{
+          {"from", h.from}, {"to", h.to}, {"phase", hop_phase(h)},
+          {"start", Json::seconds(h.start)}, {"end", Json::seconds(h.end)},
+          {"latency", Json::seconds(h.latency())}, {"held", h.held},
+          {"message", h.message}});
     }
-    os << (first_hop ? "" : "\n     ") << "]}";
-    first = false;
+    window_list.emplace_back(Json::Object{
+        {"label", w.label}, {"armed_at", Json::seconds(w.armed_at)},
+        {"converged_at", Json::seconds(w.converged_at)},
+        {"duration", Json::seconds(w.duration())}, {"traces", w.traces},
+        {"hops", w.hops}, {"critical_trace", w.critical_trace},
+        {"phases", std::move(phases)}, {"critical_hops", std::move(hops)}});
   }
-  os << (first ? "" : "\n  ") << "]\n}\n";
+  const Json report = Json::Object{
+      {"report", "critical_path"}, {"events_seen", events_seen},
+      {"unmatched_fires", unmatched_fires}, {"window_count", windows.size()},
+      {"windows", std::move(window_list)}};
+  os << report.dump(Json::Style::kPretty);
 }
 
 void CriticalPathReport::write_text(std::ostream& os) const {
@@ -266,96 +258,36 @@ void CriticalPathReport::write_text(std::ostream& os) const {
   }
 }
 
-namespace {
-
-/// Minimal scraper for the fixed obs::write_jsonl schema. Finds
-/// "\"<key>\":" and returns the value start, or npos.
-std::size_t value_pos(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
-}
-
-/// Inverse of obs::detail::json_escape for the subset it emits. Returns
-/// the position past the closing quote, or npos.
-std::size_t parse_string(const std::string& line, std::size_t pos,
-                         std::string& out) {
-  if (pos >= line.size() || line[pos] != '"') return std::string::npos;
-  out.clear();
-  for (std::size_t i = pos + 1; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') return i + 1;
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (++i >= line.size()) return std::string::npos;
-    switch (line[i]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 4 >= line.size()) return std::string::npos;
-        unsigned code = 0;
-        if (std::sscanf(line.c_str() + i + 1, "%4x", &code) != 1) {
-          return std::string::npos;
-        }
-        out += static_cast<char>(code & 0x7F);
-        i += 4;
-        break;
-      }
-      default: return std::string::npos;
-    }
-  }
-  return std::string::npos;  // unterminated
-}
-
-}  // namespace
-
 std::vector<obs::Record> read_records_jsonl(std::istream& is) {
   std::vector<obs::Record> records;
-  std::string line;
-  std::string text;
-  while (std::getline(is, line)) {
+  std::string raw;
+  while (std::getline(is, raw)) {
+    const std::optional<obs::Json> line = obs::Json::parse(raw);
+    if (!line) continue;
+    // The member named `key` if it has `fallback`'s type, else fallback.
+    const auto field = [&line](std::string_view key, auto fallback) {
+      const auto* value = line->get<decltype(fallback)>(key);
+      return value != nullptr ? *value : fallback;
+    };
+    const obs::Json* time = line->find("sim_time_seconds");
     obs::Record record;
-    const std::size_t time_at = value_pos(line, "sim_time_seconds");
-    if (time_at == std::string::npos ||
-        parse_string(line, value_pos(line, "event"), text) ==
-            std::string::npos ||
-        !obs::kind_from_string(text, record.kind)) {
+    if (time == nullptr || !time->as_double() ||
+        !obs::kind_from_string(field("event", std::string()), record.kind)) {
       continue;
     }
-    record.sim_time =
-        net::SimTime::seconds_f(std::strtod(line.c_str() + time_at, nullptr));
-    if (record.kind == obs::Record::Kind::kFrame) {
-      // "v":{"<series>":<value>,...}
-      std::size_t at = value_pos(line, "v");
-      if (at < line.size() && line[at] == '{') ++at;
-      while ((at = parse_string(line, at, text)) < line.size() &&
-             line[at] == ':') {
-        char* end = nullptr;
-        record.values.emplace_back(text,
-                                   std::strtod(line.c_str() + at + 1, &end));
-        at = static_cast<std::size_t>(end - line.c_str());
-        if (at < line.size() && line[at] == ',') ++at;
-      }
-      records.push_back(std::move(record));
-      continue;
-    }
-    const std::size_t id_at = value_pos(line, "trace_id");
-    if (id_at != std::string::npos) {
-      record.trace_id = std::strtoull(line.c_str() + id_at, nullptr, 10);
-    }
-    if (parse_string(line, value_pos(line, "level"), text) !=
-            std::string::npos &&
-        text == obs::to_string(obs::Level::kDebug)) {
+    record.sim_time = net::SimTime::seconds_f(*time->as_double());
+    record.trace_id = field("trace_id", std::uint64_t{0});
+    if (field("level", std::string()) == obs::to_string(obs::Level::kDebug)) {
       record.level = obs::Level::kDebug;
     }
-    parse_string(line, value_pos(line, "from"), record.from);
-    parse_string(line, value_pos(line, "to"), record.to);
-    parse_string(line, value_pos(line, "message"), record.text);
+    record.from = field("from", std::string());
+    record.to = field("to", std::string());
+    record.text = field("message", std::string());
+    if (const auto* values = line->get<obs::Json::Object>("v")) {
+      for (const auto& [series, value] : *values) {
+        record.values.emplace_back(series, value.as_double().value_or(0.0));
+      }
+    }
     records.push_back(std::move(record));
   }
   return records;

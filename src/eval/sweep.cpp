@@ -219,35 +219,28 @@ std::size_t SweepResult::failed_cells() const {
 }
 
 void SweepResult::write_json(std::ostream& os) const {
-  os << "{\n  \"bench\": \"sweep\",\n  \"threads\": " << threads
-     << ",\n  \"wall_seconds\": " << wall_seconds
-     << ",\n  \"cells_total\": " << cells.size()
-     << ",\n  \"cells_failed\": " << failed_cells() << ",\n  \"cells\": [";
-  bool first = true;
+  using obs::Json;
+  Json::Array rows;
   for (const SweepCellResult& c : cells) {
-    os << (first ? "" : ",") << "\n    {\"scenario\": \""
-       << obs::detail::json_escape(c.cell.scenario)
-       << "\", \"domains\": " << c.cell.domains
-       << ", \"seed\": " << c.cell.seed << ", \"groups\": " << c.cell.groups
-       << ", \"joins\": " << c.cell.joins
-       << ", \"rib_digest\": " << c.rib_digest
-       << ", \"path_digest\": " << c.path_digest
-       << ", \"tree_digest\": " << c.tree_digest
-       << ", \"events_run\": " << c.events_run
-       << ", \"messages_sent\": " << c.messages_sent
-       << ", \"recorder_frames\": " << c.recorder_frames
-       << ", \"spans_recorded\": " << c.spans_recorded
-       << ", \"sim_seconds\": " << c.sim_seconds
-       << ", \"wall_seconds\": " << c.wall_seconds;
-    if (!c.error.empty()) {
-      os << ", \"error\": \"" << obs::detail::json_escape(c.error) << "\"";
-    }
-    os << "}";
-    first = false;
+    Json::Object row{
+        {"scenario", c.cell.scenario}, {"domains", c.cell.domains},
+        {"seed", c.cell.seed}, {"groups", c.cell.groups},
+        {"joins", c.cell.joins}, {"rib_digest", c.rib_digest},
+        {"path_digest", c.path_digest}, {"tree_digest", c.tree_digest},
+        {"events_run", c.events_run}, {"messages_sent", c.messages_sent},
+        {"recorder_frames", c.recorder_frames},
+        {"spans_recorded", c.spans_recorded},
+        {"sim_seconds", Json::six_digits(c.sim_seconds)},
+        {"wall_seconds", Json::six_digits(c.wall_seconds)}};
+    if (!c.error.empty()) row.emplace_back("error", c.error);
+    rows.emplace_back(std::move(row));
   }
-  os << "\n  ],\n  \"merged\": ";
-  merged.write_jsonl(os);  // single line, ends in '\n'
-  os << "}\n";
+  const Json report = Json::Object{
+      {"bench", "sweep"}, {"threads", threads},
+      {"wall_seconds", Json::six_digits(wall_seconds)},
+      {"cells_total", cells.size()}, {"cells_failed", failed_cells()},
+      {"cells", std::move(rows)}, {"merged", merged.to_json()}};
+  os << report.dump(Json::Style::kPretty);
 }
 
 }  // namespace eval

@@ -1,53 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 
 namespace obs {
-
-namespace detail {
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string format_double(double v) {
-  // std::to_chars ignores the locale; 17 significant digits always round
-  // trip, so the loop ends there for NaN too.
-  char buf[32];
-  for (int precision = 12;; ++precision) {
-    char* end = std::to_chars(buf, buf + sizeof buf, v,
-                              std::chars_format::general, precision)
-                    .ptr;
-    double parsed = 0.0;
-    std::from_chars(buf, end, parsed);
-    if (parsed == v || precision == 17) return std::string(buf, end);
-  }
-}
-
-}  // namespace detail
 
 const Sample* Snapshot::find(std::string_view name) const {
   // samples is name-sorted (see snapshot()/merge_from), so probes binary
@@ -172,99 +129,46 @@ void Snapshot::merge_from(const Snapshot& other) {
   sharded = std::move(shards);
 }
 
-namespace {
-
-/// Shared body for the pretty (write_json) and single-line (write_jsonl)
-/// renderings; only the whitespace differs.
-void write_json_impl(const Snapshot& snap, std::ostream& os, bool pretty) {
-  const char* nl = pretty ? "\n  " : "";
-  const char* nl2 = pretty ? "\n    " : "";
-  const char* sp = pretty ? " " : "";
-  os << "{" << nl << "\"sim_time_seconds\":" << sp
-     << detail::format_double(snap.sim_time_seconds) << "," << nl
-     << "\"counters\":" << sp << "{";
-  bool first = true;
-  for (const Sample& s : snap.samples) {
-    if (s.kind != Sample::Kind::kCounter) continue;
-    os << (first ? "" : ",") << nl2 << "\"" << detail::json_escape(s.name)
-       << "\":" << sp << s.count;
-    first = false;
-  }
-  os << (first ? "" : nl) << "}," << nl << "\"gauges\":" << sp << "{";
-  first = true;
-  for (const Sample& s : snap.samples) {
-    if (s.kind != Sample::Kind::kGauge) continue;
-    os << (first ? "" : ",") << nl2 << "\"" << detail::json_escape(s.name)
-       << "\":" << sp << detail::format_double(s.value);
-    first = false;
-  }
-  os << (first ? "" : nl) << "}," << nl << "\"histograms\":" << sp << "{";
-  first = true;
-  for (const HistogramSample& h : snap.histograms) {
-    const HistogramStats& st = h.stats;
-    os << (first ? "" : ",") << nl2 << "\"" << detail::json_escape(h.name)
-       << "\":" << sp << "{\"count\":" << sp << st.count << "," << sp
-       << "\"sum\":" << sp << detail::format_double(st.sum) << "," << sp
-       << "\"min\":" << sp << detail::format_double(st.min) << "," << sp
-       << "\"max\":" << sp << detail::format_double(st.max) << "," << sp
-       << "\"p50\":" << sp << detail::format_double(st.p50) << "," << sp
-       << "\"p95\":" << sp << detail::format_double(st.p95) << "," << sp
-       << "\"p99\":" << sp << detail::format_double(st.p99) << "}";
-    first = false;
-  }
-  os << (first ? "" : nl) << "}," << nl << "\"sharded\":" << sp << "{";
-  first = true;
-  for (const ShardedSample& s : snap.sharded) {
-    os << (first ? "" : ",") << nl2 << "\"" << detail::json_escape(s.name)
-       << "\":" << sp << "{\"total\":" << sp << s.total() << "," << sp
-       << "\"top\":" << sp << "[";
-    bool first_item = true;
-    for (const ShardedItem& item : s.top()) {
-      os << (first_item ? "" : ",") << "{\"key\":" << sp << item.key << ","
-         << sp << "\"value\":" << sp << item.value << "}";
-      first_item = false;
+Json Snapshot::to_json() const {
+  Json::Object counters;
+  Json::Object gauges;
+  for (const Sample& s : samples) {
+    if (s.kind == Sample::Kind::kCounter) {
+      counters.emplace_back(s.name, s.count);
+    } else {
+      gauges.emplace_back(s.name, s.value);
     }
-    os << "]}";
-    first = false;
   }
-  os << (first ? "" : nl) << "}" << (pretty ? "\n" : "") << "}\n";
+  Json::Object hists;
+  for (const HistogramSample& h : histograms) {
+    const HistogramStats& st = h.stats;
+    hists.emplace_back(
+        h.name, Json::Object{{"count", st.count}, {"sum", st.sum},
+                             {"min", st.min}, {"max", st.max},
+                             {"p50", st.p50}, {"p95", st.p95},
+                             {"p99", st.p99}});
+  }
+  Json::Object shards;
+  for (const ShardedSample& s : sharded) {
+    Json::Array top;
+    for (const ShardedItem& item : s.top()) {
+      top.emplace_back(Json::Object{{"key", item.key}, {"value", item.value}});
+    }
+    shards.emplace_back(
+        s.name, Json::Object{{"total", s.total()}, {"top", std::move(top)}});
+  }
+  return Json::Object{
+      {"sim_time_seconds", sim_time_seconds}, {"counters", std::move(counters)},
+      {"gauges", std::move(gauges)}, {"histograms", std::move(hists)},
+      {"sharded", std::move(shards)}};
 }
 
-}  // namespace
-
 void Snapshot::write_json(std::ostream& os) const {
-  write_json_impl(*this, os, /*pretty=*/true);
+  os << to_json().dump(Json::Style::kPretty);
 }
 
 void Snapshot::write_jsonl(std::ostream& os) const {
-  write_json_impl(*this, os, /*pretty=*/false);
-}
-
-void Snapshot::write_csv(std::ostream& os) const {
-  os << "name,kind,value\n";
-  for (const Sample& s : samples) {
-    if (s.kind == Sample::Kind::kCounter) {
-      os << s.name << ",counter," << s.count << "\n";
-    } else {
-      os << s.name << ",gauge," << detail::format_double(s.value) << "\n";
-    }
-  }
-  for (const HistogramSample& h : histograms) {
-    const HistogramStats& st = h.stats;
-    os << h.name << ".count,histogram," << st.count << "\n";
-    os << h.name << ".sum,histogram," << detail::format_double(st.sum) << "\n";
-    os << h.name << ".min,histogram," << detail::format_double(st.min) << "\n";
-    os << h.name << ".max,histogram," << detail::format_double(st.max) << "\n";
-    os << h.name << ".p50,histogram," << detail::format_double(st.p50) << "\n";
-    os << h.name << ".p95,histogram," << detail::format_double(st.p95) << "\n";
-    os << h.name << ".p99,histogram," << detail::format_double(st.p99) << "\n";
-  }
-  for (const ShardedSample& s : sharded) {
-    os << s.name << ".total,sharded," << s.total() << "\n";
-    for (const ShardedItem& item : s.top()) {
-      os << s.name << "." << item.key << ",sharded," << item.value << "\n";
-    }
-  }
+  os << to_json().dump(Json::Style::kCompact);
 }
 
 namespace {

@@ -3,7 +3,7 @@
 // Every component registers named instruments against the registry its
 // Network carries (`obs::Counter& c = metrics.counter("bgmp.joins_sent")`)
 // and bumps them on its hot paths; harnesses take a Snapshot and export it
-// as JSON or CSV. The paper's quantitative claims — claim/collide
+// as JSON. The paper's quantitative claims — claim/collide
 // convergence, address-space utilisation (Fig. 2), tree cost (Fig. 4),
 // forwarding-state size — all surface here instead of through per-class
 // getter zoos.
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
+#include "obs/json.hpp"
 #include "obs/sharded.hpp"
 
 namespace obs {
@@ -106,14 +107,10 @@ struct Snapshot {
   /// external tooling consume (see DESIGN.md). Each histogram exports
   /// count, sum, min, max, p50, p95, p99; each sharded instrument exports
   /// its total plus its top list of {key, value} items.
+  [[nodiscard]] Json to_json() const;
+  /// to_json() as a pretty document, and as one compact line for JSONL
+  /// time series (`scenario_runner --metrics-every`).
   void write_json(std::ostream& os) const;
-  /// name,kind,value rows with a header; histograms expand into
-  /// `<name>.count/.sum/.min/.max/.p50/.p95/.p99` rows of kind histogram,
-  /// sharded instruments into `<name>.total` plus one `<name>.<key>` row
-  /// of kind sharded per top-list item.
-  void write_csv(std::ostream& os) const;
-  /// The write_json schema compacted onto a single line (plus '\n'), for
-  /// JSONL time series (`scenario_runner --metrics-every`).
   void write_jsonl(std::ostream& os) const;
 
   /// Folds another run's snapshot into this one: counters add by name,
@@ -182,14 +179,5 @@ class Metrics {
   std::map<std::string, Kind, std::less<>> kinds_;
   std::vector<std::function<void()>> hooks_;
 };
-
-namespace detail {
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-[[nodiscard]] std::string json_escape(std::string_view text);
-/// Renders `v` as printf's %g at the lowest precision, from 12 up, that
-/// parses back to exactly `v`: a value with 12 or fewer significant digits
-/// prints as %.12g prints it, and no value loses digits.
-[[nodiscard]] std::string format_double(double v);
-}  // namespace detail
 
 }  // namespace obs

@@ -4,11 +4,9 @@
 #include <cstdio>
 #include <iostream>
 
-#include "obs/metrics.hpp"  // detail::json_escape, detail::format_double
+#include "obs/json.hpp"
 
 namespace obs {
-
-using detail::json_escape;
 
 std::string_view to_string(Level level) {
   switch (level) {
@@ -45,38 +43,24 @@ bool kind_from_string(std::string_view text, Record::Kind& out) {
 }
 
 void write_jsonl(const Record& record, std::ostream& os) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9f", record.sim_time.to_seconds());
-  os << '{';
-  if (record.is_span()) os << "\"trace_id\":" << record.trace_id << ',';
-  os << "\"sim_time_seconds\":" << buf << ",\"event\":\""
-     << to_string(record.kind) << '"';
-  switch (record.kind) {
-    case Record::Kind::kLog:
-      os << ",\"level\":\"" << to_string(record.level) << "\",\"from\":\""
-         << json_escape(record.from) << "\",\"message\":\""
-         << json_escape(record.text) << '"';
-      break;
-    case Record::Kind::kFrame: {
-      // Values keep the snapshot writers' rendering: integral counters
-      // print without a decimal point, gauges round-trip exactly.
-      os << ",\"v\":{";
-      const char* sep = "";
-      for (const auto& [name, value] : record.values) {
-        os << sep << '"' << json_escape(name)
-           << "\":" << detail::format_double(value);
-        sep = ",";
-      }
-      os << '}';
-      break;
-    }
-    default:
-      os << ",\"from\":\"" << json_escape(record.from) << "\",\"to\":\""
-         << json_escape(record.to) << "\",\"message\":\""
-         << json_escape(record.text) << '"';
-      break;
+  using Kind = Record::Kind;
+  Json::Object line;
+  if (record.is_span()) line.emplace_back("trace_id", record.trace_id);
+  line.emplace_back("sim_time_seconds",
+                    Json::seconds(record.sim_time.to_seconds()));
+  line.emplace_back("event", to_string(record.kind));
+  if (record.kind == Kind::kLog) {
+    line.emplace_back("level", to_string(record.level));
   }
-  os << "}\n";
+  if (record.kind == Kind::kFrame) {
+    line.emplace_back(
+        "v", Json::Object(record.values.begin(), record.values.end()));
+  } else {
+    line.emplace_back("from", record.from);
+    if (record.kind != Kind::kLog) line.emplace_back("to", record.to);
+    line.emplace_back("message", record.text);
+  }
+  os << Json(std::move(line)).dump(Json::Style::kCompact);
 }
 
 void StderrSink::write(const Record& record) {

@@ -27,7 +27,7 @@
 
 namespace obs {
 
-/// Length of the exported top list (JSON, CSV).
+/// Length of the exported top list (JSON).
 inline constexpr std::size_t kShardedTop = 16;
 
 /// Exact per-key instrument over a dense array indexed by key.

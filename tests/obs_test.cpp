@@ -1,14 +1,16 @@
 // Tests for the observability layer: the metrics registry / snapshots,
-// latency histograms, and the record stream — span and log records, the
-// memory and JSONL sinks, level gating, sim-time stamping from the
-// stream's event queue, and deterministic span sampling.
+// the JSON module, latency histograms, and the record stream — span and
+// log records, the memory and JSONL sinks, level gating, sim-time
+// stamping from the stream's event queue, and deterministic span sampling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +21,7 @@
 #include "net/event.hpp"
 #include "net/time.hpp"
 #include "obs/histogram.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/record.hpp"
 #include "obs/sharded.hpp"
@@ -84,17 +87,6 @@ TEST(Metrics, WriteJsonEmitsSchema) {
   EXPECT_NE(json.find("\"masc.pool_utilization\": 0.5"), std::string::npos);
 }
 
-TEST(Metrics, WriteCsvListsEveryInstrument) {
-  Metrics m;
-  m.counter("a.b_c").inc();
-  m.gauge("d.e").set(2.0);
-  std::ostringstream out;
-  m.snapshot().write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("a.b_c"), std::string::npos);
-  EXPECT_NE(csv.find("d.e"), std::string::npos);
-}
-
 TEST(Metrics, FormatDoubleKeepsShortValuesAndRoundTripsLongOnes) {
   // 12 or fewer significant digits print exactly as %.12g prints them.
   EXPECT_EQ(detail::format_double(0.0), "0");
@@ -110,6 +102,137 @@ TEST(Metrics, FormatDoubleKeepsShortValuesAndRoundTripsLongOnes) {
   for (const double v : {5757.900000048156, 2.0 / 3e7, 1e300 / 7.0}) {
     EXPECT_EQ(std::stod(detail::format_double(v)), v) << v;
   }
+}
+
+// ------------------------------------------------------------------- Json
+
+constexpr Json::Style kCompact = Json::Style::kCompact;
+constexpr Json::Style kPretty = Json::Style::kPretty;
+
+Json every_kind() {
+  return Json::Object{{"null", nullptr},
+                      {"yes", true},
+                      {"no", false},
+                      {"negative", -42},
+                      {"count", std::uint64_t{7}},
+                      {"ratio", 0.25},
+                      {"at", Json::seconds(2.5)},
+                      {"text", "D1/bgmp"},
+                      {"list", Json::Array{1, "two", Json::Array{}}},
+                      {"nested", Json::Object{{"empty", Json::Object{}}}}};
+}
+
+TEST(Json, EveryKindRoundTrips) {
+  const Json value = every_kind();
+  EXPECT_NE(value.get<std::nullptr_t>("null"), nullptr);
+  EXPECT_EQ(*value.get<bool>("yes"), true);
+  EXPECT_EQ(*value.get<std::int64_t>("negative"), -42);
+  EXPECT_EQ(*value.get<std::uint64_t>("count"), 7u);
+  EXPECT_EQ(*value.get<double>("at"), 2.5);
+  EXPECT_EQ(*value.get<std::string>("text"), "D1/bgmp");
+  EXPECT_EQ(value.get<Json::Array>("list")->size(), 3u);
+  EXPECT_NE(value.get<Json::Object>("nested"), nullptr);
+  EXPECT_EQ(value.get<std::string>("count"), nullptr);  // another kind
+  for (const Json::Style style : {kCompact, kPretty}) {
+    const std::string text = value.dump(style);
+    const std::optional<Json> parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    EXPECT_EQ(*parsed, value) << text;
+  }
+  EXPECT_EQ(value.dump(kCompact),
+            "{\"null\":null,\"yes\":true,\"no\":false,\"negative\":-42,"
+            "\"count\":7,\"ratio\":0.25,\"at\":2.500000000,"
+            "\"text\":\"D1/bgmp\",\"list\":[1,\"two\",[]],"
+            "\"nested\":{\"empty\":{}}}\n");
+}
+
+TEST(Json, PrettyStyleIndentsOneMemberPerLine) {
+  const Json value = Json::Object{{"a", 1},
+                                  {"b", Json::Array{true, nullptr}},
+                                  {"c", Json::Object{}},
+                                  {"d", Json::Array{}}};
+  EXPECT_EQ(value.dump(kPretty),
+            "{\n  \"a\": 1,\n  \"b\": [\n    true,\n    null\n  ],\n"
+            "  \"c\": {},\n  \"d\": []\n}\n");
+}
+
+TEST(Json, SixtyFourBitIntegersStayExact) {
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(Json(max).dump(kCompact), "18446744073709551615\n");
+  EXPECT_EQ(*Json::parse("18446744073709551615")->get<std::uint64_t>(), max);
+  // A 19-digit digest: through a double it would round to a multiple of
+  // 1,024 and a one-unit drift would vanish.
+  const std::uint64_t digest = 8763681109611083281ull;
+  EXPECT_EQ(*Json::parse("8763681109611083281")->get<std::uint64_t>(), digest);
+  EXPECT_NE(*Json::parse("8763681109611083282"), Json(digest));
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(Json(min).dump(kCompact), "-9223372036854775808\n");
+  EXPECT_EQ(*Json::parse("-9223372036854775808"), Json(min));
+  // Equal integers are equal whatever type built them; a number past 64
+  // bits becomes a double.
+  EXPECT_EQ(Json(5), Json(std::uint64_t{5}));
+  EXPECT_NE(Json::parse("-0")->get<std::uint64_t>(), nullptr);
+  EXPECT_NE(Json::parse("18446744073709551616")->get<double>(), nullptr);
+  EXPECT_EQ(Json(-1).get<std::uint64_t>(), nullptr);
+  EXPECT_EQ(Json(1.0).get<std::uint64_t>(), nullptr);
+  EXPECT_EQ(Json(-1).as_double(), -1.0);
+  EXPECT_FALSE(Json("1").as_double().has_value());
+}
+
+TEST(Json, EscapesSurvive) {
+  const std::string text = std::string("say \"hi\" \\ ") + '\x01' + "\n\t/";
+  const std::string line = Json(text).dump(kCompact);
+  EXPECT_EQ(line, "\"say \\\"hi\\\" \\\\ \\u0001\\n\\t/\"\n");
+  EXPECT_EQ(*Json::parse(line)->get<std::string>(), text);
+  // Escapes the writer never emits still decode, \u ones to UTF-8.
+  EXPECT_EQ(*Json::parse(R"("\/\b\f\u00e9\ud83d\ude00")")->get<std::string>(),
+            "/\b\f\xc3\xa9\xf0\x9f\x98\x80");
+}
+
+TEST(Json, BothNumberFormsSurvive) {
+  // format_double's shortest round trip…
+  for (const double v : {0.1 + 0.2, 1.0 / 3.0, 1e-5, 1e300 / 7.0, -2.5}) {
+    const std::string line = Json(v).dump(kCompact);
+    EXPECT_EQ(line, detail::format_double(v) + "\n");
+    EXPECT_EQ(Json::parse(line)->as_double(), v) << line;
+  }
+  // …and %.9f for times.
+  EXPECT_EQ(Json::seconds(172800.0105).dump(kCompact), "172800.010500000\n");
+  EXPECT_EQ(Json::parse("172800.010500000")->as_double(), 172800.0105);
+  EXPECT_EQ(Json::seconds(1.5), Json(1.5));  // the form is not the value
+  // six_digits rounds the value; it then prints like any double.
+  EXPECT_EQ(Json::six_digits(19.0 / 6.0).dump(kCompact), "3.16667\n");
+  EXPECT_EQ(Json::six_digits(1234567.0).dump(kCompact), "1234570\n");
+  // JSON has no NaN or infinity.
+  EXPECT_EQ(Json(std::nan("")).dump(kCompact), "null\n");
+  EXPECT_EQ(Json(-HUGE_VAL).dump(kCompact), "null\n");
+}
+
+TEST(Json, MalformedInputReturnsNothing) {
+  for (const char* bad :
+       {"", "{\"a\": 1", "{\"a\": 1} x", "\"\\q\"", "[1,]", "{\"a\" 1}",
+        "{a: 1}", "01", "1.", "-", "1e", "+1", "tru", "\"open", "\"tab\there\"",
+        "\"\\ud800\"", "\"\\udc00\"", "\"\\u12\"", "1e400", "[] []"}) {
+    EXPECT_FALSE(Json::parse(bad).has_value()) << bad;
+  }
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_FALSE(Json::parse(nested(600)).has_value());
+  EXPECT_TRUE(Json::parse(nested(500)).has_value());
+  EXPECT_TRUE(Json::parse(" \t\r\n{ \"a\" : [ 1 , 2 ] }\n").has_value());
+}
+
+TEST(Json, ObjectsKeepInsertionOrder) {
+  const Json ab = Json::Object{{"b", 2}, {"a", 1}};
+  EXPECT_EQ(ab.dump(kCompact), "{\"b\":2,\"a\":1}\n");
+  EXPECT_EQ(ab, (Json::Object{{"b", 2}, {"a", 1}}));
+  EXPECT_NE(ab, (Json::Object{{"a", 1}, {"b", 2}}));  // order counts
+  EXPECT_NE(ab, (Json::Object{{"b", 2}, {"a", 3}}));
+  EXPECT_NE(ab, (Json::Object{{"b", 2}}));
+  EXPECT_EQ(*ab.find("a")->get<std::uint64_t>(), 1u);
+  EXPECT_EQ(ab.find("z"), nullptr);
+  EXPECT_EQ(Json(1).find("a"), nullptr);
 }
 
 // -------------------------------------------------------------- Histogram
@@ -377,21 +500,6 @@ TEST(Metrics, WriteJsonAndJsonlIncludeHistograms) {
   // One JSON object per line: exactly one newline, at the end.
   EXPECT_EQ(line.find('\n'), line.size() - 1);
   EXPECT_NE(line.find("\"histograms\":{"), std::string::npos);
-}
-
-TEST(Metrics, WriteCsvExpandsHistogramRows) {
-  Metrics m;
-  m.histogram("masc.claim_grant_latency").observe(2.0);
-  std::ostringstream out;
-  m.snapshot().write_csv(out);
-  const std::string csv = out.str();
-  for (const char* suffix : {".count", ".sum", ".min", ".max", ".p50",
-                             ".p95", ".p99"}) {
-    EXPECT_NE(csv.find("masc.claim_grant_latency" + std::string(suffix)),
-              std::string::npos)
-        << suffix;
-  }
-  EXPECT_NE(csv.find("histogram"), std::string::npos);
 }
 
 // ------------------------------------------------------------------ Spans

@@ -229,6 +229,32 @@ TEST(Telemetry, SpansRoundTripThroughJsonl) {
   EXPECT_EQ(offline.str(), in_process.str());
 }
 
+TEST(Telemetry, ReadRecordsSkipsLinesThatDoNotParse) {
+  // Only whole JSON objects with a time and a known event kind count: a
+  // truncated line is skipped even when its leading fields look complete.
+  std::stringstream jsonl;
+  jsonl << "{\"trace_id\":3,\"sim_time_seconds\":1.500000000,"
+           "\"event\":\"send\",\"from\":\"A\",\"to\":\"B\","
+           "\"message\":\"m\"}\n"
+        << "{\"trace_id\":4,\"sim_time_seconds\":1.600000000,"
+           "\"event\":\"deliver\",\"from\":\"A\"\n"
+        << "not json\n"
+        << "{\"sim_time_seconds\":2.0,\"event\":\"teleport\"}\n"
+        << "{\"event\":\"log\",\"level\":\"info\"}\n"
+        << "{\"sim_time_seconds\":2.000000000,\"event\":\"frame\","
+           "\"v\":{\"net.messages_sent\":40}}\n";
+  const std::vector<obs::Record> records = eval::read_records_jsonl(jsonl);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].kind, obs::Record::Kind::kSend);
+  EXPECT_EQ(records[0].trace_id, 3u);
+  EXPECT_EQ(records[0].sim_time, net::SimTime::milliseconds(1500));
+  EXPECT_EQ(records[0].to, "B");
+  EXPECT_EQ(records[1].kind, obs::Record::Kind::kFrame);
+  ASSERT_EQ(records[1].values.size(), 1u);
+  EXPECT_EQ(records[1].values[0].first, "net.messages_sent");
+  EXPECT_EQ(records[1].values[0].second, 40.0);
+}
+
 // --------------------------------------------------------- metric frames
 
 TEST(Recorder, DeltaFramesCarryOnlyChangedSeries) {
